@@ -16,7 +16,6 @@ from .errors import (
     PoleError,
 )
 from .ladder import (
-    LadderCoefficients,
     apply_lowering,
     apply_raising,
     commutator_diagonal,
@@ -90,7 +89,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticSample", "CircleNoGoError", "ConvergenceError", "DistributionSeries",
     "DivergenceError", "DomainClass", "DomainKind", "FockVector",
-    "GCoefficientTable", "GHSError", "LadderCoefficients", "MomentReport",
+    "GCoefficientTable", "GHSError", "MomentReport",
     "ParameterError", "ParameterSet", "PhaseDistribution", "PhotonStats",
     "PoleError", "SeriesResult", "StateSpec", "analytic_rep", "apply_lowering",
     "apply_raising", "bessel_i", "bessel_k", "circle_weight_attempt", "classify",

@@ -9,21 +9,20 @@ the generalized analytic representation; for the empty parameter set this
 is the Bargmann function, for the phase-state family the Hardy-space
 representation.  The family wave function sqrt(w) <p;q;z|psi> and the
 measure d mu = d^2 zeta / pi * w/N turn scalar products into integrals,
-which this module verifies by radial-angular quadrature.
+which this module verifies by radial-angular quadrature: an exact angular
+rule inside weights.density_integral, the package's one radial integral.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import DivergenceError
-from .states import FockVector, ParameterSet, classify, log_rho
-from .weights import _disk_density_om, family_params, support_radius, weight_tilde
+from .states import FockVector, ParameterSet, log_rho
+from .weights import density_integral, family_params, support_radius, weight_tilde
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,9 @@ def inner_product_via_measure(family: str, params: ParameterSet,
 
     Angular integration uses a uniform M-point rule with M > combined
     cutoff (exact: the integrand is a trigonometric polynomial of bounded
-    degree); the radial factor is the moment density wt, integrated
-    adaptively with the same endpoint handling as the moment checks.
+    degree); the complex angular mean is integrated against the moment
+    density wt in one weights.density_integral pass.
     """
-    vals = family_params(family, params)
     n_max = max(phi.cutoff, psi.cutoff)
     m_ang = max(64, 2 * n_max + 2)
     angles = 2.0 * math.pi * np.arange(m_ang) / m_ang
@@ -90,45 +88,12 @@ def inner_product_via_measure(family: str, params: ParameterSet,
     c_psi = psi.coeffs * half_rho[: psi.cutoff + 1]
     pv = np.polynomial.polynomial.polyval
 
-    def angular_mean(radius: float) -> complex:
-        zetas = radius * phase_grid
+    def angular_mean(x: float) -> complex:
+        zetas = math.sqrt(x) * phase_grid
         return complex(np.mean(pv(zetas, c_phi).conj() * pv(zetas, c_psi)))
 
-    def f_re(x):
-        if x <= 0.0:
-            return 0.0
-        wt_val = weight_tilde(family, params, x)
-        if wt_val == 0.0:
-            return 0.0
-        return wt_val * angular_mean(math.sqrt(x)).real
-
-    def f_im(x):
-        if x <= 0.0:
-            return 0.0
-        wt_val = weight_tilde(family, params, x)
-        if wt_val == 0.0:
-            return 0.0
-        return wt_val * angular_mean(math.sqrt(x)).imag
-
-    if math.isinf(support_radius(family)):
-        re, _ = quadrature.integrate_half_line(f_re, rel_tol=quad_tol, abs_tol=1e-12)
-        im, _ = quadrature.integrate_half_line(f_im, rel_tol=quad_tol, abs_tol=1e-12)
-    else:
-        def right_part(component):
-            def g(om):
-                if om <= 0.0:
-                    return 0.0
-                val = _disk_density_om(family, vals, om) * angular_mean(
-                    math.sqrt(1.0 - om)
-                )
-                return val.real if component == "re" else val.imag
-            return g
-
-        re, _ = quadrature.integrate_unit(f_re, rel_tol=quad_tol, abs_tol=1e-12,
-                                          right_f=right_part("re"))
-        im, _ = quadrature.integrate_unit(f_im, rel_tol=quad_tol, abs_tol=1e-12,
-                                          right_f=right_part("im"))
-    return complex(re, im)
+    val, _ = density_integral(family, params, angular_mean, rel_tol=quad_tol, abs_tol=1e-12)
+    return complex(val)
 
 
 def cauchy_riemann_residual(params: ParameterSet, psi: FockVector,

@@ -303,15 +303,6 @@ def _sweep_params(fig: int, override):
     return [(states.validate([], [b]), f"b={b:g}") for b in vals]
 
 
-def _pn_series_on_grid(params, absz, n_max, tol):
-    spec = states.StateSpec(params, absz)
-    d = photstat.pn_distribution(spec, tol=tol)
-    vals = np.zeros(n_max + 1)
-    k = min(n_max + 1, len(d.values))
-    vals[:k] = d.values[:k]
-    return vals
-
-
 def cmd_figure(args) -> int:
     fig = args.id
     if not 1 <= fig <= 13:

@@ -49,16 +49,6 @@ def f_coeff(params: ParameterSet, n: int) -> float:
     return cache[n]
 
 
-class LadderCoefficients:
-    """Memoized f-sequence for one parameter set (read-only after build)."""
-
-    def __init__(self, params: ParameterSet):
-        self.params = params
-
-    def __call__(self, n: int) -> float:
-        return f_coeff(self.params, n)
-
-
 def apply_lowering(params: ParameterSet, v: FockVector) -> FockVector:
     """(U v)_n = f(n) v_{n+1}; the cutoff drops by one.
 

@@ -11,7 +11,8 @@ G(n,n') = rho((n+n')/2) / sqrt(rho(n) rho(n')).  The analyzer tag "Q"
 sqrt(n! n'!); the tag "PB" (phase-state analyzer, a -> 1 of (1;0)) gives
 the all-ones table.  The generalized Husimi distribution itself is
 (1/pi) w(|z|^2) |<p;q;z|psi>|^2 over the analyzer's plane or disk, and its
-radial integral reproduces the G-table phase distribution.
+radial integral, taken by weights.density_integral, reproduces the G-table
+phase distribution.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature, specfun
+from . import specfun
 from .errors import ParameterError
 from .states import FockVector, ParameterSet, log_rho, log_rho_gamma
-from .weights import _disk_density_om, family_params, support_radius, weight_tilde
+from .weights import density_integral, family_params, weight_tilde
 
 G_TABLE_CAP = 2048
 
@@ -191,36 +192,16 @@ def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,
 def gh_phase_from_husimi(signal: FockVector, family: str, params: ParameterSet,
                          thetas, quad_tol: float = 1e-9) -> np.ndarray:
     """Phase distribution by direct radial integration of the generalized
-    Husimi distribution: P(theta) = (1/2) int_0^R Q(sqrt(x) e^{i theta}) dx."""
-    vals = family_params(family, params)
+    Husimi distribution: P(theta) = (1/2) int_0^R Q(sqrt(x) e^{i theta}) dx,
+    one weights.density_integral per angle."""
     out = np.empty(len(thetas))
-    infinite = math.isinf(support_radius(family))
     for j, th in enumerate(thetas):
         phase_factor = cmath.exp(1j * th)
-
-        def f(x):
-            if x <= 0.0:
-                return 0.0
-            wt_val = weight_tilde(family, params, x)
-            if wt_val == 0.0:
-                return 0.0
-            return wt_val * _analyzer_overlap_sq(
-                family, params, signal, math.sqrt(x) * phase_factor
-            )
-
-        if infinite:
-            val, _ = quadrature.integrate_half_line(f, rel_tol=quad_tol, abs_tol=1e-13)
-        else:
-            def f_right(om):
-                if om <= 0.0:
-                    return 0.0
-                x = 1.0 - om
-                return _disk_density_om(family, vals, om) * _analyzer_overlap_sq(
-                    family, params, signal, math.sqrt(x) * phase_factor
-                )
-
-            val, _ = quadrature.integrate_unit(f, rel_tol=quad_tol, abs_tol=1e-13,
-                                               right_f=f_right)
+        val, _ = density_integral(
+            family, params,
+            lambda x: _analyzer_overlap_sq(family, params, signal, math.sqrt(x) * phase_factor),
+            rel_tol=quad_tol, abs_tol=1e-13,
+        )
         out[j] = 0.5 * val / math.pi
     return out
 

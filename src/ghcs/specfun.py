@@ -268,13 +268,16 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
     )
 
 
-def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int = DEFAULT_MAX_TERMS):
+def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int | None = None):
     """Kummer confluent series M(a; b; x), standalone term loop.
 
     Allows non-positive non-integer b (needed with epsilon-offset
     parameters); raises PoleError if b is a non-positive integer, unless a
-    terminates the series before the pole index is reached.
+    terminates the series before the pole index is reached.  max_terms
+    defaults to DEFAULT_MAX_TERMS as read at call time.
     """
+    if max_terms is None:
+        max_terms = DEFAULT_MAX_TERMS
     terminating = _is_nonpositive_integer(a)
     n_stop = -round(complex(a).real) if terminating else None
     if _is_nonpositive_integer(b):
@@ -565,9 +568,18 @@ def _tricomi_a_recurrence(a: float, b: float, x: float) -> float:
     return u_lo
 
 
-def _lg_signed(x: float):
-    """(log|Gamma(x)|, sign) for real non-pole x."""
-    return math.lgamma(x), gamma_sign(x)
+def _gamma_ratio(up, down) -> float:
+    """Signed prod Gamma(up) / prod Gamma(down) for real non-pole arguments,
+    formed as exp(sum log|Gamma|) times the product of gamma_sign."""
+    ln = 0.0
+    sign = 1.0
+    for v in up:
+        ln += math.lgamma(v)
+        sign *= gamma_sign(v)
+    for v in down:
+        ln -= math.lgamma(v)
+        sign *= gamma_sign(v)
+    return sign * math.exp(ln)
 
 
 def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
@@ -578,13 +590,7 @@ def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
         raise DivergenceError("2F1 at unit argument requires b - a1 - a2 > 0")
     if rgamma(b - a1) == 0.0 or rgamma(b - a2) == 0.0:
         return 0.0
-    ln = 0.0
-    sign = 1.0
-    for v, up in ((b, True), (s, True), (b - a1, False), (b - a2, False)):
-        lg, sg = _lg_signed(v)
-        ln += lg if up else -lg
-        sign *= sg
-    return sign * math.exp(ln)
+    return _gamma_ratio((b, s), (b - a1, b - a2))
 
 
 def _gauss_series(a1, a2, b, x, tol, max_terms) -> SeriesResult:
@@ -599,13 +605,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol, max_terms) ->
     terms_used = 0
     if m > 0:
         # finite part: Gamma(m) Gamma(b) / (Gamma(a1+m) Gamma(a2+m)) * sum_{n<m}
-        lg_f = 0.0
-        sg_f = 1.0
-        for v, up in ((float(m), True), (b, True), (a1 + m, False), (a2 + m, False)):
-            lg, sg = _lg_signed(v)
-            lg_f += lg if up else -lg
-            sg_f *= sg
-        coeff = sg_f * math.exp(lg_f)
+        coeff = _gamma_ratio((float(m), b), (a1 + m, a2 + m))
         t = 1.0
         s_fin = 0.0
         for n in range(m):
@@ -618,13 +618,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol, max_terms) ->
     if rgamma(a1) == 0.0 or rgamma(a2) == 0.0:
         val = total  # 2F1 is a polynomial through the finite part only
         return SeriesResult(val, max(terms_used, 1), 0.0, True)
-    lg_c = 0.0
-    sg_c = 1.0
-    for v, up in ((b, True), (a1, False), (a2, False)):
-        lg, sg = _lg_signed(v)
-        lg_c += lg if up else -lg
-        sg_c *= sg
-    coeff = -((-1.0) ** m) * sg_c * math.exp(lg_c) * w**m
+    coeff = -((-1.0) ** m) * _gamma_ratio((b,), (a1, a2)) * w**m
     t = 1.0 / math.factorial(m)
     s_log = 0.0
     small_streak = 0
@@ -663,23 +657,11 @@ def _gauss_nonint_connection(a1, a2, b, w, tol, max_terms) -> SeriesResult:
     if rgamma(b - a1) == 0.0 or rgamma(b - a2) == 0.0:
         c1 = 0.0
     else:
-        lg_1 = 0.0
-        sg_1 = 1.0
-        for v, up in ((b, True), (s, True), (b - a1, False), (b - a2, False)):
-            lg, sg = _lg_signed(v)
-            lg_1 += lg if up else -lg
-            sg_1 *= sg
-        c1 = sg_1 * math.exp(lg_1)
+        c1 = _gamma_ratio((b, s), (b - a1, b - a2))
     if rgamma(a1) == 0.0 or rgamma(a2) == 0.0:
         c2 = 0.0
     else:
-        lg_2 = 0.0
-        sg_2 = 1.0
-        for v, up in ((b, True), (-s, True), (a1, False), (a2, False)):
-            lg, sg = _lg_signed(v)
-            lg_2 += lg if up else -lg
-            sg_2 *= sg
-        c2 = sg_2 * math.exp(lg_2) * w**s
+        c2 = _gamma_ratio((b, -s), (a1, a2)) * w**s
     terms = 0
     tail = 0.0
     total = 0.0

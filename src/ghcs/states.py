@@ -29,8 +29,6 @@ from .errors import ConvergenceError, DivergenceError, ParameterError
 DEFAULT_FOCK_TOL = 1e-12
 MAX_CUTOFF = 4096
 
-_INT_TOL = 1e-12
-
 
 def _canon(v):
     """Collapse numerically-real complex entries to float."""
@@ -102,14 +100,6 @@ class DomainClass:
     eta: float
 
 
-def _is_nonpositive_integer(v) -> bool:
-    c = complex(v)
-    if abs(c.imag) > 1e-14 * max(1.0, abs(c.real)):
-        return False
-    r = round(c.real)
-    return r <= 0 and abs(c.real - r) <= _INT_TOL * max(1.0, abs(c.real))
-
-
 def validate(a=(), b=()) -> ParameterSet:
     """Check the positivity constraints and return a ParameterSet.
 
@@ -128,7 +118,7 @@ def validate(a=(), b=()) -> ParameterSet:
     for which, vals in lists.items():
         complex_pool = {}
         for idx, v in enumerate(vals):
-            if _is_nonpositive_integer(v):
+            if specfun._is_nonpositive_integer(v):
                 raise ParameterError(
                     f"{which}[{idx}] = {v}: zero and negative integer parameters are excluded",
                     which=which, index=idx, rule="nonpositive-integer",

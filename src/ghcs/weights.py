@@ -19,6 +19,12 @@ verifies the moment condition by adaptive quadrature, scans positivity
 (which is family-specific and not guaranteed in general), and refuses the
 circle-state moment problem, whose only solution is the phase-state
 constant 1/(2 pi).
+
+density_integral is the one radial integral integral_0^R g(x) wt(x) dx of
+the package: the moment checks here, the radially integrated Husimi phase
+distribution (phase) and the measure inner products (analytic) all pass
+their g to it, and it alone picks the quadrature by support radius and
+evaluates the disk density at the exact distance to x = 1.
 """
 
 from __future__ import annotations
@@ -30,10 +36,8 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import CircleNoGoError, ParameterError
-from .photstat import FAMILIES, family_params, sf_2f1
+from .photstat import family_params, sf_2f1
 from .states import ParameterSet, log_rho, normalization
-
-FAMILY_SHAPES = {"CS": (0, 0), "F01": (0, 1), "F11": (1, 1), "F10": (1, 0), "F21": (2, 1)}
 
 
 def support_radius(family: str) -> float:
@@ -161,38 +165,46 @@ class MomentReport:
         return iter(self.records)
 
 
-def moment_integral(family: str, params: ParameterSet, n: int,
-                    quad_tol: float = 1e-10) -> float:
-    """integral_0^R x^n wt(x) dx by adaptive quadrature; R = inf is mapped to
-    (0,1) via x = t/(1-t) and integrable endpoint behavior is absorbed by
-    power substitutions."""
-    lr = log_rho(params, n)
-    if lr > 700.0:
-        raise OverflowError(f"rho({n}) exceeds double range; reduce n_max")
-    scale = math.exp(lr)
+def density_integral(family: str, params: ParameterSet, g,
+                     rel_tol: float, abs_tol: float):
+    """(integral_0^R g(x) wt(x) dx, error estimate) by adaptive quadrature.
+
+    R = inf is mapped to (0,1) via x = t/(1-t) and integrable endpoint
+    behavior is absorbed by power substitutions.  On the disk the right
+    half evaluates the density at the exact distance om = 1 - x (where it
+    is power-law singular) and hands g the point 1 - om.  g is called at
+    x > 0 only and may return real or complex values.
+    """
     vals = family_params(family, params)
 
     def f(x):
-        if x == 0.0:
+        if x <= 0.0:
             return 0.0
         wt_val = weight_tilde(family, params, x)
         if wt_val == 0.0:
-            return 0.0  # density underflowed; x^n cannot rescue the product
-        return math.exp(n * math.log(x) - lr) * wt_val
+            return 0.0  # density underflowed; g cannot rescue the product
+        return wt_val * g(x)
 
     if math.isinf(support_radius(family)):
-        val, _ = quadrature.integrate_half_line(f, rel_tol=quad_tol, abs_tol=1e-14)
-    else:
-        def f_right(om):  # om = 1 - x, exact from the endpoint substitution
-            if om <= 0.0:
-                return 0.0
-            return math.exp(n * math.log1p(-om) - lr) * _disk_density_om(
-                family, vals, om
-            )
+        return quadrature.integrate_half_line(f, rel_tol=rel_tol, abs_tol=abs_tol)
 
-        val, _ = quadrature.integrate_unit(f, rel_tol=quad_tol, abs_tol=1e-14,
-                                           right_f=f_right)
-    return val * scale
+    def f_right(om):  # om = 1 - x, exact from the endpoint substitution
+        if om <= 0.0:
+            return 0.0
+        return _disk_density_om(family, vals, om) * g(1.0 - om)
+
+    return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, right_f=f_right)
+
+
+def moment_integral(family: str, params: ParameterSet, n: int,
+                    quad_tol: float = 1e-10) -> float:
+    """integral_0^R x^n wt(x) dx, integrated as x^n/rho(n) and rescaled."""
+    lr = log_rho(params, n)
+    if lr > 700.0:
+        raise OverflowError(f"rho({n}) exceeds double range; reduce n_max")
+    val, _ = density_integral(family, params, lambda x: math.exp(n * math.log(x) - lr),
+                              rel_tol=quad_tol, abs_tol=1e-14)
+    return val * math.exp(lr)
 
 
 def moment_check(family: str, params: ParameterSet, n_max: int = 20,

@@ -82,7 +82,8 @@ def test_inner_product_vacuum():
 
 @pytest.mark.parametrize("family,params", [
     ("CS", CS), ("F10", st.validate([3.0], [])),
-], ids=("CS", "F10a3"))
+    ("F01", st.validate([], [1.5])), ("F21", st.validate([3.0, 3.0], [2.0])),
+], ids=("CS", "F10a3", "F01b1.5", "F21a3a3b2"))
 def test_inner_product_random_pairs(family, params):
     rng = np.random.default_rng(11)
     for _ in range(5):

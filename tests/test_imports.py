@@ -1,0 +1,18 @@
+import ast
+from pathlib import Path
+
+import ghcs
+
+SRC = Path(ghcs.__file__).parent
+
+
+def test_no_private_names_imported_across_modules():
+    # no module imports a sibling's underscore name; so the exact-distance
+    # disk density stays behind weights.density_integral
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("ghcs")):
+                leaks += [f"{path.name}: {node.module or '.'}.{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert leaks == []

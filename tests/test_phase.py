@@ -218,10 +218,11 @@ def test_radial_phase_check_cs():
 
 
 def test_radial_phase_check_disk_family():
-    p10 = st.validate([3.0], [])
-    dev = ph.radial_phase_check(coherent_signal(absz=0.5), "F10", p10,
-                                thetas=np.linspace(-math.pi, math.pi, 9))
-    assert dev <= 1e-5
+    for family, params in (("F10", st.validate([3.0], [])),
+                           ("F21", st.validate([3.0, 3.0], [2.0]))):
+        dev = ph.radial_phase_check(coherent_signal(absz=0.5), family, params,
+                                    thetas=np.linspace(-math.pi, math.pi, 9))
+        assert dev <= 1e-5
 
 
 def test_radial_phase_check_fock_uniform():

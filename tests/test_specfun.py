@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ghcs import specfun as sf
-from ghcs.errors import DivergenceError, PoleError
+from ghcs.errors import ConvergenceError, DivergenceError, PoleError
 
 
 # ---------------------------------------------------------------- ln_gamma
@@ -146,6 +146,14 @@ def test_kummer_matches_pfq():
         assert sf.kummer_m(a, b, x) == pytest.approx(
             sf.pfq([a], [b], x, tol=1e-14).value, rel=1e-12
         )
+
+
+def test_kummer_term_cap_read_at_call_time(monkeypatch):
+    # the CLI's GHCS_MAX_TERMS lowers DEFAULT_MAX_TERMS after import
+    monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 5)
+    for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.kummer_m(1.0, 2.5, 3.0)):
+        with pytest.raises(ConvergenceError):
+            series()
 
 
 def test_pfq_compensated_summation_toggle():
