@@ -143,19 +143,15 @@ def husimi_q(signal: FockVector, alpha: complex) -> float:
     return float(abs(amp) ** 2 / math.pi)
 
 
-def _analyzer_overlap_sq(family: str, params: ParameterSet, signal: FockVector,
-                         z: complex) -> float:
-    """|sum_n (z*)^n psi_n / sqrt(rho(n))|^2 (normalization-free overlap)."""
+def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
+    """x -> |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta}
+    for every theta (normalization-free overlap), with the magnitudes
+    x^{n/2} / sqrt(rho(n)) formed in log space."""
     psi = signal.coeffs
-    z = complex(z)
-    if z == 0:
-        return abs(psi[0]) ** 2
     n = np.arange(len(psi))
-    log_mag = n * math.log(abs(z)) - 0.5 * np.array(
-        [log_rho(params, k) for k in range(len(psi))]
-    )
-    coeff = np.exp(log_mag) * np.exp(-1j * n * cmath.phase(z))
-    return float(abs(np.sum(coeff * psi)) ** 2)
+    half_log_rho = 0.5 * np.array([log_rho(params, k) for k in range(len(psi))])
+    rotations = np.exp(-1j * np.outer(n, thetas))
+    return lambda x: np.abs((psi * np.exp(0.5 * n * math.log(x) - half_log_rho)) @ rotations) ** 2
 
 
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
@@ -163,12 +159,13 @@ def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
     weight-supported analyzer family; reduces to husimi_q for family 'CS'."""
     family_params(family, params)
-    x = abs(complex(z)) ** 2
-    return (
-        weight_tilde(family, params, x)
-        * _analyzer_overlap_sq(family, params, signal, z)
-        / math.pi
-    )
+    z = complex(z)
+    x = abs(z) ** 2
+    if x > 0.0:
+        overlap_sq = float(_overlap_sq(params, signal, [cmath.phase(z)])(x)[0])
+    else:
+        overlap_sq = abs(signal.coeffs[0]) ** 2
+    return weight_tilde(family, params, x) * overlap_sq / math.pi
 
 
 def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,
@@ -193,17 +190,10 @@ def gh_phase_from_husimi(signal: FockVector, family: str, params: ParameterSet,
                          thetas, quad_tol: float = 1e-9) -> np.ndarray:
     """Phase distribution by direct radial integration of the generalized
     Husimi distribution: P(theta) = (1/2) int_0^R Q(sqrt(x) e^{i theta}) dx,
-    one weights.density_integral per angle."""
-    out = np.empty(len(thetas))
-    for j, th in enumerate(thetas):
-        phase_factor = cmath.exp(1j * th)
-        val, _ = density_integral(
-            family, params,
-            lambda x: _analyzer_overlap_sq(family, params, signal, math.sqrt(x) * phase_factor),
-            rel_tol=quad_tol, abs_tol=1e-13,
-        )
-        out[j] = 0.5 * val / math.pi
-    return out
+    one weights.density_integral pass over all angles."""
+    val, _ = density_integral(family, params, _overlap_sq(params, signal, thetas),
+                              rel_tol=quad_tol, abs_tol=1e-13)
+    return 0.5 * val / math.pi
 
 
 def radial_phase_check(signal: FockVector, family: str, params: ParameterSet,

@@ -317,7 +317,7 @@ def _bessel_i_series(nu: float, x: float, tol: float = 1e-15) -> float:
         gamma_sign(nu + 1.0) if nu + 1.0 < 0 else 1.0
     )
     s = t
-    for k in range(100_000):
+    for k in range(DEFAULT_MAX_TERMS):
         t = t * h / ((k + 1.0) * (nu + k + 1.0))
         s += t
         if abs(t) <= tol * abs(s) and k > 2:
@@ -385,7 +385,7 @@ def _bessel_k_integer_series(n: int, x: float) -> float:
     psi_nk = -_EULER_GAMMA + sum(1.0 / j for j in range(1, n + 1))
     c = 1.0 / math.factorial(n)
     s3 = (psi_k + psi_nk) * c
-    for k in range(1, 10_000):
+    for k in range(1, DEFAULT_MAX_TERMS):
         c = c * h / (k * (n + k))
         psi_k += 1.0 / k
         psi_nk += 1.0 / (n + k)
@@ -393,6 +393,8 @@ def _bessel_k_integer_series(n: int, x: float) -> float:
         s3 += term
         if abs(term) <= 1e-17 * abs(s3):
             break
+    else:
+        raise ConvergenceError(f"bessel_k integer series stalled at n={n}, x={x}")
     s3 *= (-1.0) ** n * 0.5 * (0.5 * x) ** n
     return s1 + s2 + s3
 
@@ -682,11 +684,12 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
               tol: float = DEFAULT_TOL, max_terms: int | None = None) -> SeriesResult:
     """Gauss hypergeometric function 2F1(a1, a2; b; x) for real parameters.
 
-    |x| <= 0.8: direct series (cancellation-free).  0.8 < x < 1: connection
-    formulas in (1-x) (two-term for non-integer b-a1-a2, logarithmic branch
-    for integer, Euler transformation first when b-a1-a2 is a negative
-    integer).  -1 < x < -0.8: Pfaff transformation back into the
-    fast-series region.  x = 1: closed gamma formula, b - a1 - a2 > 0.
+    |x| <= 0.8: direct series; on [-0.8, 0) its terms alternate and it loses
+    up to 4.6e-8 relative (measured against 40-digit mpmath).  0.8 < x < 1:
+    connection formulas in (1-x) (two-term for non-integer b-a1-a2,
+    logarithmic branch for integer, Euler transformation first when
+    b-a1-a2 is a negative integer).  -1 < x < -0.8: Pfaff transformation
+    back into the fast-series region.  x = 1: closed gamma formula, b - a1 - a2 > 0.
     """
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
@@ -698,8 +701,8 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
         return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
     if abs(x) >= 1.0:
         raise DivergenceError(f"gauss_2f1 requires |x| < 1 or x = 1, got {x}")
-    # Direct series up to 0.8: it is cancellation-free there, while the
-    # connection formulas can lose ~8 digits to cancellation just past 0.5.
+    # Direct series up to 0.8: the connection formulas can lose ~8 digits just
+    # past 0.5; for x < 0 the alternating series itself loses up to 4.6e-8.
     if abs(x) <= 0.8:
         return _gauss_series(a1, a2, b, x, tol, max_terms)
     if x < 0.0:

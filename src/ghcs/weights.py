@@ -152,6 +152,7 @@ class MomentRecord:
     quad: float
     rho: float
     rel_error: float
+    quad_err: float  # quadrature error estimate of quad
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,9 @@ def density_integral(family: str, params: ParameterSet, g,
     behavior is absorbed by power substitutions.  On the disk the right
     half evaluates the density at the exact distance om = 1 - x (where it
     is power-law singular) and hands g the point 1 - om.  g is called at
-    x > 0 only and may return real or complex values.
+    scalar x > 0 only and may return a real or complex value or a 1-D array,
+    whose components share one adaptive pass and its density evaluations;
+    the pass stops when each meets err_i <= max(abs_tol, rel_tol*|I_i|).
     """
     vals = family_params(family, params)
 
@@ -196,31 +199,33 @@ def density_integral(family: str, params: ParameterSet, g,
     return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, right_f=f_right)
 
 
+def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
+    """(integral_0^R x^n wt(x) dx, error estimate, rho(n)) for every n in ns,
+    in one density_integral pass over g(x) = x^n/rho(n), rescaled."""
+    lr = np.array([log_rho(params, int(n)) for n in ns])
+    if lr.max() > 700.0:
+        raise OverflowError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
+    val, err = density_integral(family, params, lambda x: np.exp(ns * math.log(x) - lr),
+                                rel_tol=quad_tol, abs_tol=1e-14)
+    rho = np.exp(lr)
+    return val * rho, err * rho, rho
+
+
 def moment_integral(family: str, params: ParameterSet, n: int,
                     quad_tol: float = 1e-10) -> float:
     """integral_0^R x^n wt(x) dx, integrated as x^n/rho(n) and rescaled."""
-    lr = log_rho(params, n)
-    if lr > 700.0:
-        raise OverflowError(f"rho({n}) exceeds double range; reduce n_max")
-    val, _ = density_integral(family, params, lambda x: math.exp(n * math.log(x) - lr),
-                              rel_tol=quad_tol, abs_tol=1e-14)
-    return val * math.exp(lr)
+    return float(_moment_integrals(family, params, np.array([n]), quad_tol)[0][0])
 
 
 def moment_check(family: str, params: ParameterSet, n_max: int = 20,
                  quad_tol: float = 1e-10) -> MomentReport:
-    """Verify integral_0^R x^n wt(x) dx = rho(n) for n = 0..n_max."""
-    vals = family_params(family, params)
-    _check_weight_preconditions(family, vals)
-    records = []
-    worst = 0.0
-    for n in range(n_max + 1):
-        r = math.exp(log_rho(params, n)) if log_rho(params, n) < 700 else math.inf
-        q = moment_integral(family, params, n, quad_tol=quad_tol)
-        rel = abs(q - r) / r
-        worst = max(worst, rel)
-        records.append(MomentRecord(n, q, r, rel))
-    return MomentReport(family, params, tuple(records), worst)
+    """Verify integral_0^R x^n wt(x) dx = rho(n) for n = 0..n_max, all n in
+    one adaptive pass."""
+    _check_weight_preconditions(family, family_params(family, params))
+    quads, errs, rhos = _moment_integrals(family, params, np.arange(n_max + 1), quad_tol)
+    records = [MomentRecord(n, q, r, abs(q - r) / r, e)
+               for n, (q, e, r) in enumerate(zip(quads.tolist(), errs.tolist(), rhos.tolist()))]
+    return MomentReport(family, params, tuple(records), max(r.rel_error for r in records))
 
 
 @dataclass(frozen=True)

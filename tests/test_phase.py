@@ -6,6 +6,7 @@ import pytest
 
 from ghcs import phase as ph
 from ghcs import states as st
+from ghcs import weights as wt
 from ghcs.errors import ParameterError
 
 CS = st.validate([], [])
@@ -161,6 +162,14 @@ def test_husimi_self_dual_symmetry():
         assert ph.husimi_q(siga, zb) == pytest.approx(ph.husimi_q(sigb, za), rel=1e-10)
 
 
+def test_husimi_high_fock_number():
+    # Poisson(400; 400)/pi: n! and |alpha|^{2n} e^{-|alpha|^2} each leave double range
+    n = 400
+    expected = math.exp(-n + n * math.log(n) - math.lgamma(n + 1.0)) / math.pi
+    assert ph.husimi_q(st.fock_basis_vector(n), 20.0) == pytest.approx(expected, rel=1e-10)
+    assert math.isfinite(ph.husimi_q(st.fock_basis_vector(800), math.sqrt(800.0)))
+
+
 # --------------------------------------------------------------- gh husimi
 
 def test_gh_husimi_reduces_to_husimi():
@@ -169,6 +178,18 @@ def test_gh_husimi_reduces_to_husimi():
         assert ph.gh_husimi(sig, "CS", CS, z) == pytest.approx(
             ph.husimi_q(sig, z), rel=1e-12
         )
+
+
+def test_gh_husimi_high_fock_number_plane():
+    # (1/pi) wt(x) x^n / rho(n) for the Fock state n, where 1/sqrt(rho(n)) underflows
+    n = 400
+    sig = st.fock_basis_vector(n)
+    p01 = st.validate([], [2.0])
+    for family, params, x in (("CS", CS, 400.0), ("F01", p01, 1e4)):
+        expected = (wt.weight_tilde(family, params, x)
+                    * math.exp(n * math.log(x) - st.log_rho(params, n)) / math.pi)
+        got = ph.gh_husimi(sig, family, params, math.sqrt(x) * cmath.exp(0.3j))
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_gh_husimi_rejects_family_mismatch():
@@ -223,6 +244,35 @@ def test_radial_phase_check_disk_family():
         dev = ph.radial_phase_check(coherent_signal(absz=0.5), family, params,
                                     thetas=np.linspace(-math.pi, math.pi, 9))
         assert dev <= 1e-5
+
+
+def test_gh_phase_from_husimi_disk_matches_phase_distribution():
+    # one density_integral pass over every angle, against the G-table pipeline
+    p10 = st.validate([3.0], [])
+    sig = coherent_signal(absz=0.5, phi=0.4)
+    thetas = np.linspace(-math.pi, math.pi, 25)
+    direct = ph.gh_phase_from_husimi(sig, "F10", p10, thetas)
+    assert direct.shape == thetas.shape
+    series = ph.phase_distribution(sig, p10, thetas).values
+    assert np.max(np.abs(direct - series)) <= 1e-5
+    # reference: one scalar pass per angle over the explicit overlap sum
+    n = np.arange(len(sig.coeffs))
+    inv_sqrt_rho = np.array([1.0 / math.sqrt(st.rho(p10, k)) for k in n])
+    for th, got in zip(thetas[::6], direct[::6]):
+        def g(x):
+            z_conj = math.sqrt(x) * cmath.exp(-1j * th)
+            return abs(np.sum(z_conj**n * sig.coeffs * inv_sqrt_rho)) ** 2
+        ref, _ = wt.density_integral("F10", p10, g, rel_tol=1e-9, abs_tol=1e-13)
+        assert got == pytest.approx(0.5 * ref / math.pi, rel=1e-8, abs=1e-12)
+
+
+def test_gh_phase_from_husimi_high_fock_number_uniform():
+    # a Fock state has the uniform phase distribution; its radial density
+    # x^n wt(x) / rho(n) peaks where x^{n/2} and 1/sqrt(rho(n)) leave double range
+    thetas = np.linspace(-math.pi, math.pi, 7)
+    for family, params, n in (("CS", CS, 400), ("F01", st.validate([], [2.0]), 150)):
+        got = ph.gh_phase_from_husimi(st.fock_basis_vector(n), family, params, thetas)
+        assert np.max(np.abs(got - 1.0 / TWO_PI)) <= 1e-8
 
 
 def test_radial_phase_check_fock_uniform():

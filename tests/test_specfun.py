@@ -151,9 +151,20 @@ def test_kummer_matches_pfq():
 def test_kummer_term_cap_read_at_call_time(monkeypatch):
     # the CLI's GHCS_MAX_TERMS lowers DEFAULT_MAX_TERMS after import
     monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 5)
-    for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.kummer_m(1.0, 2.5, 3.0)):
+    for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.kummer_m(1.0, 2.5, 3.0),
+                   lambda: sf.bessel_i(0.5, 30.0)):
         with pytest.raises(ConvergenceError):
             series()
+
+
+def test_bessel_k_integer_series_raises_at_term_cap(monkeypatch):
+    # at 11 terms the I_1 part converges but the 1e-17 log series does not;
+    # an unconverged sum must raise, not be returned
+    monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 11)
+    with pytest.raises(ConvergenceError, match="integer series"):
+        sf.bessel_k(1.0, 2.0)
+    monkeypatch.undo()
+    assert sf.bessel_k(1.0, 2.0) == pytest.approx(0.13986588181652243, rel=1e-13)
 
 
 def test_pfq_compensated_summation_toggle():

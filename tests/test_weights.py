@@ -90,6 +90,22 @@ def test_moment_checks_sampled_families(family, params):
     assert rep.max_rel_error <= 1e-6
 
 
+@pytest.mark.parametrize("family,params", [
+    ("CS", CS),
+    ("F01", st.validate([], [1.0])),
+    ("F11", st.validate([2.0], [4.0])),
+    ("F10", st.validate([2.0], [])),
+    ("F21", st.validate([3.0, 3.0], [2.0])),
+], ids=lambda v: v if isinstance(v, str) else v.label())
+def test_moment_check_matches_single_moment_integrals(family, params):
+    # the one vector pass over all n agrees with n separate scalar passes
+    rep = wt.moment_check(family, params, n_max=20)
+    for r in rep:
+        assert r.quad == pytest.approx(wt.moment_integral(family, params, r.n), rel=1e-10)
+        # the estimate meets the per-component rule (summed over two halves)
+        assert 0.0 < r.quad_err <= 1e-10 * abs(r.quad) + 1e-14 * r.rho
+
+
 def test_f21_weight_at_origin():
     # finite for b > 1, divergent (integrably) for b < 1
     assert wt.weight("F21", st.validate([3.0, 3.0], [2.0]), 0.0) == pytest.approx(
