@@ -7,7 +7,8 @@ pass for all components, which stops when every component meets
 err_i <= max(abs_tol, rel_tol*|I_i|).  Helpers map the half-open ranges
 used by the weight functions ([0, 1) with endpoint singularities,
 [0, inf)) onto finite intervals with power-law substitutions that tame
-integrable endpoint behavior.
+integrable endpoint behavior.  Only the weight-function integrals call it;
+specfun's integral representations use their own trapezoid rule.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
         total, total_err = total + (v1 + v2 - v), total_err + (e1 + e2 - e)
 
 
-def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
-                   endpoint_power: int = 8, right_f=None):
+def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, right_f=None):
     """Integral of f over (0, 1) tolerating integrable endpoint singularities.
 
     Each half is pulled toward its endpoint with x = u^m (resp. 1 - u^m),
@@ -112,7 +112,7 @@ def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
     exact distance to the endpoint (u^m before rounding), so densities
     singular at 1 keep full precision where 1 - u^m would round to 1.
     """
-    m = float(endpoint_power)
+    m = 8.0
     u_half = 0.5 ** (1.0 / m)
 
     def left(u):
@@ -130,8 +130,7 @@ def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
     return v1 + v2, e1 + e2
 
 
-def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
-                        endpoint_power: int = 8):
+def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
     """Integral of f over (0, inf) via x = t/(1-t), dx = dt/(1-t)^2.
 
     The transformed integrand must vanish as t -> 1 (exponential decay of f
@@ -144,5 +143,4 @@ def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
             return 0.0  # x -> inf limit; f must decay faster than 1/x^2
         return f(t / om) / (om * om)
 
-    return integrate_unit(g, rel_tol=rel_tol, abs_tol=abs_tol,
-                          endpoint_power=endpoint_power)
+    return integrate_unit(g, rel_tol=rel_tol, abs_tol=abs_tol)

@@ -19,7 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import quadrature
+import numpy as np
+
 from .errors import ConvergenceError, DivergenceError, PoleError
 
 DEFAULT_TOL = 1e-12
@@ -399,39 +400,61 @@ def _bessel_k_integer_series(n: int, x: float) -> float:
     return s1 + s2 + s3
 
 
+def _log_trapezoid(log_f, lo: float, hi: float, n: int) -> float:
+    """log of integral_lo^hi exp(log_f(s)) ds by the trapezoid rule, which
+    converges exponentially for analytic integrands negligible at both ends.
+    log_f maps an array of nodes to the log integrand.  The step (hi - lo)/n
+    halves, re-using every node, until |T_h - T_2h| <= 1e-13 T_h (T_2h sums the
+    even nodes of T_h).  Raises ConvergenceError when an end value exceeds
+    1e-13 times the largest one or 2^12 n nodes do not meet the tolerance."""
+    h, n_max, tol = (hi - lo) / n, 4096 * n, 1e-13
+    lf = log_f(lo + h * np.arange(n + 1))
+    top = lf.max()
+    if not max(lf[0], lf[-1]) <= top + math.log(tol):  # also catches nan
+        raise ConvergenceError(f"trapezoid window [{lo:g}, {hi:g}] cuts off the integrand")
+    w = np.exp(lf - top)
+    coarse, fine = 2.0 * h * w[::2].sum(), h * w.sum()  # T_2h, T_h, scaled by e^-top
+    while not abs(fine - coarse) <= tol * fine:
+        if n == n_max:
+            raise ConvergenceError(f"trapezoid rule missed tol={tol:g} with {n + 1} nodes")
+        odd = np.exp(log_f(lo + h * (np.arange(n) + 0.5)) - top).sum()
+        coarse, fine = fine, 0.5 * (fine + h * odd)
+        h, n = 0.5 * h, 2 * n
+    return top + math.log(fine)
+
+
 def _bessel_k_integral(nu: float, x: float) -> float:
-    """K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt (mid-range x)."""
+    """K_nu(x) = (1/2) integral_-inf^inf exp(-x cosh t) cosh(nu t) dt by the
+    trapezoid rule on [-t_max, t_max] (even, entire integrand)."""
     t_max = math.acosh(1.0 + 50.0 / x)
     while x * math.cosh(t_max) - nu * t_max < x + 45.0:
         t_max += 0.5
 
-    def f(t):
-        u = x * math.cosh(t)
-        return 0.0 if u > 700.0 else math.exp(-u) * math.cosh(nu * t)
+    def log_f(t):
+        return np.logaddexp(nu * t, -nu * t) - x * np.cosh(t)
 
-    val, _ = quadrature.integrate(f, 0.0, t_max, rel_tol=5e-14, abs_tol=1e-300,
-                                  max_intervals=400)
-    return val
+    return math.exp(_log_trapezoid(log_f, -t_max, t_max, 64) - math.log(4.0))
 
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    Small x: I reflection for clearly non-integer orders, limiting-form
-    log series for integer orders.  Mid-range x (where both of those lose
-    digits to cancellation) uses the cosh integral representation; large x
-    the asymptotic expansion.  Worst-case relative error is ~1e-13.
+    x >= max(16, nu^2/2): asymptotic expansion.  x < 3: I reflection for
+    orders at least 0.05 from an integer, log series for integer orders; every
+    other case by the cosh integral and the trapezoid rule.  On seeded draws
+    (nu in [0, 6], x in [1e-4, 16)) the relative error against 40-digit mpmath
+    stays below 2e-12 (worst 1.2e-12, the reflection just below x = 3).
     """
     if x <= 0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     nu = abs(nu)
     if x >= max(16.0, 0.5 * nu * nu):
         return _bessel_k_asymptotic(nu, x)
-    n_near = round(nu)
-    if abs(nu - n_near) <= 1e-9:
-        return _bessel_k_integer_series(int(n_near), x) if x < 5.0 else _bessel_k_integral(nu, x)
-    if abs(nu - n_near) < 1e-3 or x >= 5.0:
+    off = abs(nu - round(nu))
+    if x >= 3.0 or 0.0 < off < 0.05:
         return _bessel_k_integral(nu, x)
+    if off == 0.0:
+        return _bessel_k_integer_series(round(nu), x)
     return _bessel_k_nonint(nu, x)
 
 
@@ -471,37 +494,27 @@ def _tricomi_asymptotic(a: float, b: float, x: float):
 
 
 def _tricomi_laplace(a: float, b: float, x: float) -> float:
-    """U(a,b,x) = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt,
-    exact for a > 0, x > 0; stable at every x (no cancellation).
+    """U(a,b,x) = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt for
+    a > 0, x > 0, by the trapezoid rule in s, t = exp(v), v = v_mid + (pi/2) sinh s.
 
-    Small a concentrates the mass logarithmically toward t = 0, so below
-    a = 1/4 the integral runs in v = log t, where the integrand decays like
-    e^{a v} toward -inf and like e^{-x e^v} toward +inf.
+    In v the log integrand a v - x e^v + c log(1 + e^v), c = b - a - 1, rises
+    for t < t_lo = a/(x + max(0, -c)) and falls for t > t_hi = max(a, b-1)/x;
+    it is 50 below its peak at v = log t_lo - 50/a - 2 and at log(3 t_hi + 60/x).
+    Centred between t_lo and t_hi, the map makes the integrand decay
+    double-exponentially in s at both ends, for every a > 0.
     """
-    if a >= 0.25:
-        def f(t):
-            if t == 0.0:
-                return 0.0
-            u = x * t
-            if u > 700.0:
-                return 0.0
-            return math.exp(-u + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
+    c = b - a - 1.0
+    t_lo, t_hi = a / (x + max(0.0, -c)), max(a, b - 1.0) / x
+    v_mid = 0.5 * math.log(t_lo * t_hi)
+    v_lo, v_hi = math.log(t_lo) - 50.0 / a - 2.0, math.log(3.0 * t_hi + 60.0 / x)
 
-        val, _ = quadrature.integrate_half_line(f, rel_tol=1e-12, abs_tol=1e-300,
-                                                endpoint_power=8)
-        return val * math.exp(-math.lgamma(a))
+    def log_f(s):  # log of the integrand in s, less the constant log(pi/2)
+        v = v_mid + 0.5 * math.pi * np.sinh(s)
+        t = np.exp(v)
+        return a * v - x * t + c * np.log1p(t) + np.log(np.cosh(s))
 
-    v_min = -50.0 / a
-    v_max = math.log(800.0 / x)
-
-    def g(v):
-        ev = math.exp(v)
-        expo = a * v + (b - a - 1.0) * math.log1p(ev) - x * ev
-        return math.exp(expo) if expo > -700.0 else 0.0
-
-    val, _ = quadrature.integrate(g, v_min, v_max, rel_tol=1e-12, abs_tol=1e-300,
-                                  max_intervals=4000)
-    return val * math.exp(-math.lgamma(a))
+    lo, hi = (math.asinh((v - v_mid) / (0.5 * math.pi)) for v in (v_lo, v_hi))
+    return math.exp(_log_trapezoid(log_f, lo, hi, 128) + math.log(0.5 * math.pi) - math.lgamma(a))
 
 
 def _tricomi_nonint_b(a: float, b: float, x: float) -> float:
@@ -522,13 +535,11 @@ def tricomi_u(a: float, b: float, x: float) -> float:
 
     Dispatch: terminating polynomial for non-positive-integer a (exact);
     large-argument asymptotic series when it certifies itself; the Laplace
-    integral representation wherever the first argument can be made
-    positive (directly, or through the x^{1-b} reflection), which covers
-    every integer-b case and all x >= 5, where the two-Kummer combination
-    cancels catastrophically; the downward contiguous recurrence in a for
-    the remaining negative-a cases at x >= 5; otherwise the two-Kummer
-    combination (accurate for small x), with a residual integer-b corner
-    handled by a symmetric b +- 1e-6 offset.
+    integral for a > 0, and for a - b + 1 > 0 through the x^{1-b} reflection;
+    otherwise the downward recurrence in a at x >= 5 or b near an integer,
+    and the two-Kummer combination (accurate for small x).  Relative error
+    against 40-digit mpmath is below 1e-10 for a in [-6, 6], b in [-4, 4],
+    x in [0.05, 40] (worst measured 1.6e-12, two-Kummer).
     """
     if x <= 0:
         raise ValueError(f"tricomi_u requires x > 0, got {x}")
@@ -538,19 +549,12 @@ def tricomi_u(a: float, b: float, x: float) -> float:
         val, ok = _tricomi_asymptotic(a, b, x)
         if ok:
             return val
-    b_near_int = abs(b - round(b)) < 1e-3
-    if a > 0 and (x >= 5.0 or b_near_int):
+    if a > 0:
         return _tricomi_laplace(a, b, x)
-    if a < 0 and (x >= 5.0 or b_near_int):
-        if a - b + 1.0 > 0:
-            return x ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x)
+    if a - b + 1.0 > 0:
+        return x ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x)
+    if x >= 5.0 or abs(b - round(b)) < 1e-3:
         return _tricomi_a_recurrence(a, b, x)
-    if abs(b - round(b)) < 1e-9:
-        eps = 1e-6
-        bb = round(b)
-        return 0.5 * (
-            _tricomi_nonint_b(a, bb + eps, x) + _tricomi_nonint_b(a, bb - eps, x)
-        )
     return _tricomi_nonint_b(a, b, x)
 
 
@@ -684,12 +688,11 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
               tol: float = DEFAULT_TOL, max_terms: int | None = None) -> SeriesResult:
     """Gauss hypergeometric function 2F1(a1, a2; b; x) for real parameters.
 
-    |x| <= 0.8: direct series; on [-0.8, 0) its terms alternate and it loses
-    up to 4.6e-8 relative (measured against 40-digit mpmath).  0.8 < x < 1:
-    connection formulas in (1-x) (two-term for non-integer b-a1-a2,
-    logarithmic branch for integer, Euler transformation first when
-    b-a1-a2 is a negative integer).  -1 < x < -0.8: Pfaff transformation
-    back into the fast-series region.  x = 1: closed gamma formula, b - a1 - a2 > 0.
+    -1 < x < 0: Pfaff transformation (DLMF 15.8.1) to a series in x/(x-1) in
+    (0, 1/2), whose tail keeps one sign.  0 <= x <= 0.8: direct series.
+    0.8 < x < 1: connection formulas in (1-x) (two-term for non-integer
+    b-a1-a2, logarithmic branch for integer, Euler transformation first when
+    b-a1-a2 is a negative integer).  x = 1: closed gamma formula, b - a1 - a2 > 0.
     """
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
@@ -701,16 +704,15 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
         return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
     if abs(x) >= 1.0:
         raise DivergenceError(f"gauss_2f1 requires |x| < 1 or x = 1, got {x}")
-    # Direct series up to 0.8: the connection formulas can lose ~8 digits just
-    # past 0.5; for x < 0 the alternating series itself loses up to 4.6e-8.
-    if abs(x) <= 0.8:
-        return _gauss_series(a1, a2, b, x, tol, max_terms)
     if x < 0.0:
-        # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)), argument in (1/3, 1/2]
+        # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)); the direct series loses 4.6e-8
         u = x / (x - 1.0)
         inner = pfq((a1, b - a2), (b,), u, tol=tol, max_terms=max_terms)
         val = (1.0 - x) ** (-a1) * complex(inner.value).real
         return SeriesResult(val, inner.terms_used, abs(val) * tol, True)
+    # Direct series up to 0.8: the connection formulas can lose ~8 digits just past 0.5
+    if x <= 0.8:
+        return _gauss_series(a1, a2, b, x, tol, max_terms)
     return gauss_2f1_near_unit(a1, a2, b, 1.0 - x, tol=tol, max_terms=max_terms)
 
 

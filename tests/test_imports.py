@@ -16,3 +16,16 @@ def test_no_private_names_imported_across_modules():
                 leaks += [f"{path.name}: {node.module or '.'}.{a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert leaks == []
+
+
+def test_specfun_imports_no_quadrature():
+    # specfun's integral representations use their own trapezoid rule, so the
+    # only adaptive quadrature pass is the outer one of weights.density_integral
+    tree = ast.parse((SRC / "specfun.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not {n for n in imported if n.split(".")[-1] == "quadrature"}

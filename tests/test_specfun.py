@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from ghcs import specfun as sf
@@ -222,6 +223,15 @@ def test_ln_bessel_k_large_argument():
     assert v == pytest.approx(lead, abs=1e-3)
 
 
+def test_log_trapezoid_returns_only_converged_sums():
+    assert sf._log_trapezoid(lambda s: -s * s, -9.0, 9.0, 64) == pytest.approx(
+        0.5 * math.log(math.pi), abs=1e-14)
+    with pytest.raises(ConvergenceError, match="cuts off"):  # window too narrow
+        sf._log_trapezoid(lambda s: -s * s, -2.0, 2.0, 64)
+    with pytest.raises(ConvergenceError, match="missed"):  # kink: error only O(h^2)
+        sf._log_trapezoid(lambda s: -np.abs(s), -40.0, 40.0, 64)
+
+
 # ----------------------------------------------------------------- tricomi
 
 def test_tricomi_power_law():
@@ -330,3 +340,56 @@ def test_gauss_connection_vs_raw_series(abc, x):
     v1 = sf.gauss_2f1(a1, a2, b, x).value
     v2 = sf.pfq([a1, a2], [b], x, tol=1e-15).value
     assert v1 == pytest.approx(v2, rel=5e-11)
+
+
+# ------------------------------------------- accuracy contract (mpmath oracle)
+# Seeded draws over each evaluator's stated domain, against 40-digit mpmath.
+
+def _oracle_errors(f, ref, draws):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return [(abs(f(*p) / float(ref(mpmath, *p)) - 1.0), p) for p in draws]
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+@pytest.mark.parametrize("a_range,x_range,bound", [
+    ((-6.0, 6.0), (0.05, 40.0), 1e-10),
+    ((1e-3, 0.25), (0.05, 30.0), 1e-13),  # Laplace rule alone, mass over many decades of t
+])
+def test_tricomi_u_oracle(a_range, x_range, bound):
+    rng = np.random.default_rng(4)
+    draws = [(rng.uniform(*a_range), rng.uniform(-4.0, 4.0), _log_uniform(rng, *x_range))
+             for _ in range(150)]
+    errs = _oracle_errors(sf.tricomi_u, lambda mp, a, b, x: mp.hyperu(a, b, x), draws)
+    assert max(errs) < (bound,)
+
+
+@pytest.mark.parametrize("log10_off,x_range", [
+    (None, (1e-4, 16.0)),
+    # orders 1e-8 to 0.1 from an integer, where the ascending series lose digits
+    ((-8.0, -1.0), (3.0, 5.0)),
+    # orders down to 1e-12 from an integer must not take the integer series
+    ((-12.0, -1.0), (1e-4, 3.0)),
+])
+def test_bessel_k_oracle(log10_off, x_range):
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(150):
+        nu = rng.uniform(0.0, 6.0)
+        if log10_off:
+            nu = abs(round(nu) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*log10_off))
+        draws.append((nu, _log_uniform(rng, *x_range)))
+    errs = _oracle_errors(sf.bessel_k, lambda mp, nu, x: mp.besselk(nu, x), draws)
+    assert max(errs) < (2e-12,)
+
+
+def test_gauss_2f1_negative_argument_oracle():
+    rng = np.random.default_rng(6)
+    draws = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(0.1, 6.0),
+              rng.uniform(-0.8, 0.0)) for _ in range(300)]
+    errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
+                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
+    assert max(errs) < (1e-12,)

@@ -90,6 +90,14 @@ def test_moment_checks_sampled_families(family, params):
     assert rep.max_rel_error <= 1e-6
 
 
+@pytest.mark.parametrize("a,b", [(5.0, 1.0), (6.0, 1.5), (2.5, 3.0)])
+def test_f11_moment_check_large_tricomi_argument(a, b):
+    # the density is U(a-b, 2-b, x): a - b >= 4 and integer 2 - b, where the
+    # two-Kummer combination cancels; the Laplace rule serves every x
+    rep = wt.moment_check("F11", st.validate([a], [b]), n_max=20)
+    assert rep.max_rel_error <= 1e-6
+
+
 @pytest.mark.parametrize("family,params", [
     ("CS", CS),
     ("F01", st.validate([], [1.0])),
