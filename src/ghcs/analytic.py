@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .states import FockVector, ParameterSet, log_rho
+from .states import FockVector, ParameterSet, rho_steps
 from .weights import density_integral, family_params, support_radius, weight_tilde
 
 
@@ -41,13 +41,8 @@ def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> comple
         raise DivergenceError(
             f"analytic representation of a disk family needs |zeta| <= 1, got {abs(zeta):g}"
         )
-    coeffs = psi.coeffs
-    total = 0.0 + 0.0j
-    zp = 1.0 + 0.0j
-    for n in range(len(coeffs)):
-        total += zp * coeffs[n] * math.exp(-0.5 * log_rho(params, n))
-        zp *= zeta
-    return total
+    scaled = psi.coeffs * np.exp(-0.5 * rho_steps(params, psi.cutoff)[1])
+    return complex(np.polynomial.polynomial.polyval(zeta, scaled))
 
 
 def analytic_sample(params: ParameterSet, psi: FockVector, zeta: complex) -> AnalyticSample:
@@ -83,7 +78,7 @@ def inner_product_via_measure(family: str, params: ParameterSet,
     m_ang = max(64, 2 * n_max + 2)
     angles = 2.0 * math.pi * np.arange(m_ang) / m_ang
     phase_grid = np.exp(1j * angles)
-    half_rho = np.exp([-0.5 * log_rho(params, n) for n in range(n_max + 1)])
+    half_rho = np.exp(-0.5 * rho_steps(params, n_max)[1])
     c_phi = phi.coeffs * half_rho[: phi.cutoff + 1]
     c_psi = psi.coeffs * half_rho[: psi.cutoff + 1]
     pv = np.polynomial.polynomial.polyval

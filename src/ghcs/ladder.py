@@ -14,39 +14,22 @@ exponential phase operator, whose a -> 1 limit has f = 1.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .states import FockVector, ParameterSet, StateSpec, fock_vector
-
-_f_cache: dict = {}
-_f_lock = threading.Lock()
+from .errors import ConvergenceError
+from .states import FockVector, ParameterSet, StateSpec, fock_vector, rho_steps
 
 
 def f_coeff(params: ParameterSet, n: int) -> float:
-    """Ladder coefficient f(n) >= 0; f(-1) = 0 by definition."""
+    """Ladder coefficient f(n) >= 0, the square root of the parameter set's
+    rho step f2[n] = rho(n+1)/rho(n) (states.rho_steps); f(-1) = 0 by
+    definition."""
     if n < -1:
         raise ValueError("ladder coefficient index must be >= -1")
     if n == -1:
         return 0.0
-    cache = _f_cache.setdefault(params, [])
-    if len(cache) <= n:
-        with _f_lock:
-            while len(cache) <= n:
-                k = len(cache)
-                num = 1.0 + 0.0j
-                for bj in params.b:
-                    num *= k + bj
-                den = 1.0 + 0.0j
-                for ai in params.a:
-                    den *= k + ai
-                val = (k + 1.0) * num / den
-                if abs(val.imag) > 1e-12 * abs(val.real) or val.real <= 0.0:
-                    raise ParameterError(f"f({k})^2 = {val} is not a positive real")
-                cache.append(math.sqrt(val.real))
-    return cache[n]
+    return math.sqrt(rho_steps(params, n + 1)[0][n])
 
 
 def apply_lowering(params: ParameterSet, v: FockVector) -> FockVector:
@@ -59,9 +42,9 @@ def apply_lowering(params: ParameterSet, v: FockVector) -> FockVector:
     n_max = v.cutoff
     if n_max == 0:
         return FockVector(np.zeros(1, dtype=complex), 0.0, False)
-    f = np.array([f_coeff(params, n) for n in range(n_max)])
-    coeffs = f * v.coeffs[1:]
-    tail = v.tail_bound * f_coeff(params, n_max) ** 2 if math.isfinite(v.tail_bound) else math.inf
+    f2 = rho_steps(params, n_max + 1)[0]
+    coeffs = np.sqrt(f2[:n_max]) * v.coeffs[1:]
+    tail = v.tail_bound * f2[n_max] if math.isfinite(v.tail_bound) else math.inf
     return FockVector(coeffs, tail, False)
 
 
@@ -71,9 +54,9 @@ def apply_raising(params: ParameterSet, v: FockVector,
     n_max = v.cutoff
     if n_max + 1 > max_cutoff:
         raise ConvergenceError(f"raising would exceed the cutoff cap {max_cutoff}")
-    f = np.array([f_coeff(params, n) for n in range(n_max + 1)])
-    coeffs = np.concatenate(([0.0 + 0.0j], f * v.coeffs))
-    tail = v.tail_bound * f_coeff(params, n_max + 1) ** 2 if math.isfinite(v.tail_bound) else math.inf
+    f2 = rho_steps(params, n_max + 2)[0]
+    coeffs = np.concatenate(([0.0 + 0.0j], np.sqrt(f2[: n_max + 1]) * v.coeffs))
+    tail = v.tail_bound * f2[n_max + 1] if math.isfinite(v.tail_bound) else math.inf
     return FockVector(coeffs, tail, False)
 
 
@@ -95,13 +78,10 @@ def eigenvalue_residual(spec: StateSpec, tol: float = 1e-14) -> float:
     """
     v = fock_vector(spec, tol=tol)
     z = complex(spec.z)
-    n_max = v.cutoff
-    acc = 0.0
-    for n in range(n_max):
-        d = f_coeff(spec.params, n) * v.coeffs[n + 1] - z * v.coeffs[n]
-        acc += abs(d) ** 2
-    acc += abs(z * v.coeffs[n_max]) ** 2  # dropped boundary row
-    return math.sqrt(acc)
+    c = v.coeffs
+    d = np.sqrt(rho_steps(spec.params, v.cutoff)[0]) * c[1:] - z * c[:-1]
+    d = np.append(d, z * c[-1])  # dropped boundary row
+    return math.sqrt(float(np.vdot(d, d).real))
 
 
 def hermitian_matrices(params: ParameterSet, n_cutoff: int):
@@ -113,10 +93,7 @@ def hermitian_matrices(params: ParameterSet, n_cutoff: int):
     """
     if n_cutoff < 1:
         raise ValueError("need at least a 2-dimensional truncation")
-    dim = n_cutoff + 1
-    low = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        low[n, n + 1] = f_coeff(params, n)
+    low = np.diag(np.sqrt(rho_steps(params, n_cutoff)[0]), 1).astype(complex)
     raise_ = low.conj().T
     q = (raise_ + low) / math.sqrt(2.0)
     p = 1j * (raise_ - low) / math.sqrt(2.0)

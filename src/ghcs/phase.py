@@ -25,7 +25,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ParameterError
-from .states import FockVector, ParameterSet, log_rho, log_rho_gamma
+from .states import FockVector, ParameterSet, log_rho_gamma, rho_steps
 from .weights import density_integral, family_params, weight_tilde
 
 G_TABLE_CAP = 2048
@@ -149,7 +149,7 @@ def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
     x^{n/2} / sqrt(rho(n)) formed in log space."""
     psi = signal.coeffs
     n = np.arange(len(psi))
-    half_log_rho = 0.5 * np.array([log_rho(params, k) for k in range(len(psi))])
+    half_log_rho = 0.5 * rho_steps(params, len(psi) - 1)[1]
     rotations = np.exp(-1j * np.outer(n, thetas))
     return lambda x: np.abs((psi * np.exp(0.5 * n * math.log(x) - half_log_rho)) @ rotations) ** 2
 

@@ -77,15 +77,7 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
         return DistributionSeries(np.array([0]), np.array([1.0]), 0.0, params.label())
     ln_n = math.log(normalization(params, x, tol=tol))
     lnx = math.log(x)
-
-    def log_p(n):
-        return n * lnx - log_rho(params, n) - ln_n
-
-    count = _truncation_length(log_p)
-    values = np.exp([log_p(n) for n in range(count)])
-    return DistributionSeries(
-        np.arange(count), values, float(abs(values.sum() - 1.0)), params.label()
-    )
+    return _pn_from_logs(lambda n: n * lnx - log_rho(params, n) - ln_n, params.label())
 
 
 def factorial_moment(params: ParameterSet, x: float, k: int,

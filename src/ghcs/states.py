@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -50,7 +49,9 @@ class ParameterSet:
 
     Entries are stored in canonical sorted order, so permutation-equivalent
     inputs produce bit-identical downstream results.  Construct through
-    validate(); the constructor itself only normalizes.
+    validate(); the constructor itself only normalizes.  The instance also
+    carries its rho sequence (see rho_steps), built on first use and grown
+    by doubling; it is not a field, so equality and hashing ignore it.
     """
 
     a: tuple
@@ -204,41 +205,46 @@ class StateSpec:
         )
 
 
-# rho caches: params -> growing list of log rho(n); the lock keeps the
-# lazy growth consistent under concurrent readers
-_log_rho_cache: dict = {}
-_rho_lock = threading.Lock()
+def rho_steps(params: ParameterSet, n: int):
+    """(f2, log_rho): f2[k] = f(k)^2 = rho(k+1)/rho(k) = (k+1) prod(b_j+k)/prod(a_i+k)
+    for k < n and log_rho[k] = log rho(k) for k <= n, read-only views.
 
-
-def _ratio(params: ParameterSet, n: int) -> float:
-    """prod(b_j + n) / prod(a_i + n), real and strictly positive for valid sets."""
-    num = 1.0 + 0.0j
-    for bj in params.b:
-        num *= bj + n
-    den = 1.0 + 0.0j
-    for ai in params.a:
-        den *= ai + n
-    r = num / den
-    if abs(r.imag) > 1e-12 * abs(r.real):
-        raise ParameterError(f"ratio at n={n} has imaginary residue {r.imag:g}")
-    rr = r.real
-    if rr <= 0.0:
-        raise ParameterError(f"ratio at n={n} is non-positive ({rr:g})")
-    return rr
+    This is the one place where the ratio product is formed.  log rho is
+    the running sum of log f2 with Neumaier's compensation (ZAMM 54, 1974),
+    so it carries no drift that grows with k.  The arrays live on params
+    and are rebuilt whole at double the length when a caller needs more;
+    the pair is published by one attribute assignment, so no lock is needed.
+    """
+    seq = params.__dict__.get("_rho_seq")
+    if seq is None or len(seq[1]) <= n:
+        size = max(n, 2 * len(seq[0])) if seq else max(n, 32)
+        k = np.arange(size, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f2 = (k + 1.0) * np.prod([bj + k for bj in params.b], axis=0) / np.prod(
+                [ai + k for ai in params.a], axis=0)
+        bad = ~np.isfinite(f2) | ~(f2.real > 0.0) | (np.abs(f2.imag) > 1e-12 * np.abs(f2.real))
+        if bad.any():
+            k0 = int(np.argmax(bad))
+            raise ParameterError(f"f({k0})^2 = {f2[k0]} is not a positive real")
+        f2 = f2.real
+        steps = np.log(f2)
+        run = np.add.accumulate(steps)  # the plain running sum, term by term
+        prev = np.concatenate(([0.0], run[:-1]))
+        # the rounding error of each addition prev + step = run, exactly
+        lost = np.where(np.abs(prev) >= np.abs(steps), (prev - run) + steps, (steps - run) + prev)
+        log_rho_arr = np.concatenate(([0.0], run + np.add.accumulate(lost)))
+        seq = (f2, log_rho_arr)
+        for arr in seq:
+            arr.flags.writeable = False
+        object.__setattr__(params, "_rho_seq", seq)
+    return seq[0][:n], seq[1][: n + 1]
 
 
 def log_rho(params: ParameterSet, n: int) -> float:
-    """log rho(n), accumulated through the defining recurrence
-    rho(n+1) = rho(n) (n+1) prod(b_j+n)/prod(a_i+n), rho(0) = 1."""
+    """log rho(n), one entry of rho_steps(params, n)."""
     if n < 0:
         raise ValueError("rho order must be non-negative")
-    cache = _log_rho_cache.setdefault(params, [0.0])
-    if len(cache) <= n:
-        with _rho_lock:
-            while len(cache) <= n:
-                k = len(cache) - 1
-                cache.append(cache[k] + math.log(k + 1.0) + math.log(_ratio(params, k)))
-    return cache[n]
+    return float(rho_steps(params, n)[1][n])
 
 
 def rho(params: ParameterSet, n: int) -> float:
@@ -333,16 +339,22 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
                 max_cutoff: int = MAX_CUTOFF) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
-    The cutoff is certified: for plane/disk states the squared-coefficient
-    ratios are bounded by a geometric rate (window maximum joined with the
-    n -> inf limit), for normalized circle states by a power-law comparison
-    (the ratios tend to 1, so no geometric rate exists).  Unnormalizable
-    circle states get the 1/sqrt(2 pi) prefactor, tail_bound = inf, and a
-    RuntimeWarning (their squared norm diverges).
+    The coefficients are one numpy expression over a slice of the
+    parameter set's log rho sequence (rho_steps).  The cutoff is certified:
+    for plane/disk states the squared-coefficient ratios are bounded by a
+    geometric rate (window maximum joined with the n -> inf limit), for
+    normalized circle states by a power-law comparison (the ratios tend to
+    1, so no geometric rate exists).  Unnormalizable circle states get the
+    1/sqrt(2 pi) prefactor, tail_bound = inf, and a RuntimeWarning (their
+    squared norm diverges).
     """
     params = spec.params
     z = complex(spec.z)
     kind = spec.domain_kind()
+    phase = cmath.phase(z)
+
+    def build(lc_sq):  # coefficients from log |c_n|^2, n = 0..len-1
+        return np.exp(0.5 * lc_sq) * np.exp(1j * phase * np.arange(len(lc_sq)))
 
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
         warnings.warn(
@@ -350,34 +362,21 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
             "the squared norm diverges (conditional convergence only)",
             RuntimeWarning,
         )
-        phases = []
-        n = 0
         ln_c0_sq = -math.log(2.0 * math.pi)
-        while True:
-            lcn = ln_c0_sq - log_rho(params, n)
-            phases.append(0.5 * lcn)
-            if lcn < math.log(tol) + ln_c0_sq or n >= max_cutoff:
-                break
-            n += 1
-        phase = cmath.phase(z)
-        coeffs = np.array(
-            [math.exp(lc) * cmath.exp(1j * phase * k) for k, lc in enumerate(phases)]
-        )
-        return FockVector(coeffs, math.inf, False)
+        lcn = ln_c0_sq - rho_steps(params, max_cutoff)[1]
+        below = np.flatnonzero(lcn < math.log(tol) + ln_c0_sq)
+        n = int(below[0]) if below.size else max_cutoff
+        return FockVector(build(lcn[: n + 1]), math.inf, False)
 
     if abs(z) == 0.0:
         return FockVector(np.array([1.0 + 0.0j]), 0.0, True)
 
     x = abs(z) ** 2
     ln_n = math.log(normalization(params, x))
-    phase = cmath.phase(z)
     ln_az = math.log(abs(z))
 
-    def lc_sq(n: int) -> float:  # log |c_n|^2
-        return 2.0 * n * ln_az - log_rho(params, n) - ln_n
-
-    def ratio_sq(n: int) -> float:  # |c_{n+1}|^2 / |c_n|^2
-        return math.exp(lc_sq(n + 1) - lc_sq(n))
+    def lc_sq(lo: int, hi: int):  # log |c_k|^2 for k = lo..hi
+        return 2.0 * np.arange(lo, hi + 1) * ln_az - rho_steps(params, hi)[1][lo:] - ln_n
 
     n = max(8, int(2.0 * x) + 8)
     while True:
@@ -385,32 +384,26 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
             raise ConvergenceError(
                 f"fock_vector cutoff cap {max_cutoff} reached before tail <= {tol:g}"
             )
+        window = lc_sq(n, n + _RATIO_WINDOW)
+        log_ratio = np.diff(window)  # log |c_{k+1}|^2 / |c_k|^2, k = n..n+15
         if kind is DomainKind.CIRCLE_NORMALIZED:
             # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
-            s_window = min(
-                -math.log(ratio_sq(k)) / math.log((k + 2.0) / (k + 1.0))
-                for k in range(n, n + _RATIO_WINDOW)
-            )
-            s = min(s_window, 1.0 - params.eta)
+            k = np.arange(n, n + _RATIO_WINDOW)
+            s = min(float(np.min(-log_ratio / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
             if s > 1.0:
-                tail = math.exp(lc_sq(n + 1)) * (n + 2.0) / (s - 1.0)
+                tail = math.exp(window[1]) * (n + 2.0) / (s - 1.0)
                 if tail <= tol:
                     break
         else:
             r_limit = x if kind is DomainKind.UNIT_DISK else 0.0
-            r_bar = max(
-                max(ratio_sq(k) for k in range(n, n + _RATIO_WINDOW)), r_limit
-            )
+            r_bar = max(float(np.exp(log_ratio.max())), r_limit)
             if r_bar < 1.0:
-                tail = math.exp(lc_sq(n + 1)) / (1.0 - r_bar)
+                tail = math.exp(window[1]) / (1.0 - r_bar)
                 if tail <= tol:
                     break
         n = min(max_cutoff + 1, max(n + 8, int(1.5 * n)))
 
-    coeffs = np.array(
-        [math.exp(0.5 * lc_sq(k)) * cmath.exp(1j * phase * k) for k in range(n + 1)]
-    )
-    return FockVector(coeffs, tail, True)
+    return FockVector(build(lc_sq(0, n)), tail, True)
 
 
 def overlap(params: ParameterSet, z: complex, z2: complex,

@@ -37,7 +37,7 @@ import numpy as np
 from . import quadrature, specfun
 from .errors import CircleNoGoError, ParameterError
 from .photstat import family_params, sf_2f1
-from .states import ParameterSet, log_rho, normalization
+from .states import ParameterSet, normalization, rho_steps
 
 
 def support_radius(family: str) -> float:
@@ -77,7 +77,7 @@ def weight(family: str, params: ParameterSet, x: float) -> float:
         # F01/F11 limits at 0 are singular or family-specific; N(0) = 1
         # makes the F21 case well defined through its density
         raise ValueError(f"{family} weight needs x > 0")
-    return weight_tilde(family, params, x) * normalization(params, x)
+    return _density(family, vals, x) * normalization(params, x)
 
 
 def weight_tilde(family: str, params: ParameterSet, x: float) -> float:
@@ -87,6 +87,11 @@ def weight_tilde(family: str, params: ParameterSet, x: float) -> float:
     _check_weight_preconditions(family, vals)
     if x < 0 or x >= support_radius(family):
         raise ValueError(f"weight argument {x} outside [0, {support_radius(family)})")
+    return _density(family, vals, x)
+
+
+def _density(family: str, vals: tuple, x: float) -> float:
+    """wt(x) for parameters already checked by the caller, x in [0, R)."""
     if family == "CS":
         return math.exp(-x)
     if family == "F01":
@@ -179,11 +184,12 @@ def density_integral(family: str, params: ParameterSet, g,
     the pass stops when each meets err_i <= max(abs_tol, rel_tol*|I_i|).
     """
     vals = family_params(family, params)
+    _check_weight_preconditions(family, vals)
 
     def f(x):
         if x <= 0.0:
             return 0.0
-        wt_val = weight_tilde(family, params, x)
+        wt_val = _density(family, vals, x)
         if wt_val == 0.0:
             return 0.0  # density underflowed; g cannot rescue the product
         return wt_val * g(x)
@@ -202,7 +208,7 @@ def density_integral(family: str, params: ParameterSet, g,
 def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
     """(integral_0^R x^n wt(x) dx, error estimate, rho(n)) for every n in ns,
     in one density_integral pass over g(x) = x^n/rho(n), rescaled."""
-    lr = np.array([log_rho(params, int(n)) for n in ns])
+    lr = rho_steps(params, int(ns.max()))[1][ns]
     if lr.max() > 700.0:
         raise OverflowError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
     val, err = density_integral(family, params, lambda x: np.exp(ns * math.log(x) - lr),
@@ -221,7 +227,6 @@ def moment_check(family: str, params: ParameterSet, n_max: int = 20,
                  quad_tol: float = 1e-10) -> MomentReport:
     """Verify integral_0^R x^n wt(x) dx = rho(n) for n = 0..n_max, all n in
     one adaptive pass."""
-    _check_weight_preconditions(family, family_params(family, params))
     quads, errs, rhos = _moment_integrals(family, params, np.arange(n_max + 1), quad_tol)
     records = [MomentRecord(n, q, r, abs(q - r) / r, e)
                for n, (q, e, r) in enumerate(zip(quads.tolist(), errs.tolist(), rhos.tolist()))]

@@ -29,3 +29,19 @@ def test_specfun_imports_no_quadrature():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
     assert not {n for n in imported if n.split(".")[-1] == "quadrature"}
+
+
+def test_one_rho_store():
+    # the rho sequence lives on its ParameterSet: no module keeps a cache
+    # dict of its own, and none needs a lock
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert "threading" not in names, path.name
+        if path.name in ("states.py", "ladder.py"):
+            for node in tree.body:
+                value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+                assert not isinstance(value, (ast.Dict, ast.DictComp)), (path.name, node.lineno)
+                assert not (isinstance(value, ast.Call) and getattr(value.func, "id", "") == "dict")

@@ -151,3 +151,21 @@ def test_complex_pair_generic_path():
     assert m > 0.0 and math.isfinite(q)
     with pytest.raises(ParameterError):
         ps.closed_form_stats("F21", params, 0.25)
+
+
+DRIFT_CASES = [("CS", [], [], 18.0), ("CS", [], [], 20.0), ("CS", [], [], 26.0),
+               ("F11", [5.0], [1.0], 17.0), ("F11", [1.0], [2.0], 20.0)]
+
+
+@pytest.mark.parametrize("family,a,b,az", DRIFT_CASES,
+                         ids=[f"{f}({a};{b})@{az:g}" for f, a, b, az in DRIFT_CASES])
+def test_pn_distribution_large_amplitude(family, a, b, az):
+    # sum P(n) reaches 1 - 1e-12 only if log rho does not drift: a plain
+    # running sum is off by ~1e-11 within the first 1,500 terms
+    params = st.validate(a, b)
+    d = ps.pn_distribution(st.StateSpec(params, az))
+    assert d.norm_residual <= 1e-10
+    ref = ps.closed_form_stats(family, params, az * az).pn.values
+    k = min(len(d.values), len(ref))
+    rel = np.abs(d.values[:k] - ref[:k]) / np.maximum(ref[:k], 1e-300)
+    assert float(np.max(rel)) <= 1e-8

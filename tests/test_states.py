@@ -170,6 +170,41 @@ def test_parameter_permutation_bit_identical():
     assert st.normalization(p1, 0.8) == st.normalization(p2, 0.8)
 
 
+def test_rho_sequence_bit_identical_across_entry_order_and_growth():
+    p1 = st.validate([2.0, 0.7 + 1j, 0.7 - 1j], [1.1, 4.4])
+    p2 = st.validate([0.7 - 1j, 2.0, 0.7 + 1j], [4.4, 1.1])
+    st.log_rho(p1, 5)  # p1 grows its sequence in steps, p2 at once
+    st.log_rho(p1, 90)
+    f1, lr1 = st.rho_steps(p1, 700)
+    f2, lr2 = st.rho_steps(p2, 700)
+    assert np.array_equal(f1, f2) and np.array_equal(lr1, lr2)
+    assert len(f1) == 700 and len(lr1) == 701
+
+
+def test_rho_sequence_is_compensated():
+    # log n! against lgamma: within 3.5e-16 relative to n = 3000; a plain
+    # running sum is off by 1.8e-15 (~1e-11 absolute by n = 1500)
+    lr = st.rho_steps(CS, 3000)[1]
+    ref = np.array([math.lgamma(n + 1.0) for n in range(3001)])
+    assert float(np.max(np.abs(lr - ref) / np.maximum(ref, 1.0))) <= 1e-15
+
+
+def test_rho_steps_are_read_only_and_not_fields():
+    p = st.validate([2.0], [3.0])
+    f2, lr = st.rho_steps(p, 10)
+    with pytest.raises(ValueError):
+        lr[3] = 0.0
+    assert p == st.validate([2.0], [3.0]) and hash(p) == hash(st.validate([2.0], [3.0]))
+    assert f2[1] == pytest.approx(2.0 * 4.0 / 3.0, rel=1e-15)
+    assert math.exp(lr[2] - lr[1]) == pytest.approx(f2[1], rel=1e-14)
+
+
+def test_rho_steps_reject_non_positive_ratio():
+    # not a valid set (validate refuses it): the ratio turns negative at k = 3
+    with pytest.raises(ParameterError, match=r"f\(3\)"):
+        st.rho_steps(st.ParameterSet([-2.5], [-3.5]), 10)
+
+
 @pytest.mark.parametrize("params", PARAM_MATRIX[:6], ids=lambda p: p.label())
 def test_coalescence_invariance(params):
     ext = params.appended(2.7)
