@@ -14,6 +14,7 @@ from .errors import (
     GHSError,
     ParameterError,
     PoleError,
+    RangeError,
 )
 from .ladder import (
     apply_lowering,
@@ -91,7 +92,7 @@ __all__ = [
     "DivergenceError", "DomainClass", "DomainKind", "FockVector",
     "GCoefficientTable", "GHSError", "MomentReport",
     "ParameterError", "ParameterSet", "PhaseDistribution", "PhotonStats",
-    "PoleError", "SeriesResult", "StateSpec", "analytic_rep", "apply_lowering",
+    "PoleError", "RangeError", "SeriesResult", "StateSpec", "analytic_rep", "apply_lowering",
     "apply_raising", "bessel_i", "bessel_k", "circle_weight_attempt", "classify",
     "closed_form_stats", "coalesce", "commutator_diagonal", "default_theta_grid",
     "eigenvalue_residual", "f_coeff", "factorial_moment", "fock_basis_vector",

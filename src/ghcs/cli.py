@@ -25,13 +25,7 @@ import tempfile
 import numpy as np
 
 from . import ladder, phase, photstat, specfun, states, weights
-from .errors import (
-    CircleNoGoError,
-    ConvergenceError,
-    DivergenceError,
-    GHSError,
-    ParameterError,
-)
+from .errors import GHSError, ParameterError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -164,14 +158,7 @@ def _get_z(args) -> complex:
 # ---------------------------------------------------------------- commands
 
 def cmd_validate(args) -> int:
-    try:
-        params = _get_params(args)
-    except ParameterError as e:
-        print(json.dumps({
-            "valid": False, "which": e.which, "index": e.index,
-            "rule": e.rule, "message": str(e),
-        }, indent=2))
-        return EXIT_INVALID_PARAMS
+    params = _get_params(args)  # a ParameterError report goes to stdout (main)
     dom = states.classify(params)
     print(json.dumps({
         "valid": True, "params": params.label(),
@@ -320,6 +307,7 @@ def cmd_figure(args) -> int:
         except ValueError as e:
             raise UsageError(f"bad --sweep {args.sweep!r}: {e}")
     cs = states.validate([], [])
+    sweep = _sweep_params(fig, override) + [(cs, "husimi_Q" if fig >= 11 else "CS")]
     series = []
     if args.points is None:
         # amplitude sweeps step |z| by 0.1; phase figures use the full grid
@@ -327,51 +315,30 @@ def cmd_figure(args) -> int:
 
     if fig in (1, 4, 7):
         absz = args.absz if args.absz is not None else (3.0 if fig in (1, 4) else 0.75)
-        sweeps = _sweep_params(fig, override)
-        pn_all = []
-        for params, lab in sweeps:
-            spec = states.StateSpec(params, absz)
-            pn_all.append((photstat.pn_distribution(spec, tol=args.tol), lab, params))
-        cs_d = photstat.pn_distribution(states.StateSpec(cs, absz), tol=args.tol)
-        n_max = max(len(cs_d.values), *(len(d.values) for d, _, _ in pn_all)) - 1
-        grid = np.arange(n_max + 1)
-        for d, lab, params in pn_all:
-            vals = np.zeros(n_max + 1)
-            vals[: len(d.values)] = d.values
+        pns = [photstat.pn_distribution(states.StateSpec(params, absz), tol=args.tol).values
+               for params, _ in sweep]
+        grid = np.arange(max(len(pn) for pn in pns))
+        for pn, (params, lab) in zip(pns, sweep):
+            vals = np.zeros(len(grid))
+            vals[: len(pn)] = pn
             series.append(_series(lab, grid, vals, params=params.label()))
-        vals = np.zeros(n_max + 1)
-        vals[: len(cs_d.values)] = cs_d.values
-        series.append(_series("CS", grid, vals, params="(;)"))
     elif fig in (2, 3, 5, 6):
         hi = args.absz if args.absz is not None else 6.0
         grid = np.linspace(0.0, hi, args.points)
         which = 0 if fig in (2, 5) else 1
-        for params, lab in _sweep_params(fig, override):
+        for params, lab in sweep:
             ys = [photstat.mean_and_mandel(params, float(az) ** 2, tol=args.tol)[which]
                   for az in grid]
             series.append(_series(lab, grid, ys, params=params.label()))
-        ys = [photstat.mean_and_mandel(cs, float(az) ** 2, tol=args.tol)[which]
-              for az in grid]
-        series.append(_series("CS", grid, ys, params="(;)"))
-    elif fig in (8, 9, 10):
+    else:  # 8-10: each family's state under the Husimi analyzer; 11-13: generalized
+        # phase distributions of a coherent signal under each family's analyzer
         absz = args.absz if args.absz is not None else 0.75
         thetas = phase.default_theta_grid(args.points)
-        for params, lab in _sweep_params(fig, override):
-            sig = states.fock_vector(states.StateSpec(params, absz), tol=args.tol)
-            d = phase.phase_distribution(sig, "Q", thetas)
+        for params, lab in sweep:
+            signal_params, analyzer = (cs, params) if fig >= 11 else (params, "Q")
+            sig = states.fock_vector(states.StateSpec(signal_params, absz), tol=args.tol)
+            d = phase.phase_distribution(sig, analyzer, thetas)
             series.append(_series(lab, thetas, d.values, params=params.label()))
-        cs_sig = states.fock_vector(states.StateSpec(cs, absz), tol=args.tol)
-        d = phase.phase_distribution(cs_sig, "Q", thetas)
-        series.append(_series("CS", thetas, d.values, params="(;)"))
-    else:  # 11, 12, 13: generalized phase distributions of a coherent signal
-        absz = args.absz if args.absz is not None else 0.75
-        thetas = phase.default_theta_grid(args.points)
-        cs_sig = states.fock_vector(states.StateSpec(cs, absz), tol=args.tol)
-        for params, lab in _sweep_params(fig, override):
-            d = phase.phase_distribution(cs_sig, params, thetas)
-            series.append(_series(lab, thetas, d.values, params=params.label()))
-        d = phase.phase_distribution(cs_sig, "Q", thetas)
-        series.append(_series("husimi_Q", thetas, d.values, params="(;)"))
 
     emit(args, series, {"figure": fig})
     return EXIT_OK
@@ -623,10 +590,9 @@ def main(argv=None) -> int:
         print(json.dumps({
             "valid": False, "which": e.which, "index": e.index,
             "rule": e.rule, "message": str(e),
-        }, indent=2), file=sys.stderr)
+        }, indent=2), file=sys.stdout if args.func is cmd_validate else sys.stderr)
         return EXIT_INVALID_PARAMS
-    except (CircleNoGoError, DivergenceError, ConvergenceError, GHSError,
-            OverflowError, ValueError, ZeroDivisionError) as e:
+    except (GHSError, OverflowError, ValueError, ZeroDivisionError) as e:
         print(f"ghcs: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -19,6 +19,11 @@ class ConvergenceError(GHSError, RuntimeError):
     before reaching the requested tolerance."""
 
 
+class RangeError(GHSError, OverflowError):
+    """A value or table would leave the double range or a size cap (an
+    OverflowError, so handlers written for the builtin still catch it)."""
+
+
 class ParameterError(GHSError, ValueError):
     """A parameter list violates the positivity constraints.
 

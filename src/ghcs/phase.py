@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import specfun
-from .errors import ParameterError
-from .states import FockVector, ParameterSet, log_rho_gamma, rho_steps
+from .errors import ParameterError, RangeError
+from .states import FockVector, ParameterSet, log_rho_half, rho_steps
 from .weights import density_integral, family_params, weight_tilde
 
 G_TABLE_CAP = 2048
@@ -52,20 +53,33 @@ class GCoefficientTable:
         return self.table[idx]
 
 
+def _capped_log_rho_half(params: ParameterSet, n_cutoff: int) -> np.ndarray:
+    if n_cutoff > G_TABLE_CAP:
+        raise RangeError(f"G table cutoff {n_cutoff} exceeds cap {G_TABLE_CAP}")
+    return log_rho_half(params, n_cutoff)
+
+
+def _g_block(t: np.ndarray, lo: int, w: int) -> np.ndarray:
+    """G(n, n') for n, n' = lo..lo+w-1 from T[k] = log rho(k/2), as one w x w
+    array: exp(T[n+n'] - (T[2n] + T[2n'])/2) formed in place on a Hankel view
+    of T.  The view minus the symmetric sum is exactly 0 on the diagonal and
+    bitwise symmetric, so G is too."""
+    half = 0.5 * t[2 * lo: 2 * (lo + w): 2]
+    g = np.add.outer(half, half)
+    np.subtract(sliding_window_view(t[2 * lo: 2 * (lo + w) - 1], w), g, out=g)
+    return np.exp(g, out=g)
+
+
 def g_coefficients(analyzer, n_cutoff: int) -> GCoefficientTable:
     """Symmetric table G(n,n') for n,n' <= n_cutoff, diagonal exactly 1.
 
-    Built in log space from T(k) = log rho(k/2) on the half-integer grid
-    (gamma form), G = exp(T[n+n'] - (T[2n] + T[2n'])/2); the n = n'
-    exponent cancels identically, so the diagonal is exactly 1.
+    T(k) = log rho(k/2) comes from the half-integer sequence
+    states.log_rho_half; the table is the one N^2 array of _g_block.
+    Raises RangeError (an OverflowError) above G_TABLE_CAP.
     """
     params = analyzer_params(analyzer)
-    if n_cutoff > G_TABLE_CAP:
-        raise OverflowError(f"G table cutoff {n_cutoff} exceeds cap {G_TABLE_CAP}")
-    t = np.array([log_rho_gamma(params, 0.5 * k) for k in range(2 * n_cutoff + 1)])
-    idx = np.arange(n_cutoff + 1)
-    expo = t[idx[:, None] + idx[None, :]] - 0.5 * (t[2 * idx][:, None] + t[2 * idx][None, :])
-    return GCoefficientTable(params, np.exp(expo))
+    t = _capped_log_rho_half(params, n_cutoff)
+    return GCoefficientTable(params, _g_block(t, 0, n_cutoff + 1))
 
 
 @dataclass(frozen=True)
@@ -87,39 +101,47 @@ def default_theta_grid(points: int = 721) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, points)
 
 
-def _signal_products(signal):
-    """Return (coefficient matrix accessor, cutoff) for a FockVector or a
-    hermitian density matrix in the Fock basis."""
-    if isinstance(signal, FockVector):
-        psi = signal.coeffs
-        return np.outer(psi, psi.conj()), len(psi) - 1
-    mat = np.asarray(signal, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("density matrix must be square")
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if herm > 1e-12:
-        raise ParameterError(f"density matrix hermiticity residual {herm:g} > 1e-12")
-    return mat, mat.shape[0] - 1
-
-
 def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     """Phase distribution of a pure signal (FockVector) or density matrix.
 
-    The double sum collapses over the difference index m = n - n', giving
-    P(theta) = (1/2pi) [C_0 + 2 sum_m Re(C_m e^{-im theta})]; the result is
-    real by hermiticity, and the reported normalization residual is the
-    trapezoid integral's deviation from 1.
+    P(theta) = (1/2pi) [C_0 + 2 Re sum_m C_m e^{-im theta}] with the lower
+    diagonal sums C_m = sum_n rho_{n+m,n} G(n+m,n), taken as the row sums of a
+    skewed view of one zero-padded (2w, w) buffer and summed over theta by
+    Horner's rule in e^{-i theta}.  A pure signal enters on the window of n
+    with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2) is discretely convex
+    (then G <= 1, and the dropped terms are below 1e-17 ||psi||_1 max|psi|);
+    otherwise, and for density matrices, the window is the whole matrix.
+    The normalization residual is the trapezoid integral's deviation from 1.
     """
-    if thetas is None:
-        thetas = default_theta_grid()
-    thetas = np.asarray(thetas, dtype=float)
-    prod, cutoff = _signal_products(signal)
-    g = g_coefficients(analyzer, cutoff).table
-    weighted = prod * g
-    # C_m = sum_n psi_{n+m} psi*_n G(n+m, n): the m-th lower diagonal
-    c = np.array([np.trace(weighted, offset=-m) for m in range(cutoff + 1)])
-    phases = np.exp(-1j * np.outer(np.arange(1, cutoff + 1), thetas))
-    values = (c[0].real + 2.0 * (c[1:, None] * phases).real.sum(axis=0)) / (2.0 * math.pi)
+    thetas = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
+    pure = isinstance(signal, FockVector)
+    psi = signal.coeffs if pure else np.asarray(signal, dtype=complex)
+    if not pure:
+        if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
+            raise ValueError("density matrix must be square")
+        herm = np.max(np.abs(psi - psi.conj().T))
+        if herm > 1e-12:
+            raise ParameterError(f"density matrix hermiticity residual {herm:g} > 1e-12")
+    t = _capped_log_rho_half(analyzer_params(analyzer), len(psi) - 1)
+    lo, w = 0, len(psi)
+    if pure and np.all(np.diff(t, 2) >= 0.0):
+        mag = np.abs(psi)
+        keep = np.flatnonzero(~(mag < 1e-17 * mag.max()))  # a nan or 0 max keeps all
+        lo, w = int(keep[0]), int(keep[-1] - keep[0]) + 1
+    buf = np.zeros((2 * w, w), dtype=complex)
+    if pure:
+        np.multiply.outer(psi[lo: lo + w], psi[lo: lo + w].conj(), out=buf[:w])
+    else:
+        buf[:w] = psi
+    buf[:w] *= _g_block(t, lo, w)
+    # row m of the skewed view runs down the m-th lower diagonal into the padding
+    c = as_strided(buf, (w, w), (buf.strides[0], sum(buf.strides))).sum(axis=1)
+    u = np.exp(-1j * thetas)
+    acc = np.zeros_like(u)
+    for cm in c[:0:-1]:  # Horner: acc = sum_{m >= 1} C_m u^m
+        acc += cm
+        acc *= u
+    values = (c[0].real + 2.0 * acc.real) / (2.0 * math.pi)
     residual = abs(float(np.trapezoid(values, thetas)) - 1.0)
     return PhaseDistribution(
         thetas, values, residual,
@@ -128,30 +150,25 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
 
 
 def husimi_q(signal: FockVector, alpha: complex) -> float:
-    """Conventional Husimi value (1/pi) |<alpha|psi>|^2."""
-    psi = signal.coeffs
+    """Conventional Husimi value (1/pi) |<alpha|psi>|^2: the Q-analyzer overlap
+    (rho(n) = n!) with e^{-|alpha|^2} folded into its exponent."""
     alpha = complex(alpha)
-    n = np.arange(len(psi))
     if alpha == 0:
-        amp = psi[0]
-    else:
-        log_mag = n * math.log(abs(alpha)) - 0.5 * np.array(
-            [math.lgamma(k + 1.0) for k in range(len(psi))]
-        )
-        coeff = np.exp(log_mag) * np.exp(-1j * n * cmath.phase(alpha))
-        amp = np.sum(coeff * psi) * math.exp(-0.5 * abs(alpha) ** 2)
-    return float(abs(amp) ** 2 / math.pi)
+        return float(abs(signal.coeffs[0]) ** 2 / math.pi)
+    x = abs(alpha) ** 2
+    return float(_overlap_sq(_ANALYZER_TAGS["Q"], signal, [cmath.phase(alpha)])(x, -x)[0]) / math.pi
 
 
 def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
-    """x -> |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta}
-    for every theta (normalization-free overlap), with the magnitudes
-    x^{n/2} / sqrt(rho(n)) formed in log space."""
+    """(x, log_w) -> w |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta}
+    for every theta (normalization-free overlap, w = 1 by default), with the
+    magnitudes sqrt(w x^n / rho(n)) formed in log space."""
     psi = signal.coeffs
     n = np.arange(len(psi))
     half_log_rho = 0.5 * rho_steps(params, len(psi) - 1)[1]
     rotations = np.exp(-1j * np.outer(n, thetas))
-    return lambda x: np.abs((psi * np.exp(0.5 * n * math.log(x) - half_log_rho)) @ rotations) ** 2
+    return lambda x, log_w=0.0: np.abs(
+        (psi * np.exp(0.5 * (n * math.log(x) + log_w) - half_log_rho)) @ rotations) ** 2
 
 
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
@@ -201,9 +218,7 @@ def radial_phase_check(signal: FockVector, family: str, params: ParameterSet,
     """Max absolute deviation between the radially-integrated generalized
     Husimi distribution and the G-table phase distribution (two independent
     pipelines for the same quantity)."""
-    if thetas is None:
-        thetas = np.linspace(-math.pi, math.pi, 25)
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.linspace(-math.pi, math.pi, 25) if thetas is None else np.asarray(thetas, float)
     direct = gh_phase_from_husimi(signal, family, params, thetas, quad_tol=quad_tol)
     series = phase_distribution(signal, params, thetas).values
     return float(np.max(np.abs(direct - series)))

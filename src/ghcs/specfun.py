@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, PoleError
+from .errors import ConvergenceError, DivergenceError, PoleError, RangeError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 100_000
@@ -244,7 +244,7 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
         else:
             s = s + term
         if not (abs(s) < math.inf):
-            raise OverflowError(f"pfq partial sum overflowed at term {n + 1}")
+            raise RangeError(f"pfq partial sum overflowed at term {n + 1}")
         last_abs.append(abs(term))
         if len(last_abs) > 3:
             last_abs.pop(0)
@@ -515,7 +515,10 @@ def _tricomi_laplace(a: float, b: float, x: float) -> float:
         return a * v - x * t + c * np.log1p(t) + np.log(np.cosh(s))
 
     lo, hi = (math.asinh((v - v_mid) / (0.5 * math.pi)) for v in (v_lo, v_hi))
-    return math.exp(_log_trapezoid(log_f, lo, hi, 128) + math.log(0.5 * math.pi) - math.lgamma(a))
+    ln = _log_trapezoid(log_f, lo, hi, 128) + math.log(0.5 * math.pi) - math.lgamma(a)
+    if ln > 709.78:
+        raise RangeError(f"U({a:g}, {b:g}, {x:g}) = exp({ln:.6g}) exceeds double range")
+    return math.exp(ln)
 
 
 def _tricomi_nonint_b(a: float, b: float, x: float) -> float:

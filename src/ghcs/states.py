@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DivergenceError, ParameterError
+from .errors import ConvergenceError, DivergenceError, ParameterError, RangeError
 
 DEFAULT_FOCK_TOL = 1e-12
 MAX_CUTOFF = 4096
@@ -205,39 +205,49 @@ class StateSpec:
         )
 
 
-def rho_steps(params: ParameterSet, n: int):
-    """(f2, log_rho): f2[k] = f(k)^2 = rho(k+1)/rho(k) = (k+1) prod(b_j+k)/prod(a_i+k)
-    for k < n and log_rho[k] = log rho(k) for k <= n, read-only views.
+def _log_ratio_sum(params: ParameterSet, k):
+    """(f2, s): f2 = f(k)^2 = (k+1) prod(b_j+k)/prod(a_i+k) = rho(k+1)/rho(k) on
+    the grid k, and s[j] = sum_{i<j} log f2[i] with Neumaier's compensation
+    (ZAMM 54, 1974), so s carries no drift that grows with j.  This is the
+    one place where the ratio product is formed."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f2 = (k + 1.0) * np.prod([bj + k for bj in params.b], axis=0) / np.prod(
+            [ai + k for ai in params.a], axis=0)
+    bad = ~np.isfinite(f2) | ~(f2.real > 0.0) | (np.abs(f2.imag) > 1e-12 * np.abs(f2.real))
+    if bad.any():
+        k0 = int(np.argmax(bad))
+        raise ParameterError(f"f({k[k0]:g})^2 = {f2[k0]} is not a positive real")
+    f2 = f2.real
+    steps = np.log(f2)
+    run = np.add.accumulate(steps)  # the plain running sum, term by term
+    prev = np.concatenate(([0.0], run[:-1]))
+    # the rounding error of each addition prev + step = run, exactly
+    lost = np.where(np.abs(prev) >= np.abs(steps), (prev - run) + steps, (steps - run) + prev)
+    return f2, np.concatenate(([0.0], run + np.add.accumulate(lost)))
 
-    This is the one place where the ratio product is formed.  log rho is
-    the running sum of log f2 with Neumaier's compensation (ZAMM 54, 1974),
-    so it carries no drift that grows with k.  The arrays live on params
-    and are rebuilt whole at double the length when a caller needs more;
-    the pair is published by one attribute assignment, so no lock is needed.
-    """
+
+def rho_steps(params: ParameterSet, n: int):
+    """(f2, log_rho) = _log_ratio_sum on the integers: f2[k] for k < n and
+    log rho(k) for k <= n, read-only views of arrays that live on params and
+    are rebuilt whole at double the length when a caller needs more (the pair
+    is published by one attribute assignment, so no lock is needed)."""
     seq = params.__dict__.get("_rho_seq")
     if seq is None or len(seq[1]) <= n:
         size = max(n, 2 * len(seq[0])) if seq else max(n, 32)
-        k = np.arange(size, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f2 = (k + 1.0) * np.prod([bj + k for bj in params.b], axis=0) / np.prod(
-                [ai + k for ai in params.a], axis=0)
-        bad = ~np.isfinite(f2) | ~(f2.real > 0.0) | (np.abs(f2.imag) > 1e-12 * np.abs(f2.real))
-        if bad.any():
-            k0 = int(np.argmax(bad))
-            raise ParameterError(f"f({k0})^2 = {f2[k0]} is not a positive real")
-        f2 = f2.real
-        steps = np.log(f2)
-        run = np.add.accumulate(steps)  # the plain running sum, term by term
-        prev = np.concatenate(([0.0], run[:-1]))
-        # the rounding error of each addition prev + step = run, exactly
-        lost = np.where(np.abs(prev) >= np.abs(steps), (prev - run) + steps, (steps - run) + prev)
-        log_rho_arr = np.concatenate(([0.0], run + np.add.accumulate(lost)))
-        seq = (f2, log_rho_arr)
+        seq = _log_ratio_sum(params, np.arange(size, dtype=float))
         for arr in seq:
             arr.flags.writeable = False
         object.__setattr__(params, "_rho_seq", seq)
     return seq[0][:n], seq[1][: n + 1]
+
+
+def log_rho_half(params: ParameterSet, n: int) -> np.ndarray:
+    """T[k] = log rho(k/2) for k = 0..2n.  Even k read rho_steps; odd k are
+    anchored by one gamma-form value log rho(1/2) and stepped by f(j+1/2)^2."""
+    t = np.empty(2 * n + 1)
+    t[0::2] = rho_steps(params, n)[1]
+    t[1::2] = log_rho_gamma(params, 0.5) + _log_ratio_sum(params, np.arange(n - 1) + 0.5)[1][:n]
+    return t
 
 
 def log_rho(params: ParameterSet, n: int) -> float:
@@ -248,11 +258,11 @@ def log_rho(params: ParameterSet, n: int) -> float:
 
 
 def rho(params: ParameterSet, n: int) -> float:
-    """Parameter function rho(n) > 0; raises OverflowError when it exceeds
+    """Parameter function rho(n) > 0; raises RangeError when it exceeds
     double range (use log_rho for large n)."""
     lr = log_rho(params, n)
     if lr > 709.0:
-        raise OverflowError(f"rho({n}) exceeds double range (log = {lr:.3g})")
+        raise RangeError(f"rho({n}) exceeds double range (log = {lr:.3g})")
     return math.exp(lr)
 
 

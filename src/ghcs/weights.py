@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature, specfun
-from .errors import CircleNoGoError, ParameterError
+from .errors import CircleNoGoError, ParameterError, RangeError
 from .photstat import family_params, sf_2f1
 from .states import ParameterSet, normalization, rho_steps
 
@@ -210,7 +210,7 @@ def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
     in one density_integral pass over g(x) = x^n/rho(n), rescaled."""
     lr = rho_steps(params, int(ns.max()))[1][ns]
     if lr.max() > 700.0:
-        raise OverflowError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
+        raise RangeError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
     val, err = density_integral(family, params, lambda x: np.exp(ns * math.log(x) - lr),
                                 rel_tol=quad_tol, abs_tol=1e-14)
     rho = np.exp(lr)

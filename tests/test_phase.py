@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ghcs import phase as ph
 from ghcs import states as st
 from ghcs import weights as wt
-from ghcs.errors import ParameterError
+from ghcs.errors import GHSError, ParameterError, RangeError
 
 CS = st.validate([], [])
 TWO_PI = 2.0 * math.pi
@@ -59,6 +60,42 @@ def test_g_coalescence():
 def test_g_table_cap():
     with pytest.raises(OverflowError):
         ph.g_coefficients("Q", 3000)
+
+
+def test_g_table_cap_is_structured_and_bounds_phase_cutoff():
+    with pytest.raises(RangeError):
+        ph.g_coefficients("Q", ph.G_TABLE_CAP + 1)
+    # the support window of |2049> is one entry, but the cap is on the cutoff
+    with pytest.raises(GHSError):
+        ph.phase_distribution(st.fock_basis_vector(ph.G_TABLE_CAP + 1), "Q")
+
+
+def _lgamma_log_rho(a_list, b_list):
+    """nu -> log rho(nu) = lnG(nu+1) + sum[lnG(b+nu) - lnG(b)] - sum[lnG(a+nu) - lnG(a)]
+    from math.lgamma, independent of the package's rho sequences."""
+    def log_rho(nu):
+        v = math.lgamma(nu + 1.0)
+        v += sum(math.lgamma(b + nu) - math.lgamma(b) for b in b_list)
+        return v - sum(math.lgamma(a + nu) - math.lgamma(a) for a in a_list)
+    return log_rho
+
+
+@pytest.mark.parametrize("a_list,b_list", [([], []), ([3.0], []), ([2.0], [0.7])])
+def test_g_table_at_cap_against_lgamma(a_list, b_list):
+    n_cap = ph.G_TABLE_CAP
+    t = ph.g_coefficients(st.validate(a_list, b_list), n_cap).table
+    assert t.shape == (n_cap + 1, n_cap + 1)
+    assert np.all(np.diag(t) == 1.0)
+    assert np.array_equal(t, t.T)
+    log_rho = _lgamma_log_rho(a_list, b_list)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for n, m in rng.integers(0, n_cap + 1, size=(400, 2)):
+        ref = math.exp(log_rho(0.5 * (n + m)) - 0.5 * (log_rho(n) + log_rho(m)))
+        if ref > 1e-300:
+            assert t[n, m] == pytest.approx(ref, rel=1e-10)
+            checked += 1
+    assert checked >= 200
 
 
 # ------------------------------------------------------ phase distributions
@@ -129,6 +166,85 @@ def test_mixed_state_phase_distribution():
     assert np.max(np.abs(d.values - 1.0 / TWO_PI)) <= 1e-14
 
 
+def _brute_force_phase(psi, log_rho, thetas):
+    """P(theta) from the full outer product psi psi*, G from math.lgamma, the
+    diagonal sums C_m and explicit cos/sin sums over m."""
+    n = len(psi)
+    half = np.array([log_rho(0.5 * k) for k in range(2 * n - 1)])
+    idx = np.arange(n)
+    g = np.exp(half[idx[:, None] + idx[None, :]]
+               - 0.5 * (half[2 * idx][:, None] + half[2 * idx][None, :]))
+    weighted = np.outer(psi, psi.conj()) * g
+    c = np.array([np.diagonal(weighted, -m).sum() for m in range(n)])
+    m = np.arange(1, n)[:, None]
+    cos_sum = (c[1:].real[:, None] * np.cos(m * thetas)).sum(axis=0)
+    sin_sum = (c[1:].imag[:, None] * np.sin(m * thetas)).sum(axis=0)
+    return (c[0].real + 2.0 * (cos_sum + sin_sum)) / TWO_PI
+
+
+_ORACLE_SIGNALS = {
+    "CS |z|=25": lambda: coherent_signal(absz=25.0, phi=0.3),
+    "F01 (;2)": lambda: coherent_signal(absz=6.0, phi=-1.2, params=st.validate([], [2.0])),
+    "F11 (2;3)": lambda: coherent_signal(absz=5.0, phi=2.0, params=st.validate([2.0], [3.0])),
+}
+_ORACLE_ANALYZERS = {
+    "Q": ("Q", [], []), "PB": ("PB", [1.0], []),
+    "(3;)": (st.validate([3.0], []), [3.0], []),
+    "(0.5;)": (st.validate([0.5], []), [0.5], []),
+}
+
+
+@pytest.mark.parametrize("signal", sorted(_ORACLE_SIGNALS))
+@pytest.mark.parametrize("analyzer", sorted(_ORACLE_ANALYZERS))
+def test_phase_distribution_against_brute_force(signal, analyzer):
+    sig = _ORACLE_SIGNALS[signal]()
+    tag, a_list, b_list = _ORACLE_ANALYZERS[analyzer]
+    log_rho = _lgamma_log_rho(a_list, b_list)
+    rng = np.random.default_rng(31)
+    peak = None  # the distribution's maximum, read on the dense default grid
+    for thetas in (ph.default_theta_grid(), np.sort(rng.uniform(-math.pi, math.pi, 97))):
+        got = ph.phase_distribution(sig, tag, thetas).values
+        ref = _brute_force_phase(sig.coeffs, log_rho, thetas)
+        peak = peak or np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * peak
+
+
+def test_g_above_one_analyzer_has_concave_half_sequence():
+    # (1;0) at a = 0.5 has G > 1 off the diagonal, so the support window's
+    # bound does not hold and phase_distribution must sum the whole support
+    p = st.validate([0.5], [])
+    assert np.max(ph.g_coefficients(p, 20).table) > 1.0
+    assert np.any(np.diff(st.log_rho_half(p, 20), 2) < 0.0)
+    assert np.all(np.diff(st.log_rho_half(CS, 20), 2) >= 0.0)
+
+
+def _tracemalloc_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_g_table_builds_one_square_array():
+    ph.g_coefficients("Q", 8)  # warm the Q rho sequence
+    g, peak = _tracemalloc_peak(lambda: ph.g_coefficients("Q", ph.G_TABLE_CAP))
+    assert peak <= 1.25 * g.table.nbytes
+
+
+def test_phase_distribution_memory_scales_with_support_window():
+    sig = coherent_signal(absz=25.0, phi=0.3)
+    assert sig.cutoff >= 1250
+    ph.phase_distribution(sig, "Q")  # warm the rho sequences
+    mag = np.abs(sig.coeffs)
+    keep = np.flatnonzero(mag >= 1e-17 * mag.max())
+    w = keep[-1] - keep[0] + 1
+    assert w < 0.6 * len(mag)
+    _, peak = _tracemalloc_peak(lambda: ph.phase_distribution(sig, "Q"))
+    assert peak <= 3 * w * w * 16
+
+
 def test_circle_state_signal_phase_distribution():
     # a normalized circle state peaks at its own phase like any other signal
     params = st.validate([0.5, 0.5], [16.0])
@@ -168,6 +284,15 @@ def test_husimi_high_fock_number():
     expected = math.exp(-n + n * math.log(n) - math.lgamma(n + 1.0)) / math.pi
     assert ph.husimi_q(st.fock_basis_vector(n), 20.0) == pytest.approx(expected, rel=1e-10)
     assert math.isfinite(ph.husimi_q(st.fock_basis_vector(800), math.sqrt(800.0)))
+
+
+@pytest.mark.parametrize("n", [700, 1000, 1500])
+def test_husimi_fock_state_at_its_peak(n):
+    # |<alpha|n>|^2 = e^{-x} x^n / n! at x = n: x^{n/2} / sqrt(n!) overflows
+    # past n of about 1420 and e^{-x/2} underflows past about 1490
+    alpha = math.sqrt(n) * cmath.exp(0.9j)
+    expected = math.exp(-n + n * math.log(n) - math.lgamma(n + 1.0)) / math.pi
+    assert ph.husimi_q(st.fock_basis_vector(n), alpha) == pytest.approx(expected, rel=1e-10)
 
 
 # --------------------------------------------------------------- gh husimi

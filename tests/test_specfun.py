@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ghcs import specfun as sf
-from ghcs.errors import ConvergenceError, DivergenceError, PoleError
+from ghcs.errors import ConvergenceError, DivergenceError, GHSError, PoleError, RangeError
 
 
 # ---------------------------------------------------------------- ln_gamma
@@ -265,6 +265,14 @@ def test_tricomi_polynomial_case(x):
 def test_tricomi_domain():
     with pytest.raises(ValueError):
         sf.tricomi_u(1.0, 1.0, 0.0)
+
+
+def test_tricomi_out_of_double_range_is_structured():
+    # U(3, 200, 0.5) is about 1e430 (Laplace branch): a GHSError that is also
+    # an OverflowError, not a bare math range error
+    with pytest.raises(RangeError) as info:
+        sf.tricomi_u(3.0, 200.0, 0.5)
+    assert isinstance(info.value, GHSError) and isinstance(info.value, OverflowError)
 
 
 # --------------------------------------------------------------- gauss_2f1
