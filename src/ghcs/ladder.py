@@ -72,9 +72,11 @@ def commutator_diagonal(params: ParameterSet, n: int) -> float:
 def eigenvalue_residual(spec: StateSpec, tol: float = 1e-14) -> float:
     """|| U v - z v ||_2 for the truncated state v.
 
-    Interior components cancel exactly through rho(n+1) = rho(n) f(n)^2;
-    what remains is the truncation boundary, so the residual is of order
-    |z| sqrt(tail) <= |z| sqrt(tol).
+    Interior components cancel through rho(n+1) = rho(n) f(n)^2 up to
+    rounding; what remains is the dropped boundary row |z c_N|.  The
+    certified tail of fock_vector covers sum_{k>=N} |c_k|^2, c_N included,
+    so |c_N|^2 <= tol and the residual is at most |z| sqrt(tol) plus
+    rounding.
     """
     v = fock_vector(spec, tol=tol)
     z = complex(spec.z)

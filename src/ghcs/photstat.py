@@ -1,10 +1,18 @@
 """Photon number statistics of generalized hypergeometric states.
 
-Generic path: P(n) = x^n / (rho(n) N(x)) with x = |z|^2, factorial moments
-through parameter-shifted normalization ratios, mean and Mandel parameter
-from the first two.  Closed-form path: the Bessel / Kummer / geometric /
-Gauss expressions of the five standard families, used as an independent
-oracle for the generic machinery.
+Generic path, with x = |z|^2 and the terms t_n = x^n / rho(n) of
+N(x) = pFq(a; b; x): for plane and disk states P(n) = t_n / N(x), and the
+factorial moments x^k [prod (a_i)_k / prod (b_j)_k] N_k(x) / N(x) with N_k
+the normalization of the shifted set (a+k; b+k), all in log space from one
+slice of the rho sequence (states.log_terms): no pFq series is summed.
+Normalized circle states, whose terms fall only like n^(eta-1), take N and
+N_k from the Gauss sum at unit argument (states.normalization).  Mean and
+Mandel parameter come from the first two factorial moments.  Every P(n) is
+cut by one rule (_pn_series).
+
+Closed-form path: the Bessel / Kummer / geometric / Gauss expressions of
+the five standard families, with P(n) stepped from its own anchor and
+ratios; it shares none of the sums above and serves as their oracle.
 """
 
 from __future__ import annotations
@@ -15,13 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DivergenceError, ParameterError
+from .errors import ConvergenceError, DivergenceError, ParameterError
 from .states import (
+    MAX_CUTOFF,
     DomainKind,
     ParameterSet,
     StateSpec,
-    log_rho,
+    log_terms,
     normalization,
+    rho_steps,
 )
 
 PN_CUMULATIVE = 1.0 - 1e-12
@@ -49,25 +59,27 @@ class PhotonStats:
     x: float
 
 
-def _truncation_length(log_p) -> int:
-    """Smallest length with cumulative >= PN_CUMULATIVE and a negligible
-    last term; log_p(n) must eventually decrease superlinearly."""
-    total = 0.0
-    peak = -math.inf
-    n = 0
+def _pn_series(log_p, n: int, label: str) -> DistributionSeries:
+    """P(n) cut at the first length whose cumulative sum reaches
+    PN_CUMULATIVE and whose last term is below PN_FLOOR of the running peak.
+    log_p(n) returns log P(0..n-1); n doubles up to MAX_CUTOFF until the rule
+    is met (ConvergenceError otherwise)."""
     while True:
         lp = log_p(n)
-        peak = max(peak, lp)
-        total += math.exp(lp)
-        if total >= PN_CUMULATIVE and lp < peak + math.log(PN_FLOOR):
-            return n + 1
-        if n > 100_000:
-            raise DivergenceError("photon distribution did not accumulate to 1")
-        n += 1
+        ok = (np.cumsum(np.exp(lp)) >= PN_CUMULATIVE) & (
+            lp < np.maximum.accumulate(lp) + math.log(PN_FLOOR))
+        if ok.any():
+            values = np.exp(lp[: int(np.argmax(ok)) + 1])
+            return DistributionSeries(
+                np.arange(len(values)), values, float(abs(values.sum() - 1.0)), label)
+        if n >= MAX_CUTOFF:
+            raise ConvergenceError(f"P(n) did not accumulate to 1 within {MAX_CUTOFF} terms")
+        n = min(2 * n, MAX_CUTOFF)
 
 
 def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> DistributionSeries:
-    """Photon number distribution P(n) = x^n / (rho(n) N(x))."""
+    """Photon number distribution P(n) = x^n / (rho(n) N(x)); tol applies to
+    the Gauss sum of normalized circle states."""
     kind = spec.domain_kind()
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
         raise DivergenceError("unnormalizable circle states have no photon distribution")
@@ -75,9 +87,27 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     x = abs(complex(spec.z)) ** 2
     if x == 0.0:
         return DistributionSeries(np.array([0]), np.array([1.0]), 0.0, params.label())
-    ln_n = math.log(normalization(params, x, tol=tol))
-    lnx = math.log(x)
-    return _pn_from_logs(lambda n: n * lnx - log_rho(params, n) - ln_n, params.label())
+    if kind is DomainKind.CIRCLE_NORMALIZED:
+        ln_n = math.log(normalization(params, x, tol=tol))
+        return _pn_series(lambda n: -rho_steps(params, n - 1)[1] - ln_n, 64, params.label())
+    log_t, (ln_n,) = log_terms(params, x)
+    return _pn_series(lambda n: log_t - ln_n, len(log_t), params.label())
+
+
+def _factorial_moments(params: ParameterSet, x: float, k: int, tol: float) -> list:
+    """Factorial moments of orders 1..k at x = |z|^2 > 0 (see factorial_moment)."""
+    if StateSpec(params, math.sqrt(x)).domain_kind() in (DomainKind.PLANE, DomainKind.UNIT_DISK):
+        log_n = log_terms(params, x, k + 1)[1]
+    else:  # circle: terms fall like n^(eta-1); normalization() uses the Gauss sum
+        log_n = [math.log(normalization(params.shifted(j), x, tol=tol)) for j in range(k + 1)]
+    shift, moments = 1.0 + 0.0j, []
+    for j in range(1, k + 1):  # shift = prod (a_i)_j / prod (b_j)_j
+        shift *= math.prod(v + j - 1 for v in params.a) / math.prod(v + j - 1 for v in params.b)
+        val = x**j * shift * math.exp(log_n[j] - log_n[0])
+        if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+            raise ParameterError(f"factorial moment has imaginary residue {val.imag:g}")
+        moments.append(val.real)
+    return moments
 
 
 def factorial_moment(params: ParameterSet, x: float, k: int,
@@ -88,19 +118,7 @@ def factorial_moment(params: ParameterSet, x: float, k: int,
         raise ValueError("factorial moment order must be >= 1")
     if x == 0.0:
         return 0.0
-    shift = 1.0 + 0.0j
-    for ai in params.a:
-        shift *= specfun.pochhammer(ai, k)
-    for bj in params.b:
-        shift /= specfun.pochhammer(bj, k)
-    # normalization() rather than raw pfq: it routes (2;1) families through
-    # the Gauss evaluator, which stays fast and accurate near the disk edge
-    num = normalization(params.shifted(k), x, tol=tol)
-    den = normalization(params, x, tol=tol)
-    val = x**k * shift * num / den
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ParameterError(f"factorial moment has imaginary residue {val.imag:g}")
-    return val.real
+    return _factorial_moments(params, x, k, tol)[-1]
 
 
 def mean_and_mandel(params: ParameterSet, x: float,
@@ -112,8 +130,7 @@ def mean_and_mandel(params: ParameterSet, x: float,
     """
     if x == 0.0:
         return 0.0, 0.0
-    mean = factorial_moment(params, x, 1, tol=tol)
-    n2 = factorial_moment(params, x, 2, tol=tol)
+    mean, n2 = _factorial_moments(params, x, 2, tol)
     return mean, -mean + n2 / mean
 
 
@@ -128,14 +145,6 @@ def family_params(family: str, params: ParameterSet) -> tuple:
             f"({params.p};{params.q})"
         )
     return tuple(params.a) + tuple(params.b)
-
-
-def _pn_from_logs(log_p, label) -> DistributionSeries:
-    count = _truncation_length(log_p)
-    values = np.exp([log_p(n) for n in range(count)])
-    return DistributionSeries(
-        np.arange(count), values, float(abs(values.sum() - 1.0)), label
-    )
 
 
 def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStats:
@@ -165,86 +174,44 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
             "for conjugate-pair parameter sets"
         )
 
+    # per family: mean, Q, log P(0) and the step ratio P(n+1)/P(n)
     if family == "CS":
-        return PhotonStats(
-            _pn_from_ratio(-x, lambda n: x / (n + 1.0), label), x, 0.0, x
-        )
-
-    if family == "F01":
+        mean, q, lp0, ratio = x, 0.0, -x, lambda n: x / (n + 1.0)
+    elif family == "F01":
         (b,) = vals
         y = 2.0 * math.sqrt(x)
-        i_bm1 = specfun.bessel_i(b - 1.0, y)
-        i_b = specfun.bessel_i(b, y)
-        i_bp1 = specfun.bessel_i(b + 1.0, y)
+        i_bm1, i_b, i_bp1 = (specfun.bessel_i(b + j, y) for j in (-1.0, 0.0, 1.0))
         mean = math.sqrt(x) * i_b / i_bm1
         q = math.sqrt(x) * (i_bp1 / i_b - i_b / i_bm1)
         lp0 = 0.5 * (b - 1.0) * math.log(x) - math.lgamma(b) - math.log(i_bm1)
-        return PhotonStats(
-            _pn_from_ratio(lp0, lambda n: x / ((n + 1.0) * (b + n)), label), mean, q, x
-        )
-
-    if family == "F11":
+        ratio = lambda n: x / ((n + 1.0) * (b + n))
+    elif family == "F11":
         a, b = vals
-        m0 = specfun.kummer_m(a, b, x)
-        m1 = specfun.kummer_m(a + 1.0, b + 1.0, x)
-        m2 = specfun.kummer_m(a + 2.0, b + 2.0, x)
+        m0, m1, m2 = (specfun.kummer_m(a + j, b + j, x) for j in (0.0, 1.0, 2.0))
         mean = x * (a / b) * m1 / m0
         q = -mean + x * ((a + 1.0) / (b + 1.0)) * m2 / m1
-        return PhotonStats(
-            _pn_from_ratio(
-                -math.log(m0), lambda n: x * (a + n) / ((b + n) * (n + 1.0)), label
-            ),
-            mean, q, x,
-        )
-
-    if family == "F10":
-        (a,) = vals
-        if x >= 1.0:
-            raise DivergenceError("disk family needs x < 1")
-        mean = a * x / (1.0 - x)
-        q = x / (1.0 - x)
-        return PhotonStats(
-            _pn_from_ratio(
-                a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0), label
-            ),
-            mean, q, x,
-        )
-
-    # F21
-    a1, a2, b = vals
-    if x >= 1.0:
+        lp0, ratio = -math.log(m0), lambda n: x * (a + n) / ((b + n) * (n + 1.0))
+    elif x >= 1.0:
         raise DivergenceError("disk family needs x < 1")
-    f0 = sf_2f1(a1, a2, b, x)
-    f1 = sf_2f1(a1 + 1.0, a2 + 1.0, b + 1.0, x)
-    f2 = sf_2f1(a1 + 2.0, a2 + 2.0, b + 2.0, x)
-    mean = x * (a1 * a2 / b) * f1 / f0
-    q = -mean + x * ((a1 + 1.0) * (a2 + 1.0) / (b + 1.0)) * f2 / f1
-    return PhotonStats(
-        _pn_from_ratio(
-            -math.log(f0),
-            lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0)),
-            label,
-        ),
-        mean, q, x,
-    )
+    elif family == "F10":
+        (a,) = vals
+        mean, q = a * x / (1.0 - x), x / (1.0 - x)
+        lp0, ratio = a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0)
+    else:  # F21
+        a1, a2, b = vals
+        f0, f1, f2 = (sf_2f1(a1 + j, a2 + j, b + j, x) for j in (0.0, 1.0, 2.0))
+        mean = x * (a1 * a2 / b) * f1 / f0
+        q = -mean + x * ((a1 + 1.0) * (a2 + 1.0) / (b + 1.0)) * f2 / f1
+        lp0, ratio = -math.log(f0), lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0))
+
+    def log_p(n):  # summed term by term from the anchor, as a scalar loop would
+        r = ratio(np.arange(n - 1.0))
+        if not np.all(r > 0):  # positivity of the joint ratio is the validity rule
+            raise ParameterError(f"P(n+1)/P(n) turned non-positive at n={np.argmin(r > 0)}")
+        return np.add.accumulate(np.concatenate(([lp0], np.log(r))))
+
+    return PhotonStats(_pn_series(log_p, 64, label), mean, q, x)
 
 
 def sf_2f1(a1, a2, b, x):
     return complex(specfun.gauss_2f1(a1, a2, b, x).value).real
-
-
-def _pn_from_ratio(log_p0: float, ratio_fn, label: str) -> DistributionSeries:
-    """Distribution from log P(0) and the positive step ratio P(n+1)/P(n)
-    (positivity of the joint ratio is exactly the family validity rule)."""
-    logs = [log_p0]
-
-    def log_p(n):
-        while len(logs) <= n:
-            k = len(logs) - 1
-            r = ratio_fn(k)
-            if r <= 0:
-                raise ParameterError(f"P(n+1)/P(n) turned non-positive at n={k}")
-            logs.append(logs[k] + math.log(r))
-        return logs[n]
-
-    return _pn_from_logs(log_p, label)

@@ -26,7 +26,7 @@ from . import specfun
 from .errors import ConvergenceError, DivergenceError, ParameterError, RangeError
 
 DEFAULT_FOCK_TOL = 1e-12
-MAX_CUTOFF = 4096
+MAX_CUTOFF = 65536  # O(N) consumers: states, P(n), moments, the ladder
 
 
 def _canon(v):
@@ -207,9 +207,8 @@ class StateSpec:
 
 def _log_ratio_sum(params: ParameterSet, k):
     """(f2, s): f2 = f(k)^2 = (k+1) prod(b_j+k)/prod(a_i+k) = rho(k+1)/rho(k) on
-    the grid k, and s[j] = sum_{i<j} log f2[i] with Neumaier's compensation
-    (ZAMM 54, 1974), so s carries no drift that grows with j.  This is the
-    one place where the ratio product is formed."""
+    the grid k, and s = _log_cumsum(f2).  This is the one place where the
+    ratio product is formed."""
     with np.errstate(divide="ignore", invalid="ignore"):
         f2 = (k + 1.0) * np.prod([bj + k for bj in params.b], axis=0) / np.prod(
             [ai + k for ai in params.a], axis=0)
@@ -217,13 +216,20 @@ def _log_ratio_sum(params: ParameterSet, k):
     if bad.any():
         k0 = int(np.argmax(bad))
         raise ParameterError(f"f({k[k0]:g})^2 = {f2[k0]} is not a positive real")
-    f2 = f2.real
-    steps = np.log(f2)
-    run = np.add.accumulate(steps)  # the plain running sum, term by term
-    prev = np.concatenate(([0.0], run[:-1]))
-    # the rounding error of each addition prev + step = run, exactly
-    lost = np.where(np.abs(prev) >= np.abs(steps), (prev - run) + steps, (steps - run) + prev)
-    return f2, np.concatenate(([0.0], run + np.add.accumulate(lost)))
+    return f2.real, _log_cumsum(f2.real)
+
+
+def _log_cumsum(f2):
+    """s[..., j] = sum_{i<j} log f2[..., i] along the last axis, plus the running
+    sum of the exact rounding errors (TwoSum; Neumaier, ZAMM 54, 1974), so s
+    carries no drift that grows with j."""
+    steps = np.zeros(f2.shape[:-1] + (f2.shape[-1] + 1,))
+    np.log(f2, out=steps[..., 1:])
+    run = np.add.accumulate(steps, axis=-1)  # the plain running sum, term by term
+    prev, cur, steps = run[..., :-1], run[..., 1:], steps[..., 1:]
+    back = cur - prev  # the rounding error of prev + step = cur, exactly:
+    cur += np.add.accumulate((prev - (cur - back)) + (steps - back), axis=-1)
+    return run
 
 
 def rho_steps(params: ParameterSet, n: int):
@@ -291,19 +297,15 @@ def normalization(params: ParameterSet, x: float, tol: float = specfun.DEFAULT_T
     dom = classify(params)
     on_circle = params.p == params.q + 1 and abs(x - 1.0) <= 1e-14
     if on_circle and dom.eta >= 0:
-        raise DivergenceError(
-            f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0"
-        )
-    if (params.p, params.q) == (2, 1) and not any(
-        isinstance(v, complex) for v in params.a + params.b
-    ):
+        raise DivergenceError(f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
+    if (params.p, params.q) == (2, 1) and not any(isinstance(v, complex)
+                                                  for v in params.a + params.b):
         # the Gauss evaluator keeps full accuracy near and at the disk edge,
         # where the raw series slows to a crawl
-        x_eff = 1.0 if on_circle else x
-        return complex(
-            specfun.gauss_2f1(params.a[0], params.a[1], params.b[0], x_eff, tol=tol).value
-        ).real
-    value = specfun.pfq(params.a, params.b, x, tol=tol).value
+        a1, a2, b1 = params.a + params.b
+        value = specfun.gauss_2f1(a1, a2, b1, 1.0 if on_circle else x, tol=tol).value
+    else:
+        value = specfun.pfq(params.a, params.b, x, tol=tol).value
     return complex(value).real
 
 
@@ -345,18 +347,51 @@ def fock_from_coeffs(coeffs, normalize: bool = True) -> FockVector:
 _RATIO_WINDOW = 16
 
 
+def log_terms(params: ParameterSet, x: float, shifts: int = 1):
+    """(log_t, log_n) of a plane or disk state at x = |z|^2 > 0, from one
+    slice of rho_steps: log_t[j] = j log x - log rho(j), and log_n[k] the
+    log-sum-exp log N_k(x) of the set params.shifted(k), k < shifts, whose
+    ratios f_k^2[j] = f^2[j+k] (j+1)/(j+k+1) come from the same f^2 slice.
+    The slice doubles until its last term plus the geometric bound on the
+    rest (last window's largest ratio joined with the n -> inf limit) is
+    below 1e-18 of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
+    """
+    lnx = math.log(x)
+    r_limit = x if params.p == params.q + 1 else 0.0
+    cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
+    n = min(cap, int(2.0 * x) + 2 * _RATIO_WINDOW)
+    while True:
+        f2, lr = rho_steps(params, n + shifts)
+        jlnx = np.arange(n) * lnx
+        log_t = jlnx - lr[:n]
+        last = log_t[-_RATIO_WINDOW:]
+        r_bar = max(math.exp((last[1:] - last[:-1]).max(initial=-math.inf)), r_limit)
+        if r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(1e-18):
+            break
+        if n >= cap:
+            raise ConvergenceError(f"normalization series not settled within {cap} terms")
+        n = min(cap, 2 * n)
+    rows = log_t[None]
+    if shifts > 1:
+        j1, k = np.arange(1.0, n), np.arange(shifts)[:, None]
+        rows = jlnx - _log_cumsum(f2[np.arange(n - 1) + k] * j1 / (j1 + k))
+    peak = rows.max(axis=1)
+    return log_t, peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
+
+
 def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
                 max_cutoff: int = MAX_CUTOFF) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
-    The coefficients are one numpy expression over a slice of the
-    parameter set's log rho sequence (rho_steps).  The cutoff is certified:
-    for plane/disk states the squared-coefficient ratios are bounded by a
+    One numpy expression over a slice of rho_steps, with log N from
+    log_terms (plane/disk) or normalization() (circle).  The cutoff N is
+    certified: the bound covers sum_{k>=N} |c_k|^2, c_N included.  For
+    plane/disk states the squared-coefficient ratios are bounded by a
     geometric rate (window maximum joined with the n -> inf limit), for
     normalized circle states by a power-law comparison (the ratios tend to
     1, so no geometric rate exists).  Unnormalizable circle states get the
-    1/sqrt(2 pi) prefactor, tail_bound = inf, and a RuntimeWarning (their
-    squared norm diverges).
+    1/sqrt(2 pi) prefactor, tail_bound = inf and a RuntimeWarning (their
+    squared norm diverges), and stop at the first term below tol.
     """
     params = spec.params
     z = complex(spec.z)
@@ -367,22 +402,24 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
         return np.exp(0.5 * lc_sq) * np.exp(1j * phase * np.arange(len(lc_sq)))
 
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
-        warnings.warn(
-            "unnormalizable circle state: coefficients carry 1/sqrt(2 pi), "
-            "the squared norm diverges (conditional convergence only)",
-            RuntimeWarning,
-        )
+        warnings.warn("unnormalizable circle state: coefficients carry 1/sqrt(2 pi), the squared "
+                      "norm diverges (conditional convergence only)", RuntimeWarning)
         ln_c0_sq = -math.log(2.0 * math.pi)
-        lcn = ln_c0_sq - rho_steps(params, max_cutoff)[1]
-        below = np.flatnonzero(lcn < math.log(tol) + ln_c0_sq)
-        n = int(below[0]) if below.size else max_cutoff
-        return FockVector(build(lcn[: n + 1]), math.inf, False)
+        n = min(64, max_cutoff)
+        while True:
+            lcn = ln_c0_sq - rho_steps(params, n)[1]
+            below = np.flatnonzero(lcn < math.log(tol) + ln_c0_sq)
+            if below.size or n >= max_cutoff:
+                n = int(below[0]) if below.size else n
+                return FockVector(build(lcn[: n + 1]), math.inf, False)
+            n = min(2 * n, max_cutoff)
 
     if abs(z) == 0.0:
         return FockVector(np.array([1.0 + 0.0j]), 0.0, True)
 
     x = abs(z) ** 2
-    ln_n = math.log(normalization(params, x))
+    circle = kind is DomainKind.CIRCLE_NORMALIZED
+    ln_n = math.log(normalization(params, x)) if circle else float(log_terms(params, x)[1][0])
     ln_az = math.log(abs(z))
 
     def lc_sq(lo: int, hi: int):  # log |c_k|^2 for k = lo..hi
@@ -392,25 +429,19 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
     while True:
         if n > max_cutoff:
             raise ConvergenceError(
-                f"fock_vector cutoff cap {max_cutoff} reached before tail <= {tol:g}"
-            )
+                f"fock_vector cutoff cap {max_cutoff} reached before tail <= {tol:g}")
         window = lc_sq(n, n + _RATIO_WINDOW)
         log_ratio = np.diff(window)  # log |c_{k+1}|^2 / |c_k|^2, k = n..n+15
-        if kind is DomainKind.CIRCLE_NORMALIZED:
+        if circle:
             # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
             k = np.arange(n, n + _RATIO_WINDOW)
             s = min(float(np.min(-log_ratio / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
-            if s > 1.0:
-                tail = math.exp(window[1]) * (n + 2.0) / (s - 1.0)
-                if tail <= tol:
-                    break
+            tail = math.exp(window[0]) * (1.0 + (n + 1.0) / (s - 1.0)) if s > 1.0 else math.inf
         else:
-            r_limit = x if kind is DomainKind.UNIT_DISK else 0.0
-            r_bar = max(float(np.exp(log_ratio.max())), r_limit)
-            if r_bar < 1.0:
-                tail = math.exp(window[1]) / (1.0 - r_bar)
-                if tail <= tol:
-                    break
+            r_bar = max(float(np.exp(log_ratio.max())), x if kind is DomainKind.UNIT_DISK else 0.0)
+            tail = math.exp(window[0]) / (1.0 - r_bar) if r_bar < 1.0 else math.inf
+        if tail <= tol:
+            break
         n = min(max_cutoff + 1, max(n + 8, int(1.5 * n)))
 
     return FockVector(build(lc_sq(0, n)), tail, True)

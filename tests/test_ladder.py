@@ -147,6 +147,19 @@ def test_eigenvalue_interior_cancellation_is_exact():
     assert res <= 4.0 * abs(spec.z) * abs(v.coeffs[v.cutoff])
 
 
+@pytest.mark.parametrize("b,az", [(0.4, 1.37), (1.0, 1.19)])
+def test_eigenvalue_residual_meets_its_bound(b, az):
+    # the residual is the boundary row |z c_N|; the tail certificate bounds
+    # |c_N|^2 too, so it stays below |z| sqrt(tol) (1.08e-6 when it did not)
+    res = ld.eigenvalue_residual(st.StateSpec(st.validate([], [b]), az), tol=1e-14)
+    assert res <= az * 1e-7 * (1.0 + 1e-6) and res <= 1e-6
+
+
+def test_eigenvalue_circle_beyond_old_cap():
+    p = st.validate([2.5, 2.5], [9.0])  # eta = -4: cutoff 26,151 at tol 1e-14
+    assert ld.eigenvalue_residual(st.StateSpec(p, 1.0)) <= 1e-6
+
+
 # --------------------------------------------------------------- matrices
 
 def test_hermitian_matrix_entries():

@@ -169,3 +169,99 @@ def test_pn_distribution_large_amplitude(family, a, b, az):
     k = min(len(d.values), len(ref))
     rel = np.abs(d.values[:k] - ref[:k]) / np.maximum(ref[:k], 1e-300)
     assert float(np.max(rel)) <= 1e-8
+
+
+LARGE_AMPLITUDE = [("CS", [], []), ("F01", [], [2.0]), ("F11", [2.0], [3.0]),
+                   ("F11", [5.0], [1.0])]
+
+
+@pytest.mark.parametrize("family,a,b", LARGE_AMPLITUDE,
+                         ids=[f"{f}({a};{b})" for f, a, b in LARGE_AMPLITUDE])
+def test_state_core_at_absz_60(family, a, b):
+    # N = pFq(x = 3600) is far beyond double range; everything stays finite
+    params = st.validate(a, b)
+    spec = st.StateSpec(params, 60.0)
+    v = st.fock_vector(spec)
+    d = ps.pn_distribution(spec)
+    mean, q = ps.mean_and_mandel(params, 3600.0)
+    assert np.all(np.isfinite(v.coeffs)) and np.all(np.isfinite(d.values))
+    assert math.isfinite(mean) and math.isfinite(q)
+    assert d.norm_residual <= 1e-10
+    k = len(d.values)
+    assert np.max(np.abs(d.values - np.abs(v.coeffs[:k]) ** 2)) <= 1e-12
+    assert mean == pytest.approx(float(np.sum(d.grid * d.values)), rel=1e-10)
+
+
+def test_moments_against_mpmath_at_large_amplitude():
+    mpmath = pytest.importorskip("mpmath")
+    params, x = st.validate([2.0], [3.0]), 784.0  # |z| = 28: M(2, 3, 784) overflows
+    mean, q = ps.mean_and_mandel(params, x)
+    with mpmath.workdps(40):
+        m = [mpmath.hyp1f1(2 + k, 3 + k, x) for k in range(3)]
+        ref_mean = x * mpmath.mpf(2) / 3 * m[1] / m[0]
+        ref_q = -ref_mean + x * mpmath.mpf(3) / 4 * m[2] / m[1]
+    assert mean == pytest.approx(float(ref_mean), rel=1e-13)
+    # Q = -mean + n2/mean cancels to 1.6e-6 of the mean: judge it on that scale
+    assert abs(q - float(ref_q)) <= 1e-12 * mean
+
+
+def test_coherent_mandel_q_is_exactly_zero():
+    for az in (0.1, 1.1, 1.8, 2.7, 6.0, 28.0):
+        assert ps.mean_and_mandel(CS, az * az)[1] == 0.0
+
+
+# P(n) lengths of figures 1 (|z| = 3), 4 (|z| = 3) and 7 (|z| = 3/4); the
+# closed forms share the length rule, so they give the same counts
+FIGURE_PN_LENGTHS = [
+    ("F01", [], [0.2], 3.0, 20), ("F01", [], [1.0], 3.0, 20), ("F01", [], [5.0], 3.0, 18),
+    ("CS", [], [], 3.0, 46),
+    ("F11", [2.0], [4.0], 3.0, 44), ("F11", [3.0], [3.0], 3.0, 46),
+    ("F11", [4.0], [2.0], 3.0, 48),
+    ("F10", [1.5], [], 0.75, 69), ("F10", [2.0], [], 0.75, 73), ("F10", [4.0], [], 0.75, 83),
+    ("CS", [], [], 0.75, 17),
+]
+
+
+@pytest.mark.parametrize("family,a,b,az,count", FIGURE_PN_LENGTHS,
+                         ids=[f"{f}({a};{b})@{az:g}" for f, a, b, az, _ in FIGURE_PN_LENGTHS])
+def test_figure_pn_lengths_pinned(family, a, b, az, count):
+    params = st.validate(a, b)
+    assert len(ps.pn_distribution(st.StateSpec(params, az)).values) == count
+    assert len(ps.closed_form_stats(family, params, az * az).pn.values) == count
+
+
+def test_circle_pn_from_the_gauss_sum():
+    p = st.validate([1.0, 1.0], [6.0])  # eta = -4
+    d = ps.pn_distribution(st.StateSpec(p, 1.0))
+    assert d.norm_residual <= 1e-10
+    mean = float(np.sum(d.grid * d.values))
+    assert mean == pytest.approx(1.0 / 3.0, rel=1e-8)  # a1 a2 / (s - 1), s = 4
+
+
+def _scalar_pn(log_p0, ratio):
+    """The term-by-term scan: log P stepped from its anchor, cut at the first n
+    with cumulative >= 1 - 1e-12 and P(n) below 1e-16 of the running peak."""
+    logs, total, peak = [log_p0], 0.0, -math.inf
+    while True:
+        lp = logs[-1]
+        peak = max(peak, lp)
+        total += math.exp(lp)
+        if total >= ps.PN_CUMULATIVE and lp < peak + math.log(ps.PN_FLOOR):
+            return np.exp(logs)
+        logs.append(lp + math.log(ratio(len(logs) - 1)))
+
+
+@pytest.mark.parametrize("family,vals,x", [
+    ("CS", (), 9.0), ("CS", (), 400.0), ("F10", (2.5,), 0.81), ("F10", (0.4,), 0.3),
+])
+def test_closed_form_pn_matches_scalar_scan(family, vals, x):
+    params = st.validate(list(vals), [])
+    if family == "CS":
+        ref = _scalar_pn(-x, lambda n: x / (n + 1.0))
+    else:
+        (a,) = vals
+        ref = _scalar_pn(a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0))
+    got = ps.closed_form_stats(family, params, x).pn.values
+    assert len(got) == len(ref)
+    # same additions in the same order; numpy's log may differ from libm's by an ulp
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14

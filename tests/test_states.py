@@ -301,6 +301,79 @@ def test_fock_tail_bound_is_honest():
     assert true_tail <= v.tail_bound
 
 
+LOG_NORM_CASES = (
+    [(a, b, az) for a, b in (([], []), ([], [2.0]), ([2.0], [3.0]), ([5.0], [1.0]))
+     for az in (20.0, 28.0, 60.0)]
+    + [([2.5], [], az) for az in (0.3, 0.9, 0.99)]
+    + [([0.7, 1.3], [2.2], az) for az in (0.3, 0.9, 0.99)]
+)
+
+
+@pytest.mark.parametrize("a,b,az", LOG_NORM_CASES,
+                         ids=[f"({a};{b})@{az:g}" for a, b, az in LOG_NORM_CASES])
+def test_log_norm_against_mpmath(a, b, az):
+    # log N and the shifted log N_k (one rho slice) against 40-digit mpmath,
+    # including |z| = 28 and 60, where N itself leaves the double range
+    mpmath = pytest.importorskip("mpmath")
+    params = st.validate(a, b)
+    x = az * az
+    log_n = st.log_terms(params, x, 3)[1]
+    assert st.log_terms(params, x)[1][0] == pytest.approx(log_n[0], rel=1e-15)
+    with mpmath.workdps(40):
+        for k in range(3):
+            ref = float(mpmath.log(mpmath.hyper([v + k for v in a], [v + k for v in b], x)))
+            assert abs(log_n[k] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_log_terms_respects_the_term_cap(monkeypatch):
+    # GHCS_MAX_TERMS lowers specfun.DEFAULT_MAX_TERMS; the slice obeys it too
+    monkeypatch.setattr(st.specfun, "DEFAULT_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError):
+        st.log_terms(st.validate([], [1.0]), 9.0)
+
+
+# fock_vector cutoffs of the signals of figures 8-13 (|z| = 3/4, tol 1e-12):
+# a change to the cutoff rule shows here before it moves a figure
+FIGURE_SIGNAL_CUTOFFS = [
+    (([], [0.5]), 9), (([], [1.0]), 9), (([], [3.0]), 9),               # figure 8
+    (([2.0], [4.0]), 17), (([3.0], [3.0]), 17), (([4.0], [2.0]), 17),  # figure 9
+    (([1.5], []), 55), (([2.0], []), 55), (([4.0], []), 82),           # figure 10
+    (([], []), 17),                                                    # CS, figures 8-13
+]
+
+
+@pytest.mark.parametrize("ab,cutoff", FIGURE_SIGNAL_CUTOFFS,
+                         ids=[f"({a};{b})" for (a, b), _ in FIGURE_SIGNAL_CUTOFFS])
+def test_figure_signal_cutoffs_pinned(ab, cutoff):
+    v = st.fock_vector(st.StateSpec(st.validate(*ab), 0.75), tol=1e-12)
+    assert v.cutoff == cutoff
+
+
+def test_tail_bound_covers_the_last_kept_term():
+    for params, az in ((st.validate([], [0.4]), 1.37), (st.validate([], [1.0]), 1.19),
+                       (CS, 4.0), (st.validate([2.0], []), 0.9)):
+        v = st.fock_vector(st.StateSpec(params, az), tol=1e-14)
+        assert abs(v.coeffs[-1]) ** 2 <= v.tail_bound <= 1e-14
+
+
+@pytest.mark.parametrize("a,eta", [(2.5, -4.0), (1.0, -4.0)])
+def test_fock_circle_beyond_old_cap(a, eta):
+    # at tol 1e-14 the power-law certificate needs 26,151 and 7,749 terms
+    p = st.validate([a, a], [2.0 * a - eta])
+    v = st.fock_vector(st.StateSpec(p, cmath.exp(0.4j)), tol=1e-14)
+    assert v.cutoff > 4096 and abs(v.norm_sq() - 1.0) <= 2.0 * v.tail_bound + 1e-13
+
+
+def test_fock_unnormalizable_circle_stops_at_first_small_term():
+    p = st.validate([0.5, 0.5], [1.0])  # eta = 0: |c_n|^2 falls like 1/n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        v = st.fock_vector(st.StateSpec(p, 1.0), tol=1e-2)
+    lc = -math.log(2.0 * math.pi) - st.rho_steps(p, v.cutoff)[1]
+    assert lc[-1] < math.log(1e-2) - math.log(2.0 * math.pi) <= lc[-2]
+    assert len(p.__dict__["_rho_seq"][1]) < 1024  # not grown to the cap
+
+
 # ----------------------------------------------------------------- overlap
 
 def test_overlap_self_is_one():
