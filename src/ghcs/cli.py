@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -88,10 +89,9 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
     out = {}
     for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
+        if key == "func" or val is None:
             continue
         if isinstance(val, complex):
             val = _fmt_complex(val)
@@ -101,6 +101,29 @@ def _config_echo(args) -> dict:
     return out
 
 
+_POINTS = "\0"  # stands in for a series' points in the json.dumps pass of _json_text
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2, default=_json_default) + newline, byte for
+    byte, with each series' (n, 2) points spelled by json's C encoder (float
+    repr, NaN, Infinity) straight into that layout; a grid column equal to
+    the one before is spelled once."""
+    stub = dict(doc, series=[dict(s, points=_POINTS) for s in doc["series"]])
+    parts = json.dumps(stub, indent=2, default=_json_default).split(json.dumps(_POINTS))
+    spell = lambda col: json.dumps(col.tolist())[1:-1].split(", ")
+    grid = None
+    for i, s in enumerate(doc["series"], 1):
+        pts = s["points"]
+        if pts[:, 0].tobytes() != grid:
+            grid, xs = pts[:, 0].tobytes(), spell(pts[:, 0])
+        body = "\n        ],\n        [\n          ".join(
+            map(",\n          ".join, zip(xs, spell(pts[:, 1]))))
+        parts[i] = ("[\n        [\n          " + body + "\n        ]\n      ]"
+                    if len(pts) else "[]") + parts[i]
+    return "".join(parts) + "\n"
+
+
 def emit(args, series: list, extra: dict | None = None) -> None:
     """Write {schema_version, config, series} as JSON or CSV."""
     doc = {"schema_version": SCHEMA_VERSION, "config": _config_echo(args)}
@@ -108,17 +131,12 @@ def emit(args, series: list, extra: dict | None = None) -> None:
         doc.update(extra)
     doc["series"] = series
     if getattr(args, "format", "json") == "json":
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+        text = _json_text(doc)
     else:
-        lines = []
-        for key, val in doc["config"].items():
-            lines.append(f"# {key}={val}")
-        grid = series[0]["points"]
-        labels = [s["label"] for s in series]
-        lines.append("x," + ",".join(labels))
-        for i in range(len(grid)):
-            row = [repr(grid[i][0])] + [repr(s["points"][i][1]) for s in series]
-            lines.append(",".join(row))
+        lines = [f"# {key}={val}" for key, val in doc["config"].items()]
+        lines.append("x," + ",".join(s["label"] for s in series))
+        cols = [series[0]["points"][:, 0]] + [s["points"][:, 1] for s in series]
+        lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
         text = "\n".join(lines) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
@@ -136,10 +154,7 @@ def emit(args, series: list, extra: dict | None = None) -> None:
 
 
 def _series(label: str, xs, ys, **meta) -> dict:
-    pts = [[float(x), float(y)] for x, y in zip(xs, ys)]
-    d = {"label": label, "points": pts}
-    d.update(meta)
-    return d
+    return {"label": label, "points": np.array((xs, ys), dtype=float).T, **meta}
 
 
 def _get_params(args) -> states.ParameterSet:
@@ -198,13 +213,11 @@ def cmd_stats(args) -> int:
     params = _get_params(args)
     if args.absz_max is not None:
         grid = np.linspace(0.0, args.absz_max, args.points)
-    else:
+        x = grid**2
+    else:  # one point: the scalar call
         grid = np.array([abs(_get_z(args))])
-    means, qs = [], []
-    for az in grid:
-        m, q = photstat.mean_and_mandel(params, float(az) ** 2, tol=args.tol)
-        means.append(m)
-        qs.append(q)
+        x = float(grid[0]) ** 2
+    means, qs = np.atleast_1d(*photstat.mean_and_mandel(params, x, tol=args.tol))
     emit(args, [
         _series("mean", grid, means, params=params.label()),
         _series("mandel_q", grid, qs, params=params.label()),
@@ -327,8 +340,7 @@ def cmd_figure(args) -> int:
         grid = np.linspace(0.0, hi, args.points)
         which = 0 if fig in (2, 5) else 1
         for params, lab in sweep:
-            ys = [photstat.mean_and_mandel(params, float(az) ** 2, tol=args.tol)[which]
-                  for az in grid]
+            ys = photstat.mean_and_mandel(params, grid**2, tol=args.tol)[which]
             series.append(_series(lab, grid, ys, params=params.label()))
     else:  # 8-10: each family's state under the Husimi analyzer; 11-13: generalized
         # phase distributions of a coherent signal under each family's analyzer
@@ -346,6 +358,10 @@ def cmd_figure(args) -> int:
 
 # ----------------------------------------------------------------- verify
 
+def _check(name: str, measured: float, tol: float) -> dict:
+    return {"name": name, "measured": measured, "tolerance": tol, "pass": measured <= tol}
+
+
 def _verify_moments(checks: list) -> None:
     cases = [("CS", states.validate([], []))]
     cases += [("F01", states.validate([], [b])) for b in FIG_B_SWEEP]
@@ -354,11 +370,7 @@ def _verify_moments(checks: list) -> None:
     cases += [("F21", states.validate([3.0, 3.0], [2.0]))]
     for fam, p in cases:
         rep = weights.moment_check(fam, p, n_max=20)
-        checks.append({
-            "name": f"moments {fam} {p.label()}",
-            "measured": rep.max_rel_error, "tolerance": 1e-6,
-            "pass": rep.max_rel_error <= 1e-6,
-        })
+        checks.append(_check(f"moments {fam} {p.label()}", rep.max_rel_error, 1e-6))
 
 
 def _eigen_states():
@@ -386,10 +398,7 @@ def _eigen_states():
 def _verify_eigen(checks: list) -> None:
     for params, z in _eigen_states():
         res = ladder.eigenvalue_residual(states.StateSpec(params, z), tol=1e-14)
-        checks.append({
-            "name": f"eigen {params.label()} z={z:.3g}",
-            "measured": res, "tolerance": 1e-6, "pass": res <= 1e-6,
-        })
+        checks.append(_check(f"eigen {params.label()} z={z:.3g}", res, 1e-6))
 
 
 def _verify_phase_norm(checks: list) -> None:
@@ -405,18 +414,11 @@ def _verify_phase_norm(checks: list) -> None:
     for name, sig in signals:
         for analyzer in ("Q", "PB", states.validate([3.0], [])):
             d = phase.phase_distribution(sig, analyzer)
-            tol = 1e-8
-            checks.append({
-                "name": f"phase-norm {name} analyzer={d.analyzer_label}",
-                "measured": d.norm_residual, "tolerance": tol,
-                "pass": d.norm_residual <= tol,
-            })
+            checks.append(_check(f"phase-norm {name} analyzer={d.analyzer_label}",
+                                 d.norm_residual, 1e-8))
     d = phase.phase_distribution(states.fock_basis_vector(4), "Q")
     dev = float(np.max(np.abs(d.values - 1.0 / (2.0 * math.pi))))
-    checks.append({
-        "name": "phase-norm fock uniform 1/(2pi)",
-        "measured": dev, "tolerance": 1e-12, "pass": dev <= 1e-12,
-    })
+    checks.append(_check("phase-norm fock uniform 1/(2pi)", dev, 1e-12))
 
 
 def _verify_coalesce(checks: list) -> None:
@@ -442,11 +444,7 @@ def _verify_coalesce(checks: list) -> None:
     pairs.append(("g_table", float(np.max(np.abs(g_ext - g_q)))))
     w_ext = weights.weight("F11", states.validate([c], [c]), 0.8)
     pairs.append(("weight", abs(w_ext - 1.0)))
-    for name, measured in pairs:
-        checks.append({
-            "name": f"coalesce {name}", "measured": measured,
-            "tolerance": 1e-12, "pass": measured <= 1e-12,
-        })
+    checks += [_check(f"coalesce {name}", measured, 1e-12) for name, measured in pairs]
 
 
 VERIFY_SUITES = {
@@ -476,7 +474,9 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: no command may change a default (--a/--b share theirs)."""
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=specfun.DEFAULT_TOL,
                         help="series tolerance (default 1e-12)")
@@ -566,22 +566,14 @@ _BASELINE_MAX_TERMS = specfun.DEFAULT_MAX_TERMS
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("GHCS_MAX_TERMS")
-    if cap:
-        try:
-            specfun.DEFAULT_MAX_TERMS = int(cap)
-        except ValueError:
-            print(f"ghcs: bad GHCS_MAX_TERMS {cap!r}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        specfun.DEFAULT_MAX_TERMS = _BASELINE_MAX_TERMS
-    parser = build_parser()
+    cap = os.environ.get("GHCS_MAX_TERMS") or _BASELINE_MAX_TERMS
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"ghcs: {e}", file=sys.stderr)
+        specfun.DEFAULT_MAX_TERMS = int(cap)
+    except ValueError:
+        print(f"ghcs: bad GHCS_MAX_TERMS {cap!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"ghcs: {e}", file=sys.stderr)
@@ -590,7 +582,7 @@ def main(argv=None) -> int:
         print(json.dumps({
             "valid": False, "which": e.which, "index": e.index,
             "rule": e.rule, "message": str(e),
-        }, indent=2), file=sys.stdout if args.func is cmd_validate else sys.stderr)
+        }, indent=2), file=sys.stdout if args.command == "validate" else sys.stderr)
         return EXIT_INVALID_PARAMS
     except (GHSError, OverflowError, ValueError, ZeroDivisionError) as e:
         print(f"ghcs: numeric failure: {e}", file=sys.stderr)

@@ -275,8 +275,8 @@ def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int | None = None):
 
     Allows non-positive non-integer b (needed with epsilon-offset
     parameters); raises PoleError if b is a non-positive integer, unless a
-    terminates the series before the pole index is reached.  max_terms
-    defaults to DEFAULT_MAX_TERMS as read at call time.
+    terminates the series before the pole index is reached, and RangeError
+    if the sum leaves the double range.  max_terms defaults to DEFAULT_MAX_TERMS at call time.
     """
     if max_terms is None:
         max_terms = DEFAULT_MAX_TERMS
@@ -290,18 +290,22 @@ def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int | None = None):
     small_streak = 0
     for n in range(max_terms):
         if terminating and n >= n_stop:
-            return _as_real_if_possible(s)
+            break
         term = term * (a + n) * x / ((b + n) * (n + 1.0))
         if term == 0:
-            return _as_real_if_possible(s)
+            break
         s = s + term
-        if abs(term) <= tol * abs(s):
+        if abs(term) <= tol * abs(s):  # an overflowed sum passes this test too
             small_streak += 1
             if small_streak >= 3:
-                return _as_real_if_possible(s)
+                break
         else:
             small_streak = 0
-    raise ConvergenceError(f"kummer_m({a}, {b}, {x}) did not converge")
+    else:
+        raise ConvergenceError(f"kummer_m({a}, {b}, {x}) did not converge")
+    if not abs(s) < math.inf:
+        raise RangeError(f"kummer_m({a}, {b}, {x}) exceeds double range")
+    return _as_real_if_possible(s)
 
 
 def _bessel_i_series(nu: float, x: float, tol: float = 1e-15) -> float:

@@ -347,7 +347,7 @@ def fock_from_coeffs(coeffs, normalize: bool = True) -> FockVector:
 _RATIO_WINDOW = 16
 
 
-def log_terms(params: ParameterSet, x: float, shifts: int = 1):
+def log_terms(params: ParameterSet, x, shifts: int = 1):
     """(log_t, log_n) of a plane or disk state at x = |z|^2 > 0, from one
     slice of rho_steps: log_t[j] = j log x - log rho(j), and log_n[k] the
     log-sum-exp log N_k(x) of the set params.shifted(k), k < shifts, whose
@@ -355,11 +355,19 @@ def log_terms(params: ParameterSet, x: float, shifts: int = 1):
     The slice doubles until its last term plus the geometric bound on the
     rest (last window's largest ratio joined with the n -> inf limit) is
     below 1e-18 of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
+
+    A 1-D array x adds a leading axis over it, all points on the slice that
+    settles x_max = max(x), which settles each smaller x: t_j(x) =
+    (x/x_max)^j t_j(x_max) shrinks every ratio t_{j+1}/t_j (and the bound)
+    by x/x_max, and t_N(x)/t_M(x) <= (x/x_max)^(N-M) t_N(x_max)/t_M(x_max)
+    for the peak index M <= N of x_max.
     """
-    lnx = math.log(x)
-    r_limit = x if params.p == params.q + 1 else 0.0
+    many = isinstance(x, np.ndarray) and x.ndim > 0
+    x_max = float(x.max()) if many else x
+    lnx = math.log(x_max)
+    r_limit = x_max if params.p == params.q + 1 else 0.0
     cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
-    n = min(cap, int(2.0 * x) + 2 * _RATIO_WINDOW)
+    n = min(cap, int(2.0 * x_max) + 2 * _RATIO_WINDOW)
     while True:
         f2, lr = rho_steps(params, n + shifts)
         jlnx = np.arange(n) * lnx
@@ -371,12 +379,15 @@ def log_terms(params: ParameterSet, x: float, shifts: int = 1):
         if n >= cap:
             raise ConvergenceError(f"normalization series not settled within {cap} terms")
         n = min(cap, 2 * n)
-    rows = log_t[None]
+    if many:
+        jlnx = np.array([math.log(v) for v in x])[:, None] * np.arange(n)
+        log_t = jlnx - lr[:n]
+    rows = log_t[..., None, :]
     if shifts > 1:
         j1, k = np.arange(1.0, n), np.arange(shifts)[:, None]
-        rows = jlnx - _log_cumsum(f2[np.arange(n - 1) + k] * j1 / (j1 + k))
-    peak = rows.max(axis=1)
-    return log_t, peak + np.log(np.exp(rows - peak[:, None]).sum(axis=1))
+        rows = jlnx[..., None, :] - _log_cumsum(f2[np.arange(n - 1) + k] * j1 / (j1 + k))
+    peak = rows.max(axis=-1)
+    return log_t, peak + np.log(np.exp(rows - peak[..., None]).sum(axis=-1))
 
 
 def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -200,3 +201,71 @@ def test_verify_all_green(capsys):
     assert code == 0 and doc["passed"]
     suites = {c["name"].split()[0] for c in doc["checks"]}
     assert suites == {"moments", "eigen", "phase-norm", "coalesce"}
+
+
+# ----------------------------------------------------------------- emitter
+
+def test_parser_is_built_once_and_keeps_its_defaults(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, doc, _ = run_json(capsys, "figure", "2", "--points", "11")
+    assert len(doc["series"][0]["points"]) == 11
+    _, doc, _ = run_json(capsys, "figure", "2")
+    assert len(doc["series"][0]["points"]) == 61
+    _, doc, _ = run_json(capsys, "stats", "--a", "2", "--absz", "0.5")
+    assert doc["config"]["a"] == "2"
+    _, doc, _ = run_json(capsys, "stats", "--absz", "0.5")
+    assert doc["config"]["a"] == [] and doc["series"][0]["points"][0][1] == 0.25
+
+
+DEFAULT_CONFIGS = [
+    ("state", "--absz", "1.5"), ("state", "--a", "1+2i,1-2i", "--b", "0.5,2,2.5", "--z", "1+1i"),
+    ("pn", "--b", "2", "--absz", "2"), ("stats", "--b", "2", "--absz", "2"),
+    ("stats", "--a", "2", "--b", "3", "--absz-max", "5"),
+    ("stats", "--a", "2", "--absz-max", "0.9"),
+    ("weight", "--family", "F01", "--b", "2"), ("moment-check", "--family", "F10", "--a", "2"),
+    ("phase", "--absz", "1.2"), ("gh-phase", "--a", "2"),
+] + [("figure", str(k)) for k in range(1, 14)]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_CONFIGS, ids=[" ".join(a) for a in DEFAULT_CONFIGS])
+def test_emit_matches_json_dumps(capsys, monkeypatch, argv):
+    docs = []
+    json_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda doc: docs.append(doc) or json_text(doc))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2, default=cli._json_default) + "\n"
+
+
+def test_emit_nonfinite_empty_and_metadata(capsys):
+    args = argparse.Namespace(command="x", format="json", z=1 + 2j, a=[1 + 2j, 1 - 2j], out=None)
+    nonfinite = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+    series = [
+        cli._series("odd", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], nonfinite, params="(;)"),
+        cli._series("same grid, signed zero", [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0], nonfinite[::-1]),
+        cli._series("empty", [], []),
+        cli._series("one", np.arange(1), np.array([np.float64(0.1)])),
+    ]
+    extra = {"c": 1.5 - 2j, "arr": np.array([1.5, np.nan]), "f": np.float64(0.1),
+             "i": np.int64(3), "nested": {"k": [np.float32(0.5), None, True]}}
+    cli.emit(args, series, extra)
+    doc = {"schema_version": cli.SCHEMA_VERSION, "config": cli._config_echo(args), **extra,
+           "series": series}
+    out = capsys.readouterr().out
+    assert out == json.dumps(doc, indent=2, default=cli._json_default) + "\n"
+    assert '"points": []' in out and "NaN" in out and "-Infinity" in out and "-0.0" in out
+
+
+def test_csv_output_unchanged(capsys):
+    # the CSV layout: config lines, a header, then repr(x) and each series' repr(y)
+    _, doc, _ = run_json(capsys, "figure", "8", "--points", "7")
+    code, out, _ = run(capsys, "figure", "8", "--points", "7", "--format", "csv")
+    assert code == 0
+    lines = [f"# {k}={v}" for k, v in dict(doc["config"], format="csv").items()]
+    lines.append("x," + ",".join(s["label"] for s in doc["series"]))
+    for i, (x, _) in enumerate(doc["series"][0]["points"]):
+        lines.append(",".join([repr(x)] + [repr(s["points"][i][1]) for s in doc["series"]]))
+    assert out == "\n".join(lines) + "\n"
+    args = argparse.Namespace(command="x", format="csv", out=None)
+    cli.emit(args, [cli._series("y", [0.0, 1.0], [math.nan, -math.inf])])
+    assert capsys.readouterr().out == "# command=x\n# format=csv\nx,y\n0.0,nan\n1.0,-inf\n"

@@ -6,7 +6,7 @@ import pytest
 from ghcs import photstat as ps
 from ghcs import specfun as sf
 from ghcs import states as st
-from ghcs.errors import DivergenceError, ParameterError
+from ghcs.errors import DivergenceError, ParameterError, RangeError
 
 CS = st.validate([], [])
 
@@ -265,3 +265,49 @@ def test_closed_form_pn_matches_scalar_scan(family, vals, x):
     assert len(got) == len(ref)
     # same additions in the same order; numpy's log may differ from libm's by an ulp
     assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_closed_form_f11_overflow_fails_at_once():
+    # M(2, 3, 784) leaves the double range: kummer_m raises, so the closed
+    # form stops there instead of walking P(n) to the cutoff cap
+    with pytest.raises(RangeError):
+        ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 784.0)
+
+
+# the array form of mean_and_mandel (one log_terms pass per |z| grid)
+# against one scalar call per point
+ARRAY_SETS = [
+    ("CS", CS, 6.0), ("F01", st.validate([], [0.2]), 6.0), ("F01", st.validate([], [5.0]), 12.0),
+    ("F11", st.validate([2.0], [4.0]), 6.0), ("F11", st.validate([4.0], [2.0]), 6.0),
+    ("F10", st.validate([2.0], []), 0.97), ("F21", st.validate([3.0, 3.0], [2.0]), 0.9),
+    ("F21", st.validate([0.5, 0.5], [16.0]), 1.0),  # normalized circle point at |z| = 1
+]
+
+
+@pytest.mark.parametrize("family,params,hi", ARRAY_SETS,
+                         ids=[f"{f}{p.label()}@{hi:g}" for f, p, hi in ARRAY_SETS])
+def test_mean_and_mandel_array_matches_scalar_calls(family, params, hi):
+    x = np.linspace(0.0, hi, 61) ** 2
+    mean, q = ps.mean_and_mandel(params, x)
+    ref_mean, ref_q = np.array([ps.mean_and_mandel(params, float(v)) for v in x]).T
+    assert mean[0] == 0.0 and q[0] == 0.0
+    assert np.all(np.abs(mean - ref_mean) <= 1e-14 * ref_mean)
+    assert np.all(np.abs(q - ref_q) <= 1e-11 * np.maximum(1.0, ref_mean))
+    if hi == 1.0:  # the circle point keeps the scalar call's Gauss sum
+        assert (mean[-1], q[-1]) == (ref_mean[-1], ref_q[-1])
+
+
+def test_mean_and_mandel_array_cs_q_exactly_zero():
+    # Q = -x + x^2/x is exactly 0 on the |z| grid of figures 2, 3, 5 and 6, as
+    # for scalar calls; (3;3) is the coherent state again
+    for params in (CS, st.validate([3.0], [3.0])):
+        assert np.all(ps.mean_and_mandel(params, np.linspace(0.0, 6.0, 61) ** 2)[1] == 0.0)
+
+
+def test_mean_and_mandel_array_raises_as_the_scalar_call():
+    params = st.validate([2.0], [])
+    with pytest.raises(DivergenceError) as scalar:
+        ps.mean_and_mandel(params, 1.21)
+    with pytest.raises(DivergenceError) as array:
+        ps.mean_and_mandel(params, np.array([0.0, 0.25, 1.21]))
+    assert str(array.value) == str(scalar.value)

