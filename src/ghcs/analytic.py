@@ -83,9 +83,9 @@ def inner_product_via_measure(family: str, params: ParameterSet,
     c_psi = psi.coeffs * half_rho[: psi.cutoff + 1]
     pv = np.polynomial.polynomial.polyval
 
-    def angular_mean(x: float) -> complex:
-        zetas = math.sqrt(x) * phase_grid
-        return complex(np.mean(pv(zetas, c_phi).conj() * pv(zetas, c_psi)))
+    def angular_mean(x):  # one row per radius in x
+        zetas = np.multiply.outer(np.sqrt(x), phase_grid)
+        return np.mean(pv(zetas, c_phi).conj() * pv(zetas, c_psi), axis=1)
 
     val, _ = density_integral(family, params, angular_mean, rel_tol=quad_tol, abs_tol=1e-12)
     return complex(val)

@@ -138,6 +138,11 @@ def emit(args, series: list, extra: dict | None = None) -> None:
         cols = [series[0]["points"][:, 0]] + [s["points"][:, 1] for s in series]
         lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
         text = "\n".join(lines) + "\n"
+    _write_text(args, text)
+
+
+def _write_text(args, text: str) -> None:
+    """text to --out (atomically: temp file + rename) or to stdout."""
     out_path = getattr(args, "out", None)
     if out_path:
         d = os.path.dirname(os.path.abspath(out_path))
@@ -175,10 +180,8 @@ def _get_z(args) -> complex:
 def cmd_validate(args) -> int:
     params = _get_params(args)  # a ParameterError report goes to stdout (main)
     dom = states.classify(params)
-    print(json.dumps({
-        "valid": True, "params": params.label(),
-        "domain": dom.kind.value, "eta": dom.eta,
-    }, indent=2))
+    _write_text(args, json.dumps({"valid": True, "params": params.label(),
+                                  "domain": dom.kind.value, "eta": dom.eta}, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -467,8 +470,7 @@ def cmd_verify(args) -> int:
         "passed": passed,
         "checks": checks,
     }
-    text = json.dumps(doc, indent=2, default=_json_default)
-    print(text)
+    _write_text(args, json.dumps(doc, indent=2, default=_json_default) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -574,6 +576,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         args = build_parser().parse_args(argv)
+        if args.command in ("validate", "verify") and args.format != "json":
+            raise UsageError(f"{args.command} writes JSON only; it has no series for CSV")
         return args.func(args)
     except UsageError as e:
         print(f"ghcs: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from . import specfun
 from .errors import ParameterError, RangeError
 from .states import FockVector, ParameterSet, log_rho_half, rho_steps
-from .weights import density_integral, family_params, weight_tilde
+from .weights import density_integral, family_params, log_weight_tilde, weight_tilde
 
 G_TABLE_CAP = 2048
 
@@ -156,33 +156,34 @@ def husimi_q(signal: FockVector, alpha: complex) -> float:
     if alpha == 0:
         return float(abs(signal.coeffs[0]) ** 2 / math.pi)
     x = abs(alpha) ** 2
-    return float(_overlap_sq(_ANALYZER_TAGS["Q"], signal, [cmath.phase(alpha)])(x, -x)[0]) / math.pi
+    return float(_overlap_sq(_ANALYZER_TAGS["Q"], signal, [cmath.phase(alpha)])(
+        np.array([x]), -x)[0, 0]) / math.pi
 
 
 def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
-    """(x, log_w) -> w |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta}
-    for every theta (normalization-free overlap, w = 1 by default), with the
-    magnitudes sqrt(w x^n / rho(n)) formed in log space."""
+    """(x, log_w) -> w |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta},
+    a row per x of an array and a column per theta (normalization-free overlap,
+    w = exp(log_w), log_w a float or one per row), magnitudes formed in logs."""
     psi = signal.coeffs
     n = np.arange(len(psi))
     half_log_rho = 0.5 * rho_steps(params, len(psi) - 1)[1]
     rotations = np.exp(-1j * np.outer(n, thetas))
-    return lambda x, log_w=0.0: np.abs(
-        (psi * np.exp(0.5 * (n * math.log(x) + log_w) - half_log_rho)) @ rotations) ** 2
+    return lambda x, log_w=0.0: np.abs((psi * np.exp(0.5 * (
+        np.log(x)[:, None] * n + np.reshape(log_w, (-1, 1))) - half_log_rho)) @ rotations) ** 2
 
 
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
               z: complex) -> float:
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
-    weight-supported analyzer family; reduces to husimi_q for family 'CS'."""
-    family_params(family, params)
+    weight-supported analyzer family; reduces to husimi_q for family 'CS'.  log
+    wt enters the overlap's exponent: finite where wt underflows."""
     z = complex(z)
     x = abs(z) ** 2
-    if x > 0.0:
-        overlap_sq = float(_overlap_sq(params, signal, [cmath.phase(z)])(x)[0])
-    else:
-        overlap_sq = abs(signal.coeffs[0]) ** 2
-    return weight_tilde(family, params, x) * overlap_sq / math.pi
+    if x == 0.0:
+        return weight_tilde(family, params, x) * abs(signal.coeffs[0]) ** 2 / math.pi
+    log_w, sign = log_weight_tilde(family, params, x)
+    return sign * float(_overlap_sq(params, signal, [cmath.phase(z)])(
+        np.array([x]), log_w)[0, 0]) / math.pi
 
 
 def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,

@@ -1,9 +1,10 @@
-"""Adaptive Gauss-Kronrod quadrature of scalar, complex or vector integrands.
+"""Adaptive Gauss-Kronrod quadrature of real, complex or vector integrands.
 
 A 7-point Gauss / 15-point Kronrod embedded pair drives bisection of the
 worst interval, kept in a heap (QUADPACK's scheme, Piessens et al. 1983).
-As in scipy.integrate.quad_vec, an integrand returning 1-D arrays gets one
-pass for all components, which stops when every component meets
+The integrand maps an array of m nodes to shape (m,) or (m, k), real or
+complex, one call per panel; as in scipy.integrate.quad_vec, the k
+components share one pass, which stops when every one meets
 err_i <= max(abs_tol, rel_tol*|I_i|).  Helpers map the half-open ranges
 used by the weight functions ([0, 1) with endpoint singularities,
 [0, inf)) onto finite intervals with power-law substitutions that tame
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-# (node, Gauss weight, Kronrod weight); Gauss weight 0 marks Kronrod-only nodes
-_GK15 = (
+# rows (node, Gauss weight, Kronrod weight); Gauss weight 0 marks Kronrod-only nodes
+_NODES, _WG, _WK = np.array((
     (+0.991455371120813, 0.0, 0.022935322010529),
     (-0.991455371120813, 0.0, 0.022935322010529),
     (+0.949107912342759, 0.129484966168870, 0.063092092629979),
@@ -36,43 +37,39 @@ _GK15 = (
     (+0.207784955007898, 0.0, 0.204432940075298),
     (-0.207784955007898, 0.0, 0.204432940075298),
     (0.0, 0.417959183673469, 0.209482141084728),
-)
+)).T.copy()
+
+
+def scatter_rows(keep, rows):
+    """rows, one per True entry of the mask keep, with zero rows where keep is False."""
+    out = np.zeros(keep.shape + rows.shape[1:], dtype=rows.dtype)
+    out[keep] = rows
+    return out
 
 
 def _gk_panel(f, a, b):
-    """One G7/K15 panel on [a, b]; returns (K15 value, error estimate, worst
-    component of the estimate), componentwise when f returns arrays."""
+    """One G7/K15 panel on [a, b], one call of f on its 15 nodes; returns (K15
+    value, error estimate, worst component of the estimate), componentwise."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    g = 0.0
-    k = 0.0
-    for xi, wg, wk in _GK15:
-        fx = f(mid + half * xi)
-        g = g + wg * fx  # not in place: a scalar 0.0 may precede arrays
-        k = k + wk * fx
-    diff = abs(k - g) * half
-    if isinstance(diff, np.ndarray):  # scalars keep builtins: numpy costs ~1 us a call
-        err = np.minimum(diff, (200.0 * diff) ** 1.5 / half**0.5)
-        err = np.maximum(err, abs(k) * half * 1e-16)
-        return k * half, err, err.max()
-    err = diff if diff == 0.0 else min(diff, (200.0 * diff) ** 1.5 / half**0.5)
-    err = max(err, abs(k) * half * 1e-16)
-    return k * half, err, err
+    fx = f(0.5 * (a + b) + half * _NODES)
+    k = _WK @ fx
+    diff = np.abs(k - _WG @ fx) * half
+    err = np.minimum(diff, (200.0 * diff) ** 1.5 / half**0.5)
+    err = np.maximum(err, np.abs(k) * half * 1e-16)
+    return k * half, err, err.max()
 
 
 def _shortfall(total, total_err, rel_tol, abs_tol):
     """Largest err_i - max(abs_tol, rel_tol*|I_i|); <= 0 means done."""
-    if isinstance(total_err, np.ndarray):
-        return (total_err - np.maximum(abs_tol, rel_tol * abs(total))).max()
-    return total_err - max(abs_tol, rel_tol * abs(total))
+    return (total_err - np.maximum(abs_tol, rel_tol * np.abs(total))).max()
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
               abs_tol: float = 1e-14, max_intervals: int = 2000):
     """Adaptive bisection integral of f over [a, b].
 
-    f(x) is called at scalar x and returns a float, a complex or a 1-D
-    array.  Returns (value, error_estimate), componentwise for arrays;
+    f maps an array of m nodes to shape (m,) or (m, k), real or complex, and
+    is called once per panel.  Returns (value, error_estimate), componentwise;
     raises ConvergenceError when the interval budget runs out before every
     component meets its tolerance.
     """
@@ -115,18 +112,12 @@ def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, right_f=No
     m = 8.0
     u_half = 0.5 ** (1.0 / m)
 
-    def left(u):
-        return f(u**m) * m * u ** (m - 1.0)
+    def pulled(g):  # g(u^m) du^m/du; (v.T * w).T scales the rows of (m,) or (m, k) values
+        return lambda u: (g(u**m).T * m * u ** (m - 1.0)).T
 
-    if right_f is None:
-        def right(u):
-            return f(1.0 - u**m) * m * u ** (m - 1.0)
-    else:
-        def right(u):
-            return right_f(u**m) * m * u ** (m - 1.0)
-
-    v1, e1 = integrate(left, 0.0, u_half, rel_tol=rel_tol, abs_tol=abs_tol / 2)
-    v2, e2 = integrate(right, 0.0, u_half, rel_tol=rel_tol, abs_tol=abs_tol / 2)
+    v1, e1 = integrate(pulled(f), 0.0, u_half, rel_tol=rel_tol, abs_tol=abs_tol / 2)
+    v2, e2 = integrate(pulled(right_f or (lambda om: f(1.0 - om))), 0.0, u_half,
+                       rel_tol=rel_tol, abs_tol=abs_tol / 2)
     return v1 + v2, e1 + e2
 
 
@@ -134,13 +125,13 @@ def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
     """Integral of f over (0, inf) via x = t/(1-t), dx = dt/(1-t)^2.
 
     The transformed integrand must vanish as t -> 1 (exponential decay of f
-    beats the Jacobian); the origin is handled like integrate_unit.
+    beats the Jacobian): f never sees rows t >= 1, which are 0.  The origin is
+    handled like integrate_unit.
     """
 
     def g(t):
-        om = 1.0 - t
-        if om <= 0.0:
-            return 0.0  # x -> inf limit; f must decay faster than 1/x^2
-        return f(t / om) / (om * om)
+        keep = t < 1.0
+        om = 1.0 - t[keep]
+        return scatter_rows(keep, (f(t[keep] / om).T / (om * om)).T)
 
     return integrate_unit(g, rel_tol=rel_tol, abs_tol=abs_tol)

@@ -405,40 +405,48 @@ def _bessel_k_integer_series(n: int, x: float) -> float:
     return s1 + s2 + s3
 
 
-def _log_trapezoid(log_f, lo: float, hi: float, n: int) -> float:
-    """log of integral_lo^hi exp(log_f(s)) ds by the trapezoid rule, which
-    converges exponentially for analytic integrands negligible at both ends.
-    log_f maps an array of nodes to the log integrand.  The step (hi - lo)/n
-    halves, re-using every node, until |T_h - T_2h| <= 1e-13 T_h (T_2h sums the
-    even nodes of T_h).  Raises ConvergenceError when an end value exceeds
-    1e-13 times the largest one or 2^12 n nodes do not meet the tolerance."""
+def _log_trapezoid(log_f, lo, hi, n: int) -> np.ndarray:
+    """log of integral_lo^hi exp(log_f(s)) ds by the trapezoid rule (exponentially
+    convergent for analytic integrands negligible at both ends), a row per window
+    of the arrays lo, hi; log_f maps an (m, j) grid of nodes to the log integrand.
+    The rows halve their step (hi - lo)/n together, re-using every node; each
+    keeps, as its one-row call would, its first sum with |T_h - T_2h| <= 1e-13 T_h
+    (T_2h sums the even nodes).  Raises ConvergenceError when an end value
+    exceeds 1e-13 times its row's largest or 2^12 n nodes miss the tolerance."""
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     h, n_max, tol = (hi - lo) / n, 4096 * n, 1e-13
     lf = log_f(lo + h * np.arange(n + 1))
-    top = lf.max()
-    if not max(lf[0], lf[-1]) <= top + math.log(tol):  # also catches nan
-        raise ConvergenceError(f"trapezoid window [{lo:g}, {hi:g}] cuts off the integrand")
-    w = np.exp(lf - top)
-    coarse, fine = 2.0 * h * w[::2].sum(), h * w.sum()  # T_2h, T_h, scaled by e^-top
-    while not abs(fine - coarse) <= tol * fine:
+    top = lf.max(axis=1, keepdims=True)
+    cut = ~(np.maximum(lf[:, 0], lf[:, -1]) <= top[:, 0] + math.log(tol))  # also catches nan
+    if cut.any():
+        lo_k, hi_k = lo[cut.argmax(), 0], hi[cut.argmax(), 0]
+        raise ConvergenceError(f"trapezoid window [{lo_k:g}, {hi_k:g}] cuts off the integrand")
+    w, h = np.exp(lf - top), h[:, 0]
+    coarse, fine = 2.0 * h * w[:, ::2].sum(axis=1), h * w.sum(axis=1)  # T_2h, T_h, over e^top
+    done = np.abs(fine - coarse) <= tol * fine
+    while not done.all():
         if n == n_max:
             raise ConvergenceError(f"trapezoid rule missed tol={tol:g} with {n + 1} nodes")
-        odd = np.exp(log_f(lo + h * (np.arange(n) + 0.5)) - top).sum()
-        coarse, fine = fine, 0.5 * (fine + h * odd)
+        odd = np.exp(log_f(lo + h[:, None] * (np.arange(n) + 0.5)) - top).sum(axis=1)
+        coarse, fine = fine, np.where(done, fine, 0.5 * (fine + h * odd))
         h, n = 0.5 * h, 2 * n
-    return top + math.log(fine)
+        done |= np.abs(fine - coarse) <= tol * fine
+    return top[:, 0] + np.log(fine)
 
 
-def _bessel_k_integral(nu: float, x: float) -> float:
-    """K_nu(x) = (1/2) integral_-inf^inf exp(-x cosh t) cosh(nu t) dt by the
-    trapezoid rule on [-t_max, t_max] (even, entire integrand)."""
-    t_max = math.acosh(1.0 + 50.0 / x)
-    while x * math.cosh(t_max) - nu * t_max < x + 45.0:
-        t_max += 0.5
+def _bessel_k_integral(nu: float, x: np.ndarray) -> np.ndarray:
+    """K_nu(x) = (1/2) integral_-inf^inf exp(-x cosh t) cosh(nu t) dt for an
+    array x by one trapezoid rule on the windows [-t_max, t_max] (even, entire
+    integrand)."""
+    t_max = np.arccosh(1.0 + 50.0 / x)
+    while (short := x * np.cosh(t_max) - nu * t_max < x + 45.0).any():
+        t_max[short] += 0.5
+    xc = x[:, None]
 
     def log_f(t):
-        return np.logaddexp(nu * t, -nu * t) - x * np.cosh(t)
+        return np.logaddexp(nu * t, -nu * t) - xc * np.cosh(t)
 
-    return math.exp(_log_trapezoid(log_f, -t_max, t_max, 64) - math.log(4.0))
+    return np.exp(_log_trapezoid(log_f, -t_max, t_max, 64) - math.log(4.0))
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -457,18 +465,26 @@ def bessel_k(nu: float, x: float) -> float:
         return _bessel_k_asymptotic(nu, x)
     off = abs(nu - round(nu))
     if x >= 3.0 or 0.0 < off < 0.05:
-        return _bessel_k_integral(nu, x)
+        return float(_bessel_k_integral(nu, np.array([float(x)]))[0])
     if off == 0.0:
         return _bessel_k_integer_series(round(nu), x)
     return _bessel_k_nonint(nu, x)
 
 
-def ln_bessel_k(nu: float, x: float) -> float:
-    """log K_nu(x); safe for large x where K itself underflows."""
+def ln_bessel_k(nu: float, x):
+    """log K_nu(x); safe for large x where K itself underflows.  An array x
+    takes the cosh-integral rows in one trapezoid call, the rest row by row."""
     nu = abs(nu)
-    if x >= max(16.0, 0.5 * nu * nu):
-        return _ln_bessel_k_asymptotic(nu, x)
-    return math.log(bessel_k(nu, x))
+    if not isinstance(x, np.ndarray):
+        if x >= max(16.0, 0.5 * nu * nu):
+            return _ln_bessel_k_asymptotic(nu, x)
+        return math.log(bessel_k(nu, x))
+    out, off = np.empty_like(x), abs(nu - round(nu))  # rows x <= 0: the scalar code raises
+    trap = (0 < x) & (x < max(16.0, 0.5 * nu * nu)) & ((x >= 3.0) | (0.0 < off < 0.05))
+    if trap.any():
+        out[trap] = np.log(_bessel_k_integral(nu, x[trap]))
+    out[~trap] = [ln_bessel_k(nu, v) for v in x[~trap].tolist()]
+    return out
 
 
 def _tricomi_polynomial(m: int, b, x):
@@ -498,9 +514,10 @@ def _tricomi_asymptotic(a: float, b: float, x: float):
     return math.exp(-a * math.log(x)) * s, ok or prev <= 1e-12 * abs(s)
 
 
-def _tricomi_laplace(a: float, b: float, x: float) -> float:
+def _tricomi_laplace(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """U(a,b,x) = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt for
-    a > 0, x > 0, by the trapezoid rule in s, t = exp(v), v = v_mid + (pi/2) sinh s.
+    a > 0 and an array x > 0, by one trapezoid rule in s, t = exp(v),
+    v = v_mid + (pi/2) sinh s.
 
     In v the log integrand a v - x e^v + c log(1 + e^v), c = b - a - 1, rises
     for t < t_lo = a/(x + max(0, -c)) and falls for t > t_hi = max(a, b-1)/x;
@@ -510,19 +527,21 @@ def _tricomi_laplace(a: float, b: float, x: float) -> float:
     """
     c = b - a - 1.0
     t_lo, t_hi = a / (x + max(0.0, -c)), max(a, b - 1.0) / x
-    v_mid = 0.5 * math.log(t_lo * t_hi)
-    v_lo, v_hi = math.log(t_lo) - 50.0 / a - 2.0, math.log(3.0 * t_hi + 60.0 / x)
+    v_mid = 0.5 * np.log(t_lo * t_hi)
+    v_lo, v_hi = np.log(t_lo) - 50.0 / a - 2.0, np.log(3.0 * t_hi + 60.0 / x)
+    vc, xc = v_mid[:, None], x[:, None]
 
     def log_f(s):  # log of the integrand in s, less the constant log(pi/2)
-        v = v_mid + 0.5 * math.pi * np.sinh(s)
+        v = vc + 0.5 * math.pi * np.sinh(s)
         t = np.exp(v)
-        return a * v - x * t + c * np.log1p(t) + np.log(np.cosh(s))
+        return a * v - xc * t + c * np.log1p(t) + np.log(np.cosh(s))
 
-    lo, hi = (math.asinh((v - v_mid) / (0.5 * math.pi)) for v in (v_lo, v_hi))
+    lo, hi = (np.arcsinh((v - v_mid) / (0.5 * math.pi)) for v in (v_lo, v_hi))
     ln = _log_trapezoid(log_f, lo, hi, 128) + math.log(0.5 * math.pi) - math.lgamma(a)
-    if ln > 709.78:
-        raise RangeError(f"U({a:g}, {b:g}, {x:g}) = exp({ln:.6g}) exceeds double range")
-    return math.exp(ln)
+    if np.any(ln > 709.78):
+        k = int(np.argmax(ln))
+        raise RangeError(f"U({a:g}, {b:g}, {x[k]:g}) = exp({ln[k]:.6g}) exceeds double range")
+    return np.exp(ln)
 
 
 def _tricomi_nonint_b(a: float, b: float, x: float) -> float:
@@ -538,7 +557,7 @@ def _tricomi_nonint_b(a: float, b: float, x: float) -> float:
     return out
 
 
-def tricomi_u(a: float, b: float, x: float) -> float:
+def tricomi_u(a: float, b: float, x):
     """Tricomi confluent hypergeometric function U(a; b; x), x > 0.
 
     Dispatch: terminating polynomial for non-positive-integer a (exact);
@@ -547,23 +566,31 @@ def tricomi_u(a: float, b: float, x: float) -> float:
     otherwise the downward recurrence in a at x >= 5 or b near an integer,
     and the two-Kummer combination (accurate for small x).  Relative error
     against 40-digit mpmath is below 1e-10 for a in [-6, 6], b in [-4, 4],
-    x in [0.05, 40] (worst measured 1.6e-12, two-Kummer).
+    x in [0.05, 40] (worst measured 1.6e-12, two-Kummer).  An array x takes
+    the Laplace rows in one trapezoid call, the rest row by row.
     """
-    if x <= 0:
-        raise ValueError(f"tricomi_u requires x > 0, got {x}")
+    if not isinstance(x, np.ndarray):
+        return float(tricomi_u(a, b, np.array([float(x)]))[0])
+    if not np.all(x > 0):
+        raise ValueError(f"tricomi_u requires x > 0, got {x.min()}")
     if _is_nonpositive_integer(a):
-        return _tricomi_polynomial(-round(a), b, x)
-    if x >= 30.0 and abs(a * (a - b + 1.0)) < 0.25 * x:
-        val, ok = _tricomi_asymptotic(a, b, x)
-        if ok:
-            return val
+        return np.array([_tricomi_polynomial(-round(a), b, v) for v in x.tolist()])
+    out = np.empty_like(x)
+    rest = np.ones(len(x), dtype=bool)
+    for i in np.flatnonzero((x >= 30.0) & (abs(a * (a - b + 1.0)) < 0.25 * x)):
+        out[i], ok = _tricomi_asymptotic(a, b, float(x[i]))
+        rest[i] = not ok
+    if not rest.any():
+        return out
     if a > 0:
-        return _tricomi_laplace(a, b, x)
-    if a - b + 1.0 > 0:
-        return x ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x)
-    if x >= 5.0 or abs(b - round(b)) < 1e-3:
-        return _tricomi_a_recurrence(a, b, x)
-    return _tricomi_nonint_b(a, b, x)
+        out[rest] = _tricomi_laplace(a, b, x[rest])
+    elif a - b + 1.0 > 0:
+        out[rest] = x[rest] ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x[rest])
+    else:
+        int_b = abs(b - round(b)) < 1e-3
+        out[rest] = [(_tricomi_a_recurrence if v >= 5.0 or int_b else _tricomi_nonint_b)(a, b, v)
+                     for v in x[rest].tolist()]
+    return out
 
 
 def _tricomi_a_recurrence(a: float, b: float, x: float) -> float:

@@ -48,7 +48,9 @@ def support_radius(family: str) -> float:
     return 1.0
 
 
-def _check_weight_preconditions(family: str, vals: tuple):
+def _checked_vals(family: str, params: ParameterSet, x: float = 0.0) -> tuple:
+    """The family's parameters, checked for a weight function and argument x."""
+    vals = family_params(family, params)
     if any(isinstance(v, complex) for v in vals):
         raise ParameterError("weight functions take real parameters")
     if family == "F01" and vals[0] <= 0:
@@ -60,19 +62,18 @@ def _check_weight_preconditions(family: str, vals: tuple):
         )
     if family == "F21" and vals[0] + vals[1] - vals[2] <= 1:
         raise ParameterError("F21 weight needs a1 + a2 - b > 1")
+    if x < 0 or x >= support_radius(family):
+        raise ValueError(f"weight argument {x} outside [0, {support_radius(family)})")
+    return vals
 
 
 def weight(family: str, params: ParameterSet, x: float) -> float:
     """Weight function w(x) of the resolution of unity, x = |z|^2 in [0, R)."""
-    vals = family_params(family, params)
-    _check_weight_preconditions(family, vals)
-    if x < 0 or x >= support_radius(family):
-        raise ValueError(f"weight argument {x} outside [0, {support_radius(family)})")
+    vals = _checked_vals(family, params, x)
     if family == "CS":
         return 1.0
     if family == "F10":
-        (a,) = vals
-        return (a - 1.0) / (1.0 - x) ** 2
+        return (vals[0] - 1.0) / (1.0 - x) ** 2
     if x == 0.0 and family != "F21":
         # F01/F11 limits at 0 are singular or family-specific; N(0) = 1
         # makes the F21 case well defined through its density
@@ -83,71 +84,69 @@ def weight(family: str, params: ParameterSet, x: float) -> float:
 def weight_tilde(family: str, params: ParameterSet, x: float) -> float:
     """wt(x) = w(x)/N(x), the moment-problem density.  Evaluated directly in
     forms that stay stable where N(x) and w(x) separately overflow."""
-    vals = family_params(family, params)
-    _check_weight_preconditions(family, vals)
-    if x < 0 or x >= support_radius(family):
-        raise ValueError(f"weight argument {x} outside [0, {support_radius(family)})")
-    return _density(family, vals, x)
+    return _density(family, _checked_vals(family, params, x), x)
 
 
-def _density(family: str, vals: tuple, x: float) -> float:
-    """wt(x) for parameters already checked by the caller, x in [0, R)."""
+def log_weight_tilde(family: str, params: ParameterSet, x: float) -> tuple:
+    """(log |wt(x)|, sign of wt(x)) at x > 0: closed log forms for CS and F01,
+    finite where wt underflows; log |weight_tilde| (-inf at 0) otherwise."""
+    vals = _checked_vals(family, params, x)
+    if family in ("CS", "F01"):
+        return _ln_density(family, vals, x), 1.0
+    wt = _density(family, vals, x)
+    return (math.log(abs(wt)) if wt else -math.inf), math.copysign(1.0, wt)
+
+
+def _ln_density(family: str, vals: tuple, x):
+    """log wt(x) of CS and F01 at x > 0, a float or an array like x."""
     if family == "CS":
-        return math.exp(-x)
+        return -x
+    b, m = vals[0], np if isinstance(x, np.ndarray) else math
+    return (math.log(2.0) + 0.5 * (b - 1.0) * m.log(x) - math.lgamma(b)
+            + specfun.ln_bessel_k(b - 1.0, 2.0 * m.sqrt(x)))
+
+
+def _density(family: str, vals: tuple, x, om=None):
+    """wt(x) for parameters already checked by the caller, x in [0, R), a
+    float or an array of nodes x > 0; disk families take the exact distance
+    om = 1 - x where the caller knows it."""
+    m = np if isinstance(x, np.ndarray) else math
+    if family == "CS":
+        return m.exp(-x)
+    if family in ("F10", "F21"):
+        om = 1.0 - x if om is None else om
+        if family == "F21":
+            return _f21_density(vals, x, om)
+        return (vals[0] - 1.0) * om ** (vals[0] - 2.0)
     if family == "F01":
-        (b,) = vals
-        if x == 0.0:
-            raise ValueError("F01 density needs x > 0")
-        ln = (
-            math.log(2.0)
-            + 0.5 * (b - 1.0) * math.log(x)
-            - math.lgamma(b)
-            + specfun.ln_bessel_k(b - 1.0, 2.0 * math.sqrt(x))
-        )
-        return math.exp(ln) if ln > -700 else 0.0
-    if family == "F11":
-        a, b = vals
-        if x == 0.0:
-            raise ValueError("F11 density needs x > 0")
-        if x > 700.0:
-            return 0.0
-        pref = math.exp(math.lgamma(a) - math.lgamma(b) - x)
-        return pref * specfun.tricomi_u(a - b, 2.0 - b, x)
-    if family == "F10":
-        (a,) = vals
-        return (a - 1.0) * (1.0 - x) ** (a - 2.0)
-    return _f21_density(vals, x=x)
+        ln = _ln_density(family, vals, x)
+        return m.exp(ln) * (ln > -700.0)  # cut to 0 below e^-700
+    a, b = vals
+    c = math.lgamma(a) - math.lgamma(b)
+    if m is math:
+        return math.exp(c - x) * specfun.tricomi_u(a - b, 2.0 - b, x) if x <= 700.0 else 0.0
+    keep = x <= 700.0  # beyond, e^{-x} underflows
+    y = x[keep]
+    return quadrature.scatter_rows(keep, np.exp(c - y) * specfun.tricomi_u(a - b, 2.0 - b, y))
 
 
-def _disk_density_om(family: str, vals: tuple, om: float) -> float:
-    """Disk-family density wt at x = 1 - om, parameterized by the exact
-    distance om to the endpoint (where the density is power-law singular)."""
-    if family == "F10":
-        (a,) = vals
-        return (a - 1.0) * om ** (a - 2.0)
-    return _f21_density(vals, om=om)
-
-
-def _f21_density(vals: tuple, x: float | None = None, om: float | None = None) -> float:
-    """F21 density pref * om^{s-2} 2F1(a2-b, a1-b; s-1; om) with om = 1-x,
-    fed by whichever of x, om the caller knows exactly: near x = 0 the 2F1
+def _f21_density(vals: tuple, x, om):
+    """F21 density pref * om^{s-2} 2F1(a2-b, a1-b; s-1; om) with om = 1-x, the
+    2F1 (row by row) fed by whichever of x, om is exact: near x = 0 the 2F1
     argument approaches 1 (connection formula needs the exact distance x),
     near x = 1 the small-om direct series side is exact."""
     a1, a2, b = vals
     s = a1 + a2 - b
-    if om is None:
-        om = 1.0 - x
-    if x is None:
-        x = 1.0 - om
-    pref = math.exp(
-        math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
-    )
-    if x == 0.0:
-        f = specfun.gauss_2f1_unit(a2 - b, a1 - b, s - 1.0)  # finite iff b > 1
-    elif x <= 0.5:
-        f = complex(specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x).value).real
-    else:
-        f = sf_2f1(a2 - b, a1 - b, s - 1.0, om)
+    pref = math.exp(math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0))
+
+    def gauss(x, om):
+        if x == 0.0:
+            return specfun.gauss_2f1_unit(a2 - b, a1 - b, s - 1.0)  # finite iff b > 1
+        if x <= 0.5:
+            return complex(specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x).value).real
+        return sf_2f1(a2 - b, a1 - b, s - 1.0, om)
+
+    f = np.array(list(map(gauss, x.tolist(), om.tolist()))) if np.ndim(x) else gauss(x, om)
     return pref * om ** (s - 2.0) * f
 
 
@@ -178,29 +177,30 @@ def density_integral(family: str, params: ParameterSet, g,
     R = inf is mapped to (0,1) via x = t/(1-t) and integrable endpoint
     behavior is absorbed by power substitutions.  On the disk the right
     half evaluates the density at the exact distance om = 1 - x (where it
-    is power-law singular) and hands g the point 1 - om.  g is called at
-    scalar x > 0 only and may return a real or complex value or a 1-D array,
-    whose components share one adaptive pass and its density evaluations;
-    the pass stops when each meets err_i <= max(abs_tol, rel_tol*|I_i|).
+    is power-law singular) and hands g the point 1 - om.  g maps an array of
+    m points x > 0 (never one where the density underflowed to 0) to shape
+    (m,) or (m, k), real or complex; the k components share one adaptive pass
+    and its densities, which stops when each meets
+    err_i <= max(abs_tol, rel_tol*|I_i|).
     """
-    vals = family_params(family, params)
-    _check_weight_preconditions(family, vals)
+    vals = _checked_vals(family, params)
+
+    def product(x, wt):  # wt * g(x) by rows
+        live = wt != 0.0
+        gx = g(x[live])
+        return quadrature.scatter_rows(live, (gx.T * wt[live]).T)
 
     def f(x):
-        if x <= 0.0:
-            return 0.0
-        wt_val = _density(family, vals, x)
-        if wt_val == 0.0:
-            return 0.0  # density underflowed; g cannot rescue the product
-        return wt_val * g(x)
+        pos = x > 0.0
+        return product(x, quadrature.scatter_rows(pos, _density(family, vals, x[pos])))
 
     if math.isinf(support_radius(family)):
         return quadrature.integrate_half_line(f, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def f_right(om):  # om = 1 - x, exact from the endpoint substitution
-        if om <= 0.0:
-            return 0.0
-        return _disk_density_om(family, vals, om) * g(1.0 - om)
+        pos = om > 0.0
+        x = 1.0 - om
+        return product(x, quadrature.scatter_rows(pos, _density(family, vals, x[pos], om[pos])))
 
     return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, right_f=f_right)
 
@@ -211,7 +211,8 @@ def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
     lr = rho_steps(params, int(ns.max()))[1][ns]
     if lr.max() > 700.0:
         raise RangeError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
-    val, err = density_integral(family, params, lambda x: np.exp(ns * math.log(x) - lr),
+    val, err = density_integral(family, params,
+                                lambda x: np.exp(np.multiply.outer(np.log(x), ns) - lr),
                                 rel_tol=quad_tol, abs_tol=1e-14)
     rho = np.exp(lr)
     return val * rho, err * rho, rho

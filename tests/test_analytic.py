@@ -60,7 +60,7 @@ def test_wavefunction_norm_by_quadrature():
     m_ang = 64
     angles = 2.0 * math.pi * np.arange(m_ang) / m_ang
 
-    def f(x):
+    def f_point(x):
         if x <= 0.0 or x >= 1.0:
             return 0.0
         return sum(
@@ -69,7 +69,8 @@ def test_wavefunction_norm_by_quadrature():
         ) / m_ang
 
     # (1/pi) int d^2z |Psi|^2 = (1/pi)(1/2) int dx (2 pi f(x)) = int f dx
-    val, _ = qd.integrate_unit(f, rel_tol=1e-6, abs_tol=1e-9)
+    val, _ = qd.integrate_unit(lambda xs: np.array([f_point(x) for x in xs.tolist()]),
+                               rel_tol=1e-6, abs_tol=1e-9)
     assert val == pytest.approx(1.0, abs=1e-4)
 
 

@@ -203,6 +203,30 @@ def test_verify_all_green(capsys):
     assert suites == {"moments", "eigen", "phase-norm", "coalesce"}
 
 
+@pytest.mark.parametrize("argv", [("verify", "coalesce"), ("validate", "--a", "2", "--b", "3")])
+def test_verify_and_validate_out_writes_stdout_bytes(capsys, tmp_path, argv):
+    _, stdout, _ = run(capsys, *argv)
+    path = tmp_path / "doc.json"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    text = path.read_text()
+    if argv[0] == "validate":
+        assert text == stdout
+    else:  # verify echoes its configuration, --out included, in stdout's layout
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["config"].pop("out") == str(path)
+        assert doc == json.loads(stdout)
+
+
+@pytest.mark.parametrize("argv", [("verify", "coalesce"), ("validate", "--a", "2")])
+def test_verify_and_validate_refuse_csv(capsys, tmp_path, argv):
+    path = tmp_path / "doc.csv"
+    code, out, err = run(capsys, *argv, "--format", "csv", "--out", str(path))
+    assert code == 64 and out == "" and "JSON" in err
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------- emitter
 
 def test_parser_is_built_once_and_keeps_its_defaults(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghcs import phase as ph
+from ghcs import specfun as sf
 from ghcs import states as st
 from ghcs import weights as wt
 from ghcs.errors import GHSError, ParameterError, RangeError
@@ -317,6 +318,22 @@ def test_gh_husimi_high_fock_number_plane():
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+def test_gh_husimi_high_fock_number_where_density_underflows():
+    # F01 (;2), Fock 400: near x = 1.6e5 wt (about e^-797) underflows and the
+    # overlap x^400/rho(400) (about e^785) overflows; log wt enters the exponent
+    n, b = 400, 2.0
+    sig = st.fock_basis_vector(n)
+    p01 = st.validate([], [b])
+    at = lambda x: ph.gh_husimi(sig, "F01", p01, math.sqrt(x) * cmath.exp(0.3j))
+    # (1/pi) 2 sqrt(x) K_1(2 sqrt(x)) x^n / (n! (2)_n), all in logs
+    closed = lambda x: math.exp(math.log(2.0) + 0.5 * math.log(x) + sf.ln_bessel_k(1.0, 2.0 * math.sqrt(x))
+                                + n * math.log(x) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0)) / math.pi
+    for x in (1.3e5, 1.6e5, 2e5):
+        assert math.isfinite(at(x)) and at(x) > 0.0
+        assert at(x) == pytest.approx(closed(x), rel=1e-10)
+    assert at(1e5) == pytest.approx(1.2994573377513345e-14, rel=1e-12)  # the value before
+
+
 def test_gh_husimi_rejects_family_mismatch():
     sig = coherent_signal()
     with pytest.raises(ParameterError):
@@ -343,7 +360,7 @@ def test_gh_husimi_normalization_2d():
     m_ang = 64
     angles = 2.0 * math.pi * np.arange(m_ang) / m_ang
 
-    def f(x):
+    def f_point(x):
         if x <= 0.0 or x >= 1.0:
             return 0.0
         return sum(
@@ -351,7 +368,8 @@ def test_gh_husimi_normalization_2d():
             for a in angles
         ) / m_ang
 
-    val, _ = qd.integrate_unit(f, rel_tol=1e-6, abs_tol=1e-9)
+    val, _ = qd.integrate_unit(lambda xs: np.array([f_point(x) for x in xs.tolist()]),
+                               rel_tol=1e-6, abs_tol=1e-9)
     assert math.pi * val == pytest.approx(1.0, abs=1e-4)
 
 
@@ -380,13 +398,13 @@ def test_gh_phase_from_husimi_disk_matches_phase_distribution():
     assert direct.shape == thetas.shape
     series = ph.phase_distribution(sig, p10, thetas).values
     assert np.max(np.abs(direct - series)) <= 1e-5
-    # reference: one scalar pass per angle over the explicit overlap sum
+    # reference: one pass per angle over the explicit overlap sum
     n = np.arange(len(sig.coeffs))
     inv_sqrt_rho = np.array([1.0 / math.sqrt(st.rho(p10, k)) for k in n])
     for th, got in zip(thetas[::6], direct[::6]):
         def g(x):
-            z_conj = math.sqrt(x) * cmath.exp(-1j * th)
-            return abs(np.sum(z_conj**n * sig.coeffs * inv_sqrt_rho)) ** 2
+            z_conj = np.sqrt(x)[:, None] * cmath.exp(-1j * th)
+            return np.abs(np.sum(z_conj**n * sig.coeffs * inv_sqrt_rho, axis=1)) ** 2
         ref, _ = wt.density_integral("F10", p10, g, rel_tol=1e-9, abs_tol=1e-13)
         assert got == pytest.approx(0.5 * ref / math.pi, rel=1e-8, abs=1e-12)
 

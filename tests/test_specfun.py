@@ -232,6 +232,36 @@ def test_log_trapezoid_returns_only_converged_sums():
         sf._log_trapezoid(lambda s: -np.abs(s), -40.0, 40.0, 64)
 
 
+@pytest.mark.parametrize("rule,xs", [
+    (lambda x: sf._tricomi_laplace(1.7, 3.2, x), [0.05, 0.8, 3.0, 11.0, 29.0]),
+    (lambda x: sf._tricomi_laplace(0.3, -1.5, x), [0.1, 2.0, 7.5]),
+    (lambda x: sf._bessel_k_integral(2.5, x), [1e-4, 0.02, 0.9, 2.9, 7.0, 15.0]),
+    (lambda x: sf._bessel_k_integral(0.0, x), [3.0, 9.0]),
+])
+def test_batched_trapezoid_rows_match_one_row_calls(rule, xs):
+    # the rows share one step-halving loop; each keeps the sum that first met
+    # the tolerance, so a row does not depend on the rows beside it
+    xs = np.array(xs)
+    rows = rule(xs)
+    ones = np.array([rule(xs[i:i + 1])[0] for i in range(len(xs))])
+    assert rows.shape == xs.shape
+    assert np.allclose(rows, ones, rtol=1e-15, atol=0.0)
+
+
+def test_array_arguments_match_scalar_calls():
+    # branch masks: K rows on the asymptotic, integral and integer-series
+    # branches, U rows on the asymptotic and Laplace branches, in one call each
+    xs = np.array([1e-3, 0.7, 2.5, 3.5, 12.0, 20.0, 400.0])
+    for nu in (0.0, 1.0, 1.4, 3.0):
+        ln = sf.ln_bessel_k(nu, xs)
+        assert np.allclose(ln, [sf.ln_bessel_k(nu, float(x)) for x in xs], rtol=1e-14, atol=1e-14)
+    for a, b in ((0.6, 1.1), (2.0, 0.4)):
+        u = sf.tricomi_u(a, b, xs)
+        assert np.allclose(u, [sf.tricomi_u(a, b, float(x)) for x in xs], rtol=1e-14, atol=0.0)
+    assert isinstance(sf.tricomi_u(0.6, 1.1, 2.0), float)
+    assert isinstance(sf.ln_bessel_k(1.4, 2.0), float)
+
+
 # ----------------------------------------------------------------- tricomi
 
 def test_tricomi_power_law():

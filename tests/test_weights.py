@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ghcs import states as st
@@ -112,6 +113,38 @@ def test_moment_check_matches_single_moment_integrals(family, params):
         assert r.quad == pytest.approx(wt.moment_integral(family, params, r.n), rel=1e-10)
         # the estimate meets the per-component rule (summed over two halves)
         assert 0.0 < r.quad_err <= 1e-10 * abs(r.quad) + 1e-14 * r.rho
+
+
+def test_density_integral_never_calls_g_where_density_underflows():
+    # exp(-x) is 0 from x ~ 745 on, and g = exp(x/2) overflows from x ~ 1420:
+    # the masked rows leave no inf * 0 (nor an overflow warning) behind
+    def g(x):
+        assert np.all(np.exp(-x) > 0.0)
+        return np.exp(0.5 * x)
+
+    val, err = wt.density_integral("CS", CS, g, rel_tol=1e-10, abs_tol=1e-14)
+    assert math.isfinite(val) and val == pytest.approx(2.0, rel=1e-10)
+    assert err <= 1e-10 * val
+
+
+@pytest.mark.parametrize("family,params", [
+    ("CS", CS),
+    ("F01", st.validate([], [0.2])), ("F01", st.validate([], [2.0])),  # K_0.8, K_1
+    # Tricomi U(a-b, 2-b, x): polynomial, reflected Laplace, recurrence and two-Kummer
+    ("F11", st.validate([2.0], [4.0])), ("F11", st.validate([3.0], [3.0])),
+    ("F11", st.validate([1.3], [4.6])), ("F11", st.validate([0.5], [2.3])),
+    ("F10", st.validate([1.5], [])), ("F21", st.validate([3.0, 3.0], [2.0])),
+])
+def test_array_density_matches_scalar_calls(family, params):
+    # quadrature nodes on every branch: small x, x where 2 sqrt(x) or x passes
+    # the asymptotic thresholds, and disk points on both sides of 1/2
+    r = wt.support_radius(family)
+    xs = np.array([1e-6, 0.01, 0.3, 0.6, 0.9, 0.999]) if r == 1.0 else \
+        np.array([1e-6, 0.05, 1.5, 2.9, 40.0, 80.0, 400.0, 699.0, 701.0, 5e4])
+    rows = wt._density(family, wt.family_params(family, params), xs)
+    ref = np.array([wt.weight_tilde(family, params, float(x)) for x in xs])
+    assert rows.shape == xs.shape
+    assert np.allclose(rows, ref, rtol=1e-13, atol=0.0)
 
 
 def test_f21_weight_at_origin():
