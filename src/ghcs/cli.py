@@ -235,11 +235,10 @@ def cmd_weight(args) -> int:
     if hi >= r:
         raise UsageError(f"--x-max must be below the support radius {r}")
     grid = np.linspace(max(args.x_min, 1e-12), hi, args.points)
-    w = [weights.weight(args.family, params, float(x)) for x in grid]
-    wtil = [weights.weight_tilde(args.family, params, float(x)) for x in grid]
     emit(args, [
-        _series("w", grid, w, params=params.label()),
-        _series("w_tilde", grid, wtil, params=params.label()),
+        _series("w", grid, weights.weight(args.family, params, grid), params=params.label()),
+        _series("w_tilde", grid, weights.weight_tilde(args.family, params, grid),
+                params=params.label()),
     ])
     return EXIT_OK
 

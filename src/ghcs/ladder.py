@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .states import FockVector, ParameterSet, StateSpec, fock_vector, rho_steps
+from .states import MAX_CUTOFF, FockVector, ParameterSet, StateSpec, fock_vector, rho_steps
 
 
 def f_coeff(params: ParameterSet, n: int) -> float:
@@ -48,12 +48,11 @@ def apply_lowering(params: ParameterSet, v: FockVector) -> FockVector:
     return FockVector(coeffs, tail, False)
 
 
-def apply_raising(params: ParameterSet, v: FockVector,
-                  max_cutoff: int = 16384) -> FockVector:
-    """(U^dagger v)_{n+1} = f(n) v_n; the cutoff grows by one."""
+def apply_raising(params: ParameterSet, v: FockVector) -> FockVector:
+    """(U^dagger v)_{n+1} = f(n) v_n; the cutoff grows by one, up to MAX_CUTOFF."""
     n_max = v.cutoff
-    if n_max + 1 > max_cutoff:
-        raise ConvergenceError(f"raising would exceed the cutoff cap {max_cutoff}")
+    if n_max + 1 > MAX_CUTOFF:
+        raise ConvergenceError(f"raising would exceed the cutoff cap {MAX_CUTOFF}")
     f2 = rho_steps(params, n_max + 2)[0]
     coeffs = np.concatenate(([0.0 + 0.0j], np.sqrt(f2[: n_max + 1]) * v.coeffs))
     tail = v.tail_bound * f2[n_max + 1] if math.isfinite(v.tail_bound) else math.inf

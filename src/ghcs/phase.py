@@ -49,9 +49,6 @@ class GCoefficientTable:
     analyzer: ParameterSet
     table: np.ndarray
 
-    def __getitem__(self, idx):
-        return self.table[idx]
-
 
 def _capped_log_rho_half(params: ParameterSet, n_cutoff: int) -> np.ndarray:
     if n_cutoff > G_TABLE_CAP:
@@ -92,9 +89,6 @@ class PhaseDistribution:
     def peak(self):
         k = int(np.argmax(self.values))
         return float(self.thetas[k]), float(self.values[k])
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, self.thetas))
 
 
 def default_theta_grid(points: int = 721) -> np.ndarray:
@@ -150,14 +144,9 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
 
 
 def husimi_q(signal: FockVector, alpha: complex) -> float:
-    """Conventional Husimi value (1/pi) |<alpha|psi>|^2: the Q-analyzer overlap
-    (rho(n) = n!) with e^{-|alpha|^2} folded into its exponent."""
-    alpha = complex(alpha)
-    if alpha == 0:
-        return float(abs(signal.coeffs[0]) ** 2 / math.pi)
-    x = abs(alpha) ** 2
-    return float(_overlap_sq(_ANALYZER_TAGS["Q"], signal, [cmath.phase(alpha)])(
-        np.array([x]), -x)[0, 0]) / math.pi
+    """Conventional Husimi value (1/pi) |<alpha|psi>|^2: gh_husimi of the
+    coherent-state family, e^{-|alpha|^2} folded into the overlap's exponent."""
+    return gh_husimi(signal, "CS", _ANALYZER_TAGS["Q"], alpha)
 
 
 def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
@@ -175,12 +164,13 @@ def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
               z: complex) -> float:
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
-    weight-supported analyzer family; reduces to husimi_q for family 'CS'.  log
-    wt enters the overlap's exponent: finite where wt underflows."""
+    weight-supported analyzer family (husimi_q for family 'CS').  log wt
+    enters the overlap's exponent: finite where wt underflows.  F01 and F11
+    refuse z = 0, as their weights do."""
     z = complex(z)
     x = abs(z) ** 2
     if x == 0.0:
-        return weight_tilde(family, params, x) * abs(signal.coeffs[0]) ** 2 / math.pi
+        return float(weight_tilde(family, params, x) * abs(signal.coeffs[0]) ** 2 / math.pi)
     log_w, sign = log_weight_tilde(family, params, x)
     return sign * float(_overlap_sq(params, signal, [cmath.phase(z)])(
         np.array([x]), log_w)[0, 0]) / math.pi

@@ -95,9 +95,11 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     return _pn_series(lambda n: log_t - ln_n, len(log_t), params.label())
 
 
-def _factorial_moments(params: ParameterSet, x, k: int, tol: float) -> list:
-    """Factorial moments of orders 1..k at x = |z|^2 > 0 (see factorial_moment),
-    or arrays of them over a 1-D array x of plane and disk points."""
+def _factorial_moments(params: ParameterSet, x, k: int, tol: float) -> tuple:
+    """(moments, step): the factorial moments of orders 1..k at x = |z|^2 > 0
+    (see factorial_moment), and their last ratio moment_k / moment_{k-1}
+    formed directly as x [prod (a_i+k-1) / prod (b_j+k-1)] N_k / N_{k-1}, or
+    arrays of them over a 1-D array x of plane and disk points."""
     many = isinstance(x, np.ndarray)
     exp, fmax = (np.exp, np.maximum) if many else (math.exp, max)  # scalars stay Python floats
     if many or StateSpec(params, math.sqrt(x)).domain_kind() in (
@@ -107,13 +109,14 @@ def _factorial_moments(params: ParameterSet, x, k: int, tol: float) -> list:
         log_n = [math.log(normalization(params.shifted(j), x, tol=tol)) for j in range(k + 1)]
     shift, moments = 1.0 + 0.0j, []
     for j in range(1, k + 1):  # shift = prod (a_i)_j / prod (b_j)_j
-        shift *= math.prod(v + j - 1 for v in params.a) / math.prod(v + j - 1 for v in params.b)
+        ratio = math.prod(v + j - 1 for v in params.a) / math.prod(v + j - 1 for v in params.b)
+        shift *= ratio
         val = x**j * shift * exp(log_n[j] - log_n[0])
         bad = abs(val.imag) > 1e-10 * fmax(1.0, abs(val.real))
         if bad.any() if many else bad:
             raise ParameterError(f"factorial moment has imaginary residue {np.max(val.imag):g}")
         moments.append(val.real)
-    return moments
+    return moments, (x * ratio * exp(log_n[k] - log_n[k - 1])).real
 
 
 def factorial_moment(params: ParameterSet, x: float, k: int,
@@ -124,14 +127,16 @@ def factorial_moment(params: ParameterSet, x: float, k: int,
         raise ValueError("factorial moment order must be >= 1")
     if x == 0.0:
         return 0.0
-    return _factorial_moments(params, x, k, tol)[-1]
+    return _factorial_moments(params, x, k, tol)[0][-1]
 
 
 def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     """(mean photon number, Mandel Q) at x = |z|^2.
 
-    Q = -mean + n2/mean with n2 the second factorial moment; at x = 0 both
-    vanish linearly so Q is returned as its continuous-extension value 0.
+    Q = -mean + n2/mean with n2 the second factorial moment, n2/mean formed
+    directly as x [prod (a_i+1) / prod (b_j+1)] N_2/N_1 (so the coherent
+    state's Q is exactly 0); at x = 0 both vanish linearly so Q is returned as
+    its continuous-extension value 0.
     A 1-D numpy array x gives arrays: its plane and open-disk points share one
     log_terms pass, the rest take scalar calls (circle points, domain errors).
     """
@@ -140,15 +145,15 @@ def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
         sweep = (x > 0.0) & (x < (math.inf if plane else 1.0 - 3e-14))  # off the circle band
         out = np.zeros((2, len(x)))
         if sweep.any():
-            mean, n2 = _factorial_moments(params, x[sweep], 2, tol)
-            out[:, sweep] = mean, -mean + n2 / mean
+            (mean, _), step = _factorial_moments(params, x[sweep], 2, tol)
+            out[:, sweep] = mean, -mean + step
         for i in np.flatnonzero(~sweep & (x != 0.0)):
             out[:, i] = mean_and_mandel(params, float(x[i]), tol)
         return out[0], out[1]
     if x == 0.0:
         return 0.0, 0.0
-    mean, n2 = _factorial_moments(params, x, 2, tol)
-    return mean, -mean + n2 / mean
+    (mean, _), step = _factorial_moments(params, x, 2, tol)
+    return mean, -mean + step
 
 
 def family_params(family: str, params: ParameterSet) -> tuple:

@@ -192,8 +192,7 @@ def _check_pfq_domain(a, b, x):
     raise DivergenceError(f"{p}F{q} diverges for any x != 0 (p > q + 1)")
 
 
-def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
-        compensated: bool = False) -> SeriesResult:
+def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Generalized hypergeometric series sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
 
     Parameters
@@ -204,11 +203,9 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
         (any x for p <= q, |x| < 1 for p = q+1, |x| = 1 with eta < 0,
         or |x| = 1, x != 1 with 0 <= eta < 1).
     tol : requested relative truncation error.
-    compensated : use Kahan summation for the partial sums (helps the
-        high-order moment checks where terms span many magnitudes).
 
     Returns a SeriesResult; raises DivergenceError outside the domain and
-    ConvergenceError if the term cap is reached first.
+    ConvergenceError if the term cap DEFAULT_MAX_TERMS is reached first.
     """
     a = tuple(a)
     b = tuple(b)
@@ -216,16 +213,13 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
         if _is_nonpositive_integer(bj):
             raise PoleError(f"pfq denominator parameter {bj} is a non-positive integer")
     _check_pfq_domain(a, b, x)
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
 
     term = 1.0 + 0.0j if (isinstance(x, complex) or any(isinstance(v, complex) for v in a + b)) else 1.0
     s = term
-    comp = 0.0
     small_streak = 0
     last_abs = [abs(term)]
     ratio = 0.0
-    for n in range(max_terms):
+    for n in range(DEFAULT_MAX_TERMS):
         num = x
         for ai in a:
             num = num * (ai + n)
@@ -235,14 +229,8 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
         ratio = num / den
         term = term * ratio
         if term == 0:
-            return SeriesResult(_as_real_if_possible(s + comp), n + 2, 0.0, True)
-        if compensated:
-            y = term - comp
-            t_new = s + y
-            comp = (t_new - s) - y
-            s = t_new
-        else:
-            s = s + term
+            return SeriesResult(_as_real_if_possible(s), n + 2, 0.0, True)
+        s = s + term
         if not (abs(s) < math.inf):
             raise RangeError(f"pfq partial sum overflowed at term {n + 1}")
         last_abs.append(abs(term))
@@ -259,27 +247,24 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, max_terms: int | None = None,
             else:
                 tail = sum(last_abs)
             if tail <= tol * max(1.0, abs(s)):
-                value = s - comp if compensated else s
-                return SeriesResult(_as_real_if_possible(value), n + 2, tail, True)
+                return SeriesResult(_as_real_if_possible(s), n + 2, tail, True)
             # small terms but a ratio near 1 (disk edge): the geometric tail
             # still exceeds the contract; keep summing
             small_streak = 2
     raise ConvergenceError(
-        f"pfq did not reach tol={tol:g} within {max_terms} terms "
+        f"pfq did not reach tol={tol:g} within {DEFAULT_MAX_TERMS} terms "
         f"(last |term|/|sum| = {abs(term) / max(abs(s), 1e-300):.3g})"
     )
 
 
-def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int | None = None):
+def kummer_m(a, b, x):
     """Kummer confluent series M(a; b; x), standalone term loop.
 
     Allows non-positive non-integer b (needed with epsilon-offset
     parameters); raises PoleError if b is a non-positive integer, unless a
     terminates the series before the pole index is reached, and RangeError
-    if the sum leaves the double range.  max_terms defaults to DEFAULT_MAX_TERMS at call time.
+    if the sum leaves the double range.  Summed to 1e-14 relative.
     """
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
     terminating = _is_nonpositive_integer(a)
     n_stop = -round(complex(a).real) if terminating else None
     if _is_nonpositive_integer(b):
@@ -288,14 +273,14 @@ def kummer_m(a, b, x, tol: float = 1e-14, max_terms: int | None = None):
     term = 1.0
     s = 1.0
     small_streak = 0
-    for n in range(max_terms):
+    for n in range(DEFAULT_MAX_TERMS):
         if terminating and n >= n_stop:
             break
         term = term * (a + n) * x / ((b + n) * (n + 1.0))
         if term == 0:
             break
         s = s + term
-        if abs(term) <= tol * abs(s):  # an overflowed sum passes this test too
+        if abs(term) <= 1e-14 * abs(s):  # an overflowed sum passes this test too
             small_streak += 1
             if small_streak >= 3:
                 break
@@ -340,11 +325,6 @@ def bessel_i(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     return _bessel_i_series(nu, x)
-
-
-def _bessel_k_asymptotic(nu: float, x: float) -> float:
-    v = math.exp(_ln_bessel_k_asymptotic(nu, x)) if x < 700 else 0.0
-    return v
 
 
 def _ln_bessel_k_asymptotic(nu: float, x: float) -> float:
@@ -450,40 +430,36 @@ def _bessel_k_integral(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    x >= max(16, nu^2/2): asymptotic expansion.  x < 3: I reflection for
-    orders at least 0.05 from an integer, log series for integer orders; every
-    other case by the cosh integral and the trapezoid rule.  On seeded draws
-    (nu in [0, 6], x in [1e-4, 16)) the relative error against 40-digit mpmath
-    stays below 2e-12 (worst 1.2e-12, the reflection just below x = 3).
-    """
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    nu = abs(nu)
-    if x >= max(16.0, 0.5 * nu * nu):
-        return _bessel_k_asymptotic(nu, x)
-    off = abs(nu - round(nu))
-    if x >= 3.0 or 0.0 < off < 0.05:
-        return float(_bessel_k_integral(nu, np.array([float(x)]))[0])
-    if off == 0.0:
-        return _bessel_k_integer_series(round(nu), x)
-    return _bessel_k_nonint(nu, x)
+    """Modified Bessel function of the second kind K_nu(x), x > 0: the
+    exponential of ln_bessel_k (0 where K underflows)."""
+    return math.exp(ln_bessel_k(nu, x))
 
 
 def ln_bessel_k(nu: float, x):
-    """log K_nu(x); safe for large x where K itself underflows.  An array x
-    takes the cosh-integral rows in one trapezoid call, the rest row by row."""
-    nu = abs(nu)
+    """log K_nu(x), x > 0, finite where K itself underflows; a float x gives a
+    float, an array x an array.
+
+    x >= max(16, nu^2/2): asymptotic expansion.  x < 3: I reflection for
+    orders at least 0.05 from an integer, log series for integer orders; every
+    other row by the cosh integral, all such rows in one trapezoid call.  On
+    seeded draws (nu in [0, 6], x in [1e-4, 16)) the relative error of K
+    against 40-digit mpmath stays below 2e-12 (worst 1.2e-12, the reflection
+    just below x = 3).
+    """
     if not isinstance(x, np.ndarray):
-        if x >= max(16.0, 0.5 * nu * nu):
-            return _ln_bessel_k_asymptotic(nu, x)
-        return math.log(bessel_k(nu, x))
-    out, off = np.empty_like(x), abs(nu - round(nu))  # rows x <= 0: the scalar code raises
-    trap = (0 < x) & (x < max(16.0, 0.5 * nu * nu)) & ((x >= 3.0) | (0.0 < off < 0.05))
+        return float(ln_bessel_k(nu, np.array([float(x)]))[0])
+    if not np.all(x > 0):
+        raise ValueError(f"bessel_k requires x > 0, got {x.min()}")
+    nu, out = abs(nu), np.empty_like(x)
+    off = abs(nu - round(nu))
+    asym = x >= max(16.0, 0.5 * nu * nu)
+    trap = ~asym & ((x >= 3.0) | (0.0 < off < 0.05))
+    series = ~(asym | trap)
+    out[asym] = [_ln_bessel_k_asymptotic(nu, v) for v in x[asym].tolist()]
     if trap.any():
         out[trap] = np.log(_bessel_k_integral(nu, x[trap]))
-    out[~trap] = [ln_bessel_k(nu, v) for v in x[~trap].tolist()]
+    out[series] = [math.log(_bessel_k_nonint(nu, v) if off else _bessel_k_integer_series(round(nu), v))
+                   for v in x[series].tolist()]
     return out
 
 
@@ -634,11 +610,11 @@ def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
     return _gamma_ratio((b, s), (b - a1, b - a2))
 
 
-def _gauss_series(a1, a2, b, x, tol, max_terms) -> SeriesResult:
-    return pfq((a1, a2), (b,), x, tol=tol, max_terms=max_terms)
+def _gauss_series(a1, a2, b, x, tol) -> SeriesResult:
+    return pfq((a1, a2), (b,), x, tol=tol)
 
 
-def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol, max_terms) -> SeriesResult:
+def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol) -> SeriesResult:
     """Connection formula at integer m = b - a1 - a2 >= 0 in powers of w = 1-x."""
     m = round(b - a1 - a2)
     lw = math.log(w)
@@ -669,7 +645,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol, max_terms) ->
     # psi(z+1) = psi(z) + 1/z; the differences stay small, so does their rounding
     d1 = digamma(a1 + m) - digamma(1.0)
     d2 = digamma(a2 + m) - digamma(m + 1.0)
-    for n in range(max_terms):
+    for n in range(DEFAULT_MAX_TERMS):
         add = t * (lw + d1 + d2)
         s_log += add
         terms_used += 1
@@ -691,7 +667,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: float, tol, max_terms) ->
     return SeriesResult(total, terms_used, tail, True)
 
 
-def _gauss_nonint_connection(a1, a2, b, w, tol, max_terms) -> SeriesResult:
+def _gauss_nonint_connection(a1, a2, b, w, tol) -> SeriesResult:
     """Two-term connection formula in w = 1-x, b - a1 - a2 not an integer."""
     s = b - a1 - a2
     if rgamma(b - a1) == 0.0 or rgamma(b - a2) == 0.0:
@@ -706,12 +682,12 @@ def _gauss_nonint_connection(a1, a2, b, w, tol, max_terms) -> SeriesResult:
     tail = 0.0
     total = 0.0
     if c1 != 0.0:
-        r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol, max_terms=max_terms)
+        r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
         total += c1 * complex(r1.value).real
         terms += r1.terms_used
         tail += abs(c1) * r1.tail_estimate
     if c2 != 0.0:
-        r2 = pfq((b - a1, b - a2), (b - a1 - a2 + 1.0,), w, tol=tol, max_terms=max_terms)
+        r2 = pfq((b - a1, b - a2), (b - a1 - a2 + 1.0,), w, tol=tol)
         total += c2 * complex(r2.value).real
         terms += r2.terms_used
         tail += abs(c2) * r2.tail_estimate
@@ -719,7 +695,7 @@ def _gauss_nonint_connection(a1, a2, b, w, tol, max_terms) -> SeriesResult:
 
 
 def gauss_2f1(a1: float, a2: float, b: float, x: float,
-              tol: float = DEFAULT_TOL, max_terms: int | None = None) -> SeriesResult:
+              tol: float = DEFAULT_TOL) -> SeriesResult:
     """Gauss hypergeometric function 2F1(a1, a2; b; x) for real parameters.
 
     -1 < x < 0: Pfaff transformation (DLMF 15.8.1) to a series in x/(x-1) in
@@ -728,12 +704,10 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
     b-a1-a2, logarithmic branch for integer, Euler transformation first when
     b-a1-a2 is a negative integer).  x = 1: closed gamma formula, b - a1 - a2 > 0.
     """
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
     if _is_nonpositive_integer(b):
         raise PoleError(f"gauss_2f1 pole: b = {b}")
     if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
-        return _gauss_series(a1, a2, b, x, tol, max_terms)  # terminating
+        return _gauss_series(a1, a2, b, x, tol)  # terminating
     if x == 1.0:
         return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
     if abs(x) >= 1.0:
@@ -741,38 +715,36 @@ def gauss_2f1(a1: float, a2: float, b: float, x: float,
     if x < 0.0:
         # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)); the direct series loses 4.6e-8
         u = x / (x - 1.0)
-        inner = pfq((a1, b - a2), (b,), u, tol=tol, max_terms=max_terms)
+        inner = pfq((a1, b - a2), (b,), u, tol=tol)
         val = (1.0 - x) ** (-a1) * complex(inner.value).real
         return SeriesResult(val, inner.terms_used, abs(val) * tol, True)
     # Direct series up to 0.8: the connection formulas can lose ~8 digits just past 0.5
     if x <= 0.8:
-        return _gauss_series(a1, a2, b, x, tol, max_terms)
-    return gauss_2f1_near_unit(a1, a2, b, 1.0 - x, tol=tol, max_terms=max_terms)
+        return _gauss_series(a1, a2, b, x, tol)
+    return gauss_2f1_near_unit(a1, a2, b, 1.0 - x, tol=tol)
 
 
 def gauss_2f1_near_unit(a1: float, a2: float, b: float, w: float,
-                        tol: float = DEFAULT_TOL, max_terms: int | None = None) -> SeriesResult:
+                        tol: float = DEFAULT_TOL) -> SeriesResult:
     """2F1(a1, a2; b; 1 - w) parameterized by the exact distance w in (0, 1).
 
     This is the connection-formula entry point: callers that know the small
     distance to unit argument exactly (weight densities near the origin of
     the disk) stay accurate even where 1 - w rounds to 1.
     """
-    if max_terms is None:
-        max_terms = DEFAULT_MAX_TERMS
     if _is_nonpositive_integer(b):
         raise PoleError(f"gauss_2f1 pole: b = {b}")
     if not 0.0 < w < 1.0:
         raise ValueError(f"need 0 < w < 1, got {w}")
     if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
-        return _gauss_series(a1, a2, b, 1.0 - w, tol, max_terms)  # polynomial
+        return _gauss_series(a1, a2, b, 1.0 - w, tol)  # polynomial
     s = b - a1 - a2
     if abs(s - round(s)) < 1e-10:
         m = round(s)
         if m >= 0:
-            return _gauss_log_case(a1, a2, b, w, tol, max_terms)
+            return _gauss_log_case(a1, a2, b, w, tol)
         # Euler transformation flips the sign of b - a1 - a2
-        inner = gauss_2f1_near_unit(b - a1, b - a2, b, w, tol=tol, max_terms=max_terms)
+        inner = gauss_2f1_near_unit(b - a1, b - a2, b, w, tol=tol)
         val = w**s * complex(inner.value).real
         return SeriesResult(val, inner.terms_used, w**s * inner.tail_estimate, True)
-    return _gauss_nonint_connection(a1, a2, b, w, tol, max_terms)
+    return _gauss_nonint_connection(a1, a2, b, w, tol)

@@ -390,8 +390,7 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     return log_t, peak + np.log(np.exp(rows - peak[..., None]).sum(axis=-1))
 
 
-def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
-                max_cutoff: int = MAX_CUTOFF) -> FockVector:
+def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
     One numpy expression over a slice of rho_steps, with log N from
@@ -416,14 +415,14 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
         warnings.warn("unnormalizable circle state: coefficients carry 1/sqrt(2 pi), the squared "
                       "norm diverges (conditional convergence only)", RuntimeWarning)
         ln_c0_sq = -math.log(2.0 * math.pi)
-        n = min(64, max_cutoff)
+        n = 64
         while True:
             lcn = ln_c0_sq - rho_steps(params, n)[1]
             below = np.flatnonzero(lcn < math.log(tol) + ln_c0_sq)
-            if below.size or n >= max_cutoff:
+            if below.size or n >= MAX_CUTOFF:
                 n = int(below[0]) if below.size else n
                 return FockVector(build(lcn[: n + 1]), math.inf, False)
-            n = min(2 * n, max_cutoff)
+            n = min(2 * n, MAX_CUTOFF)
 
     if abs(z) == 0.0:
         return FockVector(np.array([1.0 + 0.0j]), 0.0, True)
@@ -438,9 +437,9 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
 
     n = max(8, int(2.0 * x) + 8)
     while True:
-        if n > max_cutoff:
+        if n > MAX_CUTOFF:
             raise ConvergenceError(
-                f"fock_vector cutoff cap {max_cutoff} reached before tail <= {tol:g}")
+                f"fock_vector cutoff cap {MAX_CUTOFF} reached before tail <= {tol:g}")
         window = lc_sq(n, n + _RATIO_WINDOW)
         log_ratio = np.diff(window)  # log |c_{k+1}|^2 / |c_k|^2, k = n..n+15
         if circle:
@@ -453,7 +452,7 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL,
             tail = math.exp(window[0]) / (1.0 - r_bar) if r_bar < 1.0 else math.inf
         if tail <= tol:
             break
-        n = min(max_cutoff + 1, max(n + 8, int(1.5 * n)))
+        n = min(MAX_CUTOFF + 1, max(n + 8, int(1.5 * n)))
 
     return FockVector(build(lc_sq(0, n)), tail, True)
 

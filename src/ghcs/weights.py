@@ -37,7 +37,7 @@ import numpy as np
 from . import quadrature, specfun
 from .errors import CircleNoGoError, ParameterError, RangeError
 from .photstat import family_params, sf_2f1
-from .states import ParameterSet, normalization, rho_steps
+from .states import ParameterSet, log_terms, normalization, rho_steps
 
 
 def support_radius(family: str) -> float:
@@ -48,8 +48,9 @@ def support_radius(family: str) -> float:
     return 1.0
 
 
-def _checked_vals(family: str, params: ParameterSet, x: float = 0.0) -> tuple:
-    """The family's parameters, checked for a weight function and argument x."""
+def _checked_vals(family: str, params: ParameterSet, x=None) -> tuple:
+    """The family's parameters, checked for a weight function and, when given,
+    for the arguments x (an array): in [0, R), and x > 0 for F01 and F11."""
     vals = family_params(family, params)
     if any(isinstance(v, complex) for v in vals):
         raise ParameterError("weight functions take real parameters")
@@ -62,75 +63,105 @@ def _checked_vals(family: str, params: ParameterSet, x: float = 0.0) -> tuple:
         )
     if family == "F21" and vals[0] + vals[1] - vals[2] <= 1:
         raise ParameterError("F21 weight needs a1 + a2 - b > 1")
-    if x < 0 or x >= support_radius(family):
-        raise ValueError(f"weight argument {x} outside [0, {support_radius(family)})")
-    return vals
-
-
-def weight(family: str, params: ParameterSet, x: float) -> float:
-    """Weight function w(x) of the resolution of unity, x = |z|^2 in [0, R)."""
-    vals = _checked_vals(family, params, x)
-    if family == "CS":
-        return 1.0
-    if family == "F10":
-        return (vals[0] - 1.0) / (1.0 - x) ** 2
-    if x == 0.0 and family != "F21":
+    if x is None:
+        return vals
+    bad = x[(x < 0) | (x >= support_radius(family))]
+    if bad.size:
+        raise ValueError(f"weight argument {bad[0]} outside [0, {support_radius(family)})")
+    if family in ("F01", "F11") and not x.all():
         # F01/F11 limits at 0 are singular or family-specific; N(0) = 1
         # makes the F21 case well defined through its density
         raise ValueError(f"{family} weight needs x > 0")
-    return _density(family, vals, x) * normalization(params, x)
+    return vals
 
 
-def weight_tilde(family: str, params: ParameterSet, x: float) -> float:
-    """wt(x) = w(x)/N(x), the moment-problem density.  Evaluated directly in
-    forms that stay stable where N(x) and w(x) separately overflow."""
-    return _density(family, _checked_vals(family, params, x), x)
+def _nodes(x) -> np.ndarray:
+    """A float or a 1-D array x as a 1-D float array of nodes."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _as_given(v: np.ndarray, x):
+    """v over the nodes of x: a float for a float x, else the array."""
+    return v if np.ndim(x) else float(v[0])
+
+
+def weight(family: str, params: ParameterSet, x):
+    """Weight function w(x) of the resolution of unity, x = |z|^2 in [0, R), a
+    float or a 1-D array.  Plane families form w = sign exp(log|wt| + log N),
+    finite where wt underflows and N overflows."""
+    xs = _nodes(x)
+    vals = _checked_vals(family, params, xs)
+    if family == "CS":
+        w = np.ones_like(xs)
+    elif family == "F10":
+        w = (vals[0] - 1.0) / (1.0 - xs) ** 2
+    elif family == "F21":
+        w = _density(family, vals, xs) * [normalization(params, v) for v in xs.tolist()]
+    else:
+        ln, sign = _ln_density(family, vals, xs)
+        w = sign * np.exp(ln + [float(log_terms(params, v)[1][0]) for v in xs.tolist()])
+    return _as_given(w, x)
+
+
+def weight_tilde(family: str, params: ParameterSet, x):
+    """wt(x) = w(x)/N(x), the moment-problem density, a float or a 1-D array.
+    Evaluated directly in forms that stay stable where N(x) and w(x)
+    separately overflow."""
+    xs = _nodes(x)
+    return _as_given(_density(family, _checked_vals(family, params, xs), xs), x)
 
 
 def log_weight_tilde(family: str, params: ParameterSet, x: float) -> tuple:
-    """(log |wt(x)|, sign of wt(x)) at x > 0: closed log forms for CS and F01,
-    finite where wt underflows; log |weight_tilde| (-inf at 0) otherwise."""
-    vals = _checked_vals(family, params, x)
-    if family in ("CS", "F01"):
-        return _ln_density(family, vals, x), 1.0
-    wt = _density(family, vals, x)
-    return (math.log(abs(wt)) if wt else -math.inf), math.copysign(1.0, wt)
+    """(log |wt(x)|, sign of wt(x)): closed log forms for the plane families,
+    finite where wt underflows; log |weight_tilde| (-inf where it is 0) on the
+    disk."""
+    xs = _nodes(x)
+    vals = _checked_vals(family, params, xs)
+    if math.isinf(support_radius(family)):
+        ln, sign = _ln_density(family, vals, xs)
+    else:
+        wt = _density(family, vals, xs)
+        with np.errstate(divide="ignore"):
+            ln, sign = np.log(np.abs(wt)), np.copysign(1.0, wt)
+    return float(ln[0]), float(sign[0])
 
 
-def _ln_density(family: str, vals: tuple, x):
-    """log wt(x) of CS and F01 at x > 0, a float or an array like x."""
+def _ln_density(family: str, vals: tuple, x: np.ndarray) -> tuple:
+    """(log |wt|, sign of wt) of the plane families at nodes x > 0."""
     if family == "CS":
-        return -x
-    b, m = vals[0], np if isinstance(x, np.ndarray) else math
-    return (math.log(2.0) + 0.5 * (b - 1.0) * m.log(x) - math.lgamma(b)
-            + specfun.ln_bessel_k(b - 1.0, 2.0 * m.sqrt(x)))
+        return -x, np.ones_like(x)
+    if family == "F01":
+        b = vals[0]
+        return (math.log(2.0) + 0.5 * (b - 1.0) * np.log(x) - math.lgamma(b)
+                + specfun.ln_bessel_k(b - 1.0, 2.0 * np.sqrt(x))), np.ones_like(x)
+    a, b = vals
+    u = specfun.tricomi_u(a - b, 2.0 - b, x)
+    with np.errstate(divide="ignore"):  # a zero of U gives log 0 = -inf, sign 0
+        return math.lgamma(a) - math.lgamma(b) - x + np.log(np.abs(u)), np.sign(u)
 
 
-def _density(family: str, vals: tuple, x, om=None):
-    """wt(x) for parameters already checked by the caller, x in [0, R), a
-    float or an array of nodes x > 0; disk families take the exact distance
-    om = 1 - x where the caller knows it."""
-    m = np if isinstance(x, np.ndarray) else math
+def _density(family: str, vals: tuple, x: np.ndarray, om=None) -> np.ndarray:
+    """wt at nodes x in [0, R) for parameters already checked by the caller
+    (x > 0 for F01 and F11); disk families take the exact distances om = 1 - x
+    where the caller knows them."""
     if family == "CS":
-        return m.exp(-x)
+        return np.exp(-x)
     if family in ("F10", "F21"):
         om = 1.0 - x if om is None else om
         if family == "F21":
             return _f21_density(vals, x, om)
         return (vals[0] - 1.0) * om ** (vals[0] - 2.0)
     if family == "F01":
-        ln = _ln_density(family, vals, x)
-        return m.exp(ln) * (ln > -700.0)  # cut to 0 below e^-700
+        ln = _ln_density(family, vals, x)[0]
+        return np.exp(ln) * (ln > -700.0)  # cut to 0 below e^-700
     a, b = vals
-    c = math.lgamma(a) - math.lgamma(b)
-    if m is math:
-        return math.exp(c - x) * specfun.tricomi_u(a - b, 2.0 - b, x) if x <= 700.0 else 0.0
     keep = x <= 700.0  # beyond, e^{-x} underflows
     y = x[keep]
-    return quadrature.scatter_rows(keep, np.exp(c - y) * specfun.tricomi_u(a - b, 2.0 - b, y))
+    return quadrature.scatter_rows(keep, np.exp(math.lgamma(a) - math.lgamma(b) - y)
+                                   * specfun.tricomi_u(a - b, 2.0 - b, y))
 
 
-def _f21_density(vals: tuple, x, om):
+def _f21_density(vals: tuple, x: np.ndarray, om: np.ndarray) -> np.ndarray:
     """F21 density pref * om^{s-2} 2F1(a2-b, a1-b; s-1; om) with om = 1-x, the
     2F1 (row by row) fed by whichever of x, om is exact: near x = 0 the 2F1
     argument approaches 1 (connection formula needs the exact distance x),
@@ -146,8 +177,7 @@ def _f21_density(vals: tuple, x, om):
             return complex(specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x).value).real
         return sf_2f1(a2 - b, a1 - b, s - 1.0, om)
 
-    f = np.array(list(map(gauss, x.tolist(), om.tolist()))) if np.ndim(x) else gauss(x, om)
-    return pref * om ** (s - 2.0) * f
+    return pref * om ** (s - 2.0) * np.array(list(map(gauss, x.tolist(), om.tolist())))
 
 
 @dataclass(frozen=True)
@@ -257,7 +287,7 @@ def positivity_scan(family: str, params: ParameterSet, grid_size: int = 2000,
         left = np.logspace(math.log10(x_min), math.log10(0.5), half)
         right = 1.0 - np.logspace(math.log10(0.5), -8, grid_size - half)
         grid = np.concatenate([left, right])
-    values = np.array([weight(family, params, float(x)) for x in grid])
+    values = weight(family, params, grid)
     k = int(np.argmin(values))
     return PositivityReport(
         family, params, float(values[k]), float(grid[k]), bool(values[k] < 0.0), grid_size

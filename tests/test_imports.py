@@ -45,3 +45,20 @@ def test_one_rho_store():
                 value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
                 assert not isinstance(value, (ast.Dict, ast.DictComp)), (path.name, node.lineno)
                 assert not (isinstance(value, ast.Call) and getattr(value.func, "id", "") == "dict")
+
+
+def test_one_density_path():
+    # the weight densities and ln_bessel_k take node arrays and the scalar
+    # entry points wrap a float into one, so no function in weights or specfun
+    # picks numpy or math by the type of its argument
+    for name in ("weights.py", "specfun.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.IfExp):  # np ... if ... else math ..., either way round
+                body, orelse = ({n.id for n in ast.walk(side) if isinstance(n, ast.Name)}
+                                for side in (node.body, node.orelse))
+                assert not ("np" in body and "math" in orelse
+                            or "math" in body and "np" in orelse), (name, node.lineno)
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                ids = {getattr(v, "id", None) for v in (node.left, *node.comparators)}
+                assert not ids & {"np", "math"}, (name, node.lineno)

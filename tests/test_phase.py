@@ -306,6 +306,13 @@ def test_gh_husimi_reduces_to_husimi():
         )
 
 
+def test_gh_husimi_refuses_the_origin_for_f01():
+    sig = coherent_signal(phi=0.4)
+    with pytest.raises(ValueError, match="F01 weight needs x > 0"):
+        ph.gh_husimi(sig, "F01", st.validate([], [2.0]), 0.0)
+    assert ph.gh_husimi(sig, "CS", CS, 0.0) == ph.husimi_q(sig, 0.0)
+
+
 def test_gh_husimi_high_fock_number_plane():
     # (1/pi) wt(x) x^n / rho(n) for the Fock state n, where 1/sqrt(rho(n)) underflows
     n = 400

@@ -298,10 +298,17 @@ def test_mean_and_mandel_array_matches_scalar_calls(family, params, hi):
 
 
 def test_mean_and_mandel_array_cs_q_exactly_zero():
-    # Q = -x + x^2/x is exactly 0 on the |z| grid of figures 2, 3, 5 and 6, as
-    # for scalar calls; (3;3) is the coherent state again
+    # Q = -x + x N_2/N_1 is exactly 0 on the |z| grid of figures 2, 3, 5 and 6,
+    # as for scalar calls; (3;3) is the coherent state again
     for params in (CS, st.validate([3.0], [3.0])):
         assert np.all(ps.mean_and_mandel(params, np.linspace(0.0, 6.0, 61) ** 2)[1] == 0.0)
+
+
+def test_coherent_mandel_q_is_exactly_zero_off_the_figure_grids():
+    # n2/mean is formed as x N_2/N_1, not as x^2/x, which rounds for some x
+    x = np.random.default_rng(0).uniform(0.0, 30.0, 2000) ** 2
+    assert np.all(ps.mean_and_mandel(CS, x)[1] == 0.0)
+    assert all(ps.mean_and_mandel(CS, v)[1] == 0.0 for v in x.tolist())
 
 
 def test_mean_and_mandel_array_raises_as_the_scalar_call():

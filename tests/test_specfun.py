@@ -168,14 +168,6 @@ def test_bessel_k_integer_series_raises_at_term_cap(monkeypatch):
     assert sf.bessel_k(1.0, 2.0) == pytest.approx(0.13986588181652243, rel=1e-13)
 
 
-def test_pfq_compensated_summation_toggle():
-    # same value through the Kahan-compensated path (used for deep moments)
-    plain = sf.pfq([2.0], [4.0], 20.0, tol=1e-14)
-    comp = sf.pfq([2.0], [4.0], 20.0, tol=1e-14, compensated=True)
-    assert comp.value == pytest.approx(plain.value, rel=1e-13)
-    assert comp.converged
-
-
 # ------------------------------------------------------------------ bessel
 
 def test_bessel_i_at_zero():

@@ -44,6 +44,33 @@ def test_f11_equal_parameters_reduce_to_cs():
         assert wt.weight("F11", p, x) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_f11_coherent_weight_beyond_x_700():
+    # w = sign exp(log|wt| + log N): the density underflows and N overflows
+    # there, their product stays 1
+    for x in (705.0, 1e3, 1e4):
+        assert abs(wt.weight("F11", st.validate([3.0], [3.0]), x) - 1.0) <= 1e-11
+    rep = wt.positivity_scan("F11", st.validate([2.0], [4.0]))
+    assert rep.grid_size == 2000 and math.isfinite(rep.min_value)
+
+
+def test_weight_keeps_the_argument_shape():
+    p = st.validate([2.0], [4.0])
+    xs = np.array([0.3, 2.0, 9.0])
+    for f in (wt.weight, wt.weight_tilde):
+        assert isinstance(f("F11", p, 2.0), float)
+        assert np.array_equal(f("F11", p, xs), [f("F11", p, v) for v in xs.tolist()])
+    assert all(isinstance(v, float) for v in wt.log_weight_tilde("F11", p, 2.0))
+
+
+@pytest.mark.parametrize("f", [wt.weight, wt.weight_tilde, wt.log_weight_tilde])
+@pytest.mark.parametrize("family,params", [("F01", st.validate([], [2.0])),
+                                           ("F11", st.validate([2.0], [4.0]))])
+def test_plane_weights_refuse_the_origin(f, family, params):
+    # one rule for every entry point, raised before any evaluator runs
+    with pytest.raises(ValueError, match=f"{family} weight needs x > 0"):
+        f(family, params, 0.0)
+
+
 def test_weight_tilde_is_weight_over_normalization():
     cases = [("F01", st.validate([], [2.0]), 1.3),
              ("F11", st.validate([2.0], [4.0]), 0.9),
