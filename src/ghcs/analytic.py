@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .states import FockVector, ParameterSet, rho_steps
-from .weights import density_integral, family_params, support_radius, weight_tilde
+from .weights import density_integral, family_params, log_weight_tilde, support_radius
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,18 @@ def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> comple
     return complex(np.polynomial.polynomial.polyval(zeta, scaled))
 
 
+def wavefunction_rows(params: ParameterSet, psi: FockVector, thetas):
+    """(x, log_wt) -> sqrt(|wt(x)|) A(sqrt(x) e^{-i theta}), the wave function
+    at z = sqrt(x) e^{i theta}: a row per node x > 0, a column per theta,
+    log_wt = log |wt| a float or one per row.  Each term's magnitude is formed
+    in logs: finite where x^{n/2}, 1/sqrt(rho(n)) or wt leave double range."""
+    n = np.arange(psi.cutoff + 1)
+    half_log_rho = 0.5 * rho_steps(params, psi.cutoff)[1]
+    rotations = np.exp(-1j * np.outer(n, thetas))
+    return lambda x, log_wt: (psi.coeffs * np.exp(0.5 * (
+        np.log(x)[:, None] * n + np.reshape(log_wt, (-1, 1))) - half_log_rho)) @ rotations
+
+
 def analytic_sample(params: ParameterSet, psi: FockVector, zeta: complex) -> AnalyticSample:
     return AnalyticSample(complex(zeta), analytic_rep(params, psi, zeta), params)
 
@@ -58,10 +70,10 @@ def ghcs_wavefunction(family: str, params: ParameterSet, psi: FockVector,
     r = support_radius(family)
     if x >= r:
         raise DivergenceError(f"|z|^2 = {x:g} outside the family domain [0, {r})")
-    wt_val = weight_tilde(family, params, x)
-    if wt_val < 0:
+    log_wt, sign = log_weight_tilde(family, params, x)
+    if sign < 0:
         raise DivergenceError("weight density is negative here; no wave function")
-    return math.sqrt(wt_val) * analytic_rep(params, psi, z.conjugate())
+    return math.exp(0.5 * log_wt) * analytic_rep(params, psi, z.conjugate())
 
 
 def inner_product_via_measure(family: str, params: ParameterSet,
@@ -71,23 +83,18 @@ def inner_product_via_measure(family: str, params: ParameterSet,
 
     Angular integration uses a uniform M-point rule with M > combined
     cutoff (exact: the integrand is a trigonometric polynomial of bounded
-    degree); the complex angular mean is integrated against the moment
-    density wt in one weights.density_integral pass.
+    degree); the complex angular mean of the wavefunction_rows products is
+    integrated in one weights.density_integral pass, split at the Fock order
+    of the largest |phi_n psi_n|.
     """
-    n_max = max(phi.cutoff, psi.cutoff)
-    m_ang = max(64, 2 * n_max + 2)
+    m_ang = max(64, 2 * max(phi.cutoff, psi.cutoff) + 2)
     angles = 2.0 * math.pi * np.arange(m_ang) / m_ang
-    phase_grid = np.exp(1j * angles)
-    half_rho = np.exp(-0.5 * rho_steps(params, n_max)[1])
-    c_phi = phi.coeffs * half_rho[: phi.cutoff + 1]
-    c_psi = psi.coeffs * half_rho[: psi.cutoff + 1]
-    pv = np.polynomial.polynomial.polyval
-
-    def angular_mean(x):  # one row per radius in x
-        zetas = np.multiply.outer(np.sqrt(x), phase_grid)
-        return np.mean(pv(zetas, c_phi).conj() * pv(zetas, c_psi), axis=1)
-
-    val, _ = density_integral(family, params, angular_mean, rel_tol=quad_tol, abs_tol=1e-12)
+    rows_phi, rows_psi = (wavefunction_rows(params, v, angles) for v in (phi, psi))
+    k = min(phi.cutoff, psi.cutoff) + 1
+    val, _ = density_integral(
+        family, params, lambda x, ln: np.mean(rows_phi(x, ln).conj() * rows_psi(x, ln), axis=1),
+        rel_tol=quad_tol, abs_tol=1e-12,
+        n_peak=int(np.argmax(np.abs(phi.coeffs[:k] * psi.coeffs[:k]))))
     return complex(val)
 
 

@@ -25,8 +25,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import specfun
+from .analytic import wavefunction_rows
 from .errors import ParameterError, RangeError
-from .states import FockVector, ParameterSet, log_rho_half, rho_steps
+from .states import FockVector, ParameterSet, log_rho_half
 from .weights import density_integral, family_params, log_weight_tilde, weight_tilde
 
 G_TABLE_CAP = 2048
@@ -149,18 +150,6 @@ def husimi_q(signal: FockVector, alpha: complex) -> float:
     return gh_husimi(signal, "CS", _ANALYZER_TAGS["Q"], alpha)
 
 
-def _overlap_sq(params: ParameterSet, signal: FockVector, thetas):
-    """(x, log_w) -> w |sum_n (z*)^n psi_n / sqrt(rho(n))|^2 at z = sqrt(x) e^{i theta},
-    a row per x of an array and a column per theta (normalization-free overlap,
-    w = exp(log_w), log_w a float or one per row), magnitudes formed in logs."""
-    psi = signal.coeffs
-    n = np.arange(len(psi))
-    half_log_rho = 0.5 * rho_steps(params, len(psi) - 1)[1]
-    rotations = np.exp(-1j * np.outer(n, thetas))
-    return lambda x, log_w=0.0: np.abs((psi * np.exp(0.5 * (
-        np.log(x)[:, None] * n + np.reshape(log_w, (-1, 1))) - half_log_rho)) @ rotations) ** 2
-
-
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
               z: complex) -> float:
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
@@ -172,8 +161,8 @@ def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
     if x == 0.0:
         return float(weight_tilde(family, params, x) * abs(signal.coeffs[0]) ** 2 / math.pi)
     log_w, sign = log_weight_tilde(family, params, x)
-    return sign * float(_overlap_sq(params, signal, [cmath.phase(z)])(
-        np.array([x]), log_w)[0, 0]) / math.pi
+    row = wavefunction_rows(params, signal, [cmath.phase(z)])(np.array([x]), log_w)
+    return sign * float(np.abs(row[0, 0]) ** 2) / math.pi
 
 
 def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,
@@ -198,9 +187,12 @@ def gh_phase_from_husimi(signal: FockVector, family: str, params: ParameterSet,
                          thetas, quad_tol: float = 1e-9) -> np.ndarray:
     """Phase distribution by direct radial integration of the generalized
     Husimi distribution: P(theta) = (1/2) int_0^R Q(sqrt(x) e^{i theta}) dx,
-    one weights.density_integral pass over all angles."""
-    val, _ = density_integral(family, params, _overlap_sq(params, signal, thetas),
-                              rel_tol=quad_tol, abs_tol=1e-13)
+    one weights.density_integral pass over all angles of the squared
+    analytic.wavefunction_rows, split at the Fock order of the largest |psi_n|."""
+    rows = wavefunction_rows(params, signal, thetas)
+    val, _ = density_integral(family, params, lambda x, ln: np.abs(rows(x, ln)) ** 2,
+                              rel_tol=quad_tol, abs_tol=1e-13,
+                              n_peak=int(np.argmax(np.abs(signal.coeffs))))
     return 0.5 * val / math.pi
 
 

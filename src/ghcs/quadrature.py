@@ -65,13 +65,14 @@ def _shortfall(total, total_err, rel_tol, abs_tol):
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
-              abs_tol: float = 1e-14, max_intervals: int = 2000):
+              abs_tol: float = 1e-14, max_intervals: int = 2000, points=()):
     """Adaptive bisection integral of f over [a, b].
 
     f maps an array of m nodes to shape (m,) or (m, k), real or complex, and
-    is called once per panel.  Returns (value, error_estimate), componentwise;
-    raises ConvergenceError when the interval budget runs out before every
-    component meets its tolerance.
+    is called once per panel.  The pass starts from the panels between the
+    break points in points inside (a, b), as QUADPACK's QAGP does.  Returns
+    (value, error_estimate), componentwise; raises ConvergenceError when the
+    interval budget runs out before every component meets its tolerance.
     """
     heap = []  # (-worst component error, lo, hi, value, error); lo breaks ties
 
@@ -80,7 +81,11 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
         heapq.heappush(heap, (-worst, lo, hi, val, err))
         return val, err
 
-    total, total_err = add(a, b)
+    edges = [a, *sorted(p for p in points if a < p < b), b]
+    total = total_err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = add(lo, hi)
+        total, total_err = total + v, total_err + e
     while True:
         full = len(heap) >= max_intervals
         if full or _shortfall(total, total_err, rel_tol, abs_tol) <= 0.0:
@@ -98,12 +103,15 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
         total, total_err = total + (v1 + v2 - v), total_err + (e1 + e2 - e)
 
 
-def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, right_f=None):
+def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, right_f=None,
+                   points=()):
     """Integral of f over (0, 1) tolerating integrable endpoint singularities.
 
     Each half is pulled toward its endpoint with x = u^m (resp. 1 - u^m),
     which turns x^gamma behavior (gamma > -1) into a bounded integrand for
-    m >= 1/(1+gamma); m = 8 covers gamma >= -7/8.
+    m >= 1/(1+gamma); m = 8 covers gamma >= -7/8.  Each half starts split
+    at the images of the break points in points that it holds (points
+    outside (0, 1) split nothing).
 
     When right_f is given, the right half evaluates right_f(1 - x) with the
     exact distance to the endpoint (u^m before rounding), so densities
@@ -111,27 +119,33 @@ def integrate_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, right_f=No
     """
     m = 8.0
     u_half = 0.5 ** (1.0 / m)
+    ps = [min(max(p, 0.0), 1.0) for p in points]
 
     def pulled(g):  # g(u^m) du^m/du; (v.T * w).T scales the rows of (m,) or (m, k) values
         return lambda u: (g(u**m).T * m * u ** (m - 1.0)).T
 
-    v1, e1 = integrate(pulled(f), 0.0, u_half, rel_tol=rel_tol, abs_tol=abs_tol / 2)
+    v1, e1 = integrate(pulled(f), 0.0, u_half, rel_tol=rel_tol, abs_tol=abs_tol / 2,
+                       points=[p ** (1.0 / m) for p in ps])
     v2, e2 = integrate(pulled(right_f or (lambda om: f(1.0 - om))), 0.0, u_half,
-                       rel_tol=rel_tol, abs_tol=abs_tol / 2)
+                       rel_tol=rel_tol, abs_tol=abs_tol / 2,
+                       points=[(1.0 - p) ** (1.0 / m) for p in ps])
     return v1 + v2, e1 + e2
 
 
-def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14):
+def integrate_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14, points=()):
     """Integral of f over (0, inf) via x = t/(1-t), dx = dt/(1-t)^2.
 
     The transformed integrand must vanish as t -> 1 (exponential decay of f
     beats the Jacobian): f never sees rows t >= 1, which are 0.  The origin is
-    handled like integrate_unit.
+    handled like integrate_unit, which gets the break points as t = x/(1+x).
+    The right half forms x = (1 - om)/om from the exact om = 1 - t.
     """
 
-    def g(t):
-        keep = t < 1.0
-        om = 1.0 - t[keep]
+    def g(t, om):
+        keep = om > 0.0
+        om = om[keep]
         return scatter_rows(keep, (f(t[keep] / om).T / (om * om)).T)
 
-    return integrate_unit(g, rel_tol=rel_tol, abs_tol=abs_tol)
+    return integrate_unit(lambda t: g(t, 1.0 - t), rel_tol=rel_tol, abs_tol=abs_tol,
+                          right_f=lambda om: g(1.0 - om, om),
+                          points=[p / (1.0 + p) for p in points])

@@ -263,13 +263,18 @@ def kummer_m(a, b, x):
     Allows non-positive non-integer b (needed with epsilon-offset
     parameters); raises PoleError if b is a non-positive integer, unless a
     terminates the series before the pole index is reached, and RangeError
-    if the sum leaves the double range.  Summed to 1e-14 relative.
+    if the sum leaves the double range.  Summed to 1e-14 relative.  A
+    non-terminating series at real x < 0, whose terms alternate and cancel,
+    is summed at -x through Kummer's transformation
+    M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39).
     """
     terminating = _is_nonpositive_integer(a)
     n_stop = -round(complex(a).real) if terminating else None
     if _is_nonpositive_integer(b):
         if not (terminating and n_stop <= -round(complex(b).real)):
             raise PoleError(f"kummer_m pole: b = {b}")
+    if not terminating and not isinstance(x, complex) and x < 0:
+        return math.exp(x) * kummer_m(b - a, b, -x)
     term = 1.0
     s = 1.0
     small_streak = 0

@@ -24,7 +24,8 @@ density_integral is the one radial integral integral_0^R g(x) wt(x) dx of
 the package: the moment checks here, the radially integrated Husimi phase
 distribution (phase) and the measure inner products (analytic) all pass
 their g to it, and it alone picks the quadrature by support radius and
-evaluates the disk density at the exact distance to x = 1.
+evaluates the disk density at the exact distance to x = 1.  Each density
+is written once, uncut, as (log |wt|, sign) in _ln_density.
 """
 
 from __future__ import annotations
@@ -95,80 +96,61 @@ def weight(family: str, params: ParameterSet, x):
         w = np.ones_like(xs)
     elif family == "F10":
         w = (vals[0] - 1.0) / (1.0 - xs) ** 2
-    elif family == "F21":
-        w = _density(family, vals, xs) * [normalization(params, v) for v in xs.tolist()]
     else:
         ln, sign = _ln_density(family, vals, xs)
-        w = sign * np.exp(ln + [float(log_terms(params, v)[1][0]) for v in xs.tolist()])
+        if family == "F21":
+            w = sign * np.exp(ln) * [normalization(params, v) for v in xs.tolist()]
+        else:
+            w = sign * np.exp(ln + [float(log_terms(params, v)[1][0]) for v in xs.tolist()])
     return _as_given(w, x)
 
 
 def weight_tilde(family: str, params: ParameterSet, x):
-    """wt(x) = w(x)/N(x), the moment-problem density, a float or a 1-D array.
-    Evaluated directly in forms that stay stable where N(x) and w(x)
-    separately overflow."""
+    """wt(x) = w(x)/N(x), the moment-problem density, a float or a 1-D array:
+    sign exp(log|wt|), finite where N(x) and w(x) separately overflow."""
     xs = _nodes(x)
-    return _as_given(_density(family, _checked_vals(family, params, xs), xs), x)
+    ln, sign = _ln_density(family, _checked_vals(family, params, xs), xs)
+    return _as_given(sign * np.exp(ln), x)
 
 
 def log_weight_tilde(family: str, params: ParameterSet, x: float) -> tuple:
-    """(log |wt(x)|, sign of wt(x)): closed log forms for the plane families,
-    finite where wt underflows; log |weight_tilde| (-inf where it is 0) on the
-    disk."""
+    """(log |wt(x)|, sign of wt(x)), finite where wt underflows."""
     xs = _nodes(x)
-    vals = _checked_vals(family, params, xs)
-    if math.isinf(support_radius(family)):
-        ln, sign = _ln_density(family, vals, xs)
-    else:
-        wt = _density(family, vals, xs)
-        with np.errstate(divide="ignore"):
-            ln, sign = np.log(np.abs(wt)), np.copysign(1.0, wt)
+    ln, sign = _ln_density(family, _checked_vals(family, params, xs), xs)
     return float(ln[0]), float(sign[0])
 
 
-def _ln_density(family: str, vals: tuple, x: np.ndarray) -> tuple:
-    """(log |wt|, sign of wt) of the plane families at nodes x > 0."""
+def _ln_density(family: str, vals: tuple, x: np.ndarray, om=None) -> tuple:
+    """(log |wt|, sign of wt) at nodes x in [0, R) for parameters already
+    checked by the caller (x > 0 for F01 and F11); disk families take the
+    exact distances om = 1 - x where the caller knows them.  A zero of wt
+    gives log 0 = -inf and sign 0."""
     if family == "CS":
         return -x, np.ones_like(x)
     if family == "F01":
         b = vals[0]
         return (math.log(2.0) + 0.5 * (b - 1.0) * np.log(x) - math.lgamma(b)
                 + specfun.ln_bessel_k(b - 1.0, 2.0 * np.sqrt(x))), np.ones_like(x)
-    a, b = vals
-    u = specfun.tricomi_u(a - b, 2.0 - b, x)
-    with np.errstate(divide="ignore"):  # a zero of U gives log 0 = -inf, sign 0
-        return math.lgamma(a) - math.lgamma(b) - x + np.log(np.abs(u)), np.sign(u)
-
-
-def _density(family: str, vals: tuple, x: np.ndarray, om=None) -> np.ndarray:
-    """wt at nodes x in [0, R) for parameters already checked by the caller
-    (x > 0 for F01 and F11); disk families take the exact distances om = 1 - x
-    where the caller knows them."""
-    if family == "CS":
-        return np.exp(-x)
-    if family in ("F10", "F21"):
+    if family == "F11":
+        a, b = vals
+        ln_pref, y = math.lgamma(a) - math.lgamma(b) - x, specfun.tricomi_u(a - b, 2.0 - b, x)
+    else:
         om = 1.0 - x if om is None else om
-        if family == "F21":
-            return _f21_density(vals, x, om)
-        return (vals[0] - 1.0) * om ** (vals[0] - 2.0)
-    if family == "F01":
-        ln = _ln_density(family, vals, x)[0]
-        return np.exp(ln) * (ln > -700.0)  # cut to 0 below e^-700
-    a, b = vals
-    keep = x <= 700.0  # beyond, e^{-x} underflows
-    y = x[keep]
-    return quadrature.scatter_rows(keep, np.exp(math.lgamma(a) - math.lgamma(b) - y)
-                                   * specfun.tricomi_u(a - b, 2.0 - b, y))
+        if family == "F10":
+            return math.log(vals[0] - 1.0) + (vals[0] - 2.0) * np.log(om), np.ones_like(x)
+        ln_pref, y = _f21_parts(vals, x, om)
+    with np.errstate(divide="ignore"):
+        return ln_pref + np.log(np.abs(y)), np.sign(y)
 
 
-def _f21_density(vals: tuple, x: np.ndarray, om: np.ndarray) -> np.ndarray:
-    """F21 density pref * om^{s-2} 2F1(a2-b, a1-b; s-1; om) with om = 1-x, the
-    2F1 (row by row) fed by whichever of x, om is exact: near x = 0 the 2F1
-    argument approaches 1 (connection formula needs the exact distance x),
-    near x = 1 the small-om direct series side is exact."""
+def _f21_parts(vals: tuple, x: np.ndarray, om: np.ndarray) -> tuple:
+    """(log(pref om^{s-2}), 2F1(a2-b, a1-b; s-1; om)) of the F21 density, om =
+    1-x, the 2F1 (row by row) fed by whichever of x, om is exact: near x = 0
+    the 2F1 argument approaches 1 (connection formula needs the exact
+    distance x), near x = 1 the small-om direct series side is exact."""
     a1, a2, b = vals
     s = a1 + a2 - b
-    pref = math.exp(math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0))
+    ln_pref = math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
 
     def gauss(x, om):
         if x == 0.0:
@@ -177,7 +159,7 @@ def _f21_density(vals: tuple, x: np.ndarray, om: np.ndarray) -> np.ndarray:
             return complex(specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x).value).real
         return sf_2f1(a2 - b, a1 - b, s - 1.0, om)
 
-    return pref * om ** (s - 2.0) * np.array(list(map(gauss, x.tolist(), om.tolist())))
+    return ln_pref + (s - 2.0) * np.log(om), np.array(list(map(gauss, x.tolist(), om.tolist())))
 
 
 @dataclass(frozen=True)
@@ -201,38 +183,37 @@ class MomentReport:
 
 
 def density_integral(family: str, params: ParameterSet, g,
-                     rel_tol: float, abs_tol: float):
+                     rel_tol: float, abs_tol: float, n_peak: int = 0):
     """(integral_0^R g(x) wt(x) dx, error estimate) by adaptive quadrature.
 
-    R = inf is mapped to (0,1) via x = t/(1-t) and integrable endpoint
-    behavior is absorbed by power substitutions.  On the disk the right
-    half evaluates the density at the exact distance om = 1 - x (where it
-    is power-law singular) and hands g the point 1 - om.  g maps an array of
-    m points x > 0 (never one where the density underflowed to 0) to shape
-    (m,) or (m, k), real or complex; the k components share one adaptive pass
-    and its densities, which stops when each meets
-    err_i <= max(abs_tol, rel_tol*|I_i|).
+    g(x, log_wt) maps m nodes x > 0 and log |wt| there to g(x) |wt(x)|,
+    shape (m,) or (m, k), real or complex, with log_wt in its exponent (so
+    it is finite where wt underflows or g overflows); the sign of wt is
+    applied here, once.  The k components share one adaptive pass, which
+    stops when each meets err_i <= max(abs_tol, rel_tol*|I_i|).
+
+    The pass starts split at x_m = rho(m+1)/rho(m), m = n_peak, the mean of
+    the density x^m wt(x)/rho(m): callers name the Fock order that carries
+    g's weight, and the first panels meet at its peak (QUADPACK's break
+    points, QAGP).  A peak much narrower than those panels can still be
+    missed (F01 (;2) at m = 3000).  R = inf is mapped to (0,1) via x = t/(1-t) and
+    integrable endpoint behavior is absorbed by power substitutions.  On the
+    disk the right half evaluates the density at the exact distance
+    om = 1 - x (where it is power-law singular) and hands g the point 1 - om.
     """
     vals = _checked_vals(family, params)
+    lr = rho_steps(params, n_peak + 1)[1]
+    points = (math.exp(lr[n_peak + 1] - lr[n_peak]),)
 
-    def product(x, wt):  # wt * g(x) by rows
-        live = wt != 0.0
-        gx = g(x[live])
-        return quadrature.scatter_rows(live, (gx.T * wt[live]).T)
-
-    def f(x):
-        pos = x > 0.0
-        return product(x, quadrature.scatter_rows(pos, _density(family, vals, x[pos])))
+    def f(x, om=None):
+        pos = x > 0.0 if om is None else om > 0.0
+        ln, sign = _ln_density(family, vals, x[pos], None if om is None else om[pos])
+        return quadrature.scatter_rows(pos, (g(x[pos], ln).T * sign).T)
 
     if math.isinf(support_radius(family)):
-        return quadrature.integrate_half_line(f, rel_tol=rel_tol, abs_tol=abs_tol)
-
-    def f_right(om):  # om = 1 - x, exact from the endpoint substitution
-        pos = om > 0.0
-        x = 1.0 - om
-        return product(x, quadrature.scatter_rows(pos, _density(family, vals, x[pos], om[pos])))
-
-    return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, right_f=f_right)
+        return quadrature.integrate_half_line(f, rel_tol=rel_tol, abs_tol=abs_tol, points=points)
+    return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, points=points,
+                                     right_f=lambda om: f(1.0 - om, om))
 
 
 def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
@@ -241,9 +222,9 @@ def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
     lr = rho_steps(params, int(ns.max()))[1][ns]
     if lr.max() > 700.0:
         raise RangeError(f"rho({ns[lr.argmax()]}) exceeds double range; reduce n_max")
-    val, err = density_integral(family, params,
-                                lambda x: np.exp(np.multiply.outer(np.log(x), ns) - lr),
-                                rel_tol=quad_tol, abs_tol=1e-14)
+    val, err = density_integral(
+        family, params, lambda x, ln: np.exp(np.multiply.outer(np.log(x), ns) - lr + ln[:, None]),
+        rel_tol=quad_tol, abs_tol=1e-14, n_peak=int(ns.max()))
     rho = np.exp(lr)
     return val * rho, err * rho, rho
 

@@ -95,6 +95,29 @@ def test_inner_product_random_pairs(family, params):
         assert abs(via - exact) <= 1e-6
 
 
+@pytest.mark.parametrize("family,params", [
+    ("CS", CS), ("F01", st.validate([], [2.0])), ("F11", st.validate([2.0], [4.0])),
+], ids=("CS", "F01b2", "F11a2b4"))
+def test_inner_product_high_fock_number(family, params):
+    # x^n wt(x)/rho(n) peaks where x^{n/2} overflows and wt underflows: the rows
+    # are formed in logs and the pass starts split at the peak
+    for n in (200, 250, 300, 400):
+        v = st.fock_basis_vector(n)
+        assert abs(an.inner_product_via_measure(family, params, v, v) - 1.0) <= 1e-9
+
+
+def test_wavefunction_rows_match_pointwise_wavefunction():
+    p = st.validate([2.0], [4.0])
+    sig = st.fock_vector(st.StateSpec(p, 0.9 - 0.4j), tol=1e-15)
+    xs, thetas = np.array([0.3, 2.0, 9.0]), np.array([-2.0, 0.0, 1.1])
+    ln = np.array([wt.log_weight_tilde("F11", p, x)[0] for x in xs.tolist()])
+    rows = an.wavefunction_rows(p, sig, thetas)(xs, ln)
+    for i, x in enumerate(xs.tolist()):
+        for j, th in enumerate(thetas.tolist()):
+            ref = an.ghcs_wavefunction("F11", p, sig, math.sqrt(x) * cmath.exp(1j * th))
+            assert rows[i, j] == pytest.approx(ref, rel=1e-12)
+
+
 def test_cauchy_riemann_residual():
     alpha = 0.8 + 0.3j
     sig = st.fock_vector(st.StateSpec(CS, alpha), tol=1e-14)

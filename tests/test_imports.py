@@ -62,3 +62,20 @@ def test_one_density_path():
                     isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
                 ids = {getattr(v, "id", None) for v in (node.left, *node.comparators)}
                 assert not ids & {"np", "math"}, (name, node.lineno)
+
+
+def test_one_density_formula():
+    # every weight density is written once, as (log|wt|, sign): each special
+    # function a density needs is called from one top-level function of
+    # weights.py, so a second (cut or linear) density formula cannot return
+    evaluators = {"tricomi_u", "ln_bessel_k", "gauss_2f1_unit", "gauss_2f1_near_unit",
+                  "sf_2f1"}
+    callers = {name: set() for name in evaluators}
+    for top in ast.parse((SRC / "weights.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in evaluators:
+                    callers[name].add(getattr(top, "name", "<module>"))
+    assert all(len(c) == 1 for c in callers.values()), callers

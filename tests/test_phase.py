@@ -409,20 +409,31 @@ def test_gh_phase_from_husimi_disk_matches_phase_distribution():
     n = np.arange(len(sig.coeffs))
     inv_sqrt_rho = np.array([1.0 / math.sqrt(st.rho(p10, k)) for k in n])
     for th, got in zip(thetas[::6], direct[::6]):
-        def g(x):
+        def g(x, log_wt):
             z_conj = np.sqrt(x)[:, None] * cmath.exp(-1j * th)
-            return np.abs(np.sum(z_conj**n * sig.coeffs * inv_sqrt_rho, axis=1)) ** 2
+            return np.exp(log_wt) * np.abs(np.sum(z_conj**n * sig.coeffs * inv_sqrt_rho,
+                                                  axis=1)) ** 2
         ref, _ = wt.density_integral("F10", p10, g, rel_tol=1e-9, abs_tol=1e-13)
         assert got == pytest.approx(0.5 * ref / math.pi, rel=1e-8, abs=1e-12)
 
 
 def test_gh_phase_from_husimi_high_fock_number_uniform():
     # a Fock state has the uniform phase distribution; its radial density
-    # x^n wt(x) / rho(n) peaks where x^{n/2} and 1/sqrt(rho(n)) leave double range
+    # x^n wt(x) / rho(n) peaks where x^{n/2} and 1/sqrt(rho(n)) leave double
+    # range and wt underflows, and is narrow: the pass starts split at its mean
     thetas = np.linspace(-math.pi, math.pi, 7)
-    for family, params, n in (("CS", CS, 400), ("F01", st.validate([], [2.0]), 150)):
+    f01, f11 = st.validate([], [2.0]), st.validate([2.0], [4.0])
+    for family, params, n in (("CS", CS, 200), ("CS", CS, 250), ("CS", CS, 300),
+                              ("CS", CS, 400), ("F01", f01, 150), ("F01", f01, 250),
+                              ("F01", f01, 300), ("F01", f01, 400), ("F11", f11, 200),
+                              ("F11", f11, 250), ("F11", f11, 300)):
         got = ph.gh_phase_from_husimi(st.fock_basis_vector(n), family, params, thetas)
-        assert np.max(np.abs(got - 1.0 / TWO_PI)) <= 1e-8
+        assert np.max(np.abs(got - 1.0 / TWO_PI)) <= 1e-9, (family, n)
+    # peaks near x = n^2: the half-line map forms x from the exact distance to
+    # t = 1, so x^n carries no rounding of 1 - t (6.8e-11 at n = 2000 without)
+    for n in (1000, 2000):
+        got = ph.gh_phase_from_husimi(st.fock_basis_vector(n), "F01", f01, thetas)
+        assert np.max(np.abs(got - 1.0 / TWO_PI)) <= 1e-12, n
 
 
 def test_radial_phase_check_fock_uniform():

@@ -121,3 +121,13 @@ def test_peaked_integrand_panel_count_not_above_sorted_loop():
     exact = 1e3 * (math.atan(0.7e3) + math.atan(0.3e3))
     assert val == pytest.approx(exact, rel=1e-11)
     assert isinstance(val, float)
+
+
+def test_break_point_finds_a_narrow_peak():
+    # no node of the first panel comes within 16 widths of the peak at 0.33,
+    # so the unsplit pass converges to 0; a break point there starts two
+    # panels whose end nodes see it.  Points outside (a, b) split nothing
+    f = lambda x: np.exp(-((x - 0.33) / 2e-3) ** 2)
+    exact = math.sqrt(math.pi) * 2e-3
+    assert qd.integrate(f, 0.0, 1.0)[0] < 1e-20
+    assert qd.integrate(f, 0.0, 1.0, points=(0.33, 2.0))[0] == pytest.approx(exact, rel=1e-10)

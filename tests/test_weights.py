@@ -53,6 +53,20 @@ def test_f11_coherent_weight_beyond_x_700():
     assert rep.grid_size == 2000 and math.isfinite(rep.min_value)
 
 
+@pytest.mark.parametrize("family,params,xs", [
+    ("F11", st.validate([3.0], [3.0]), (701.0, 705.0, 708.0)),
+    ("F01", st.validate([], [2.0]), (1.24e5, 1.25e5, 1.26e5)),  # wt from e^-701 to e^-706
+])
+def test_density_forms_agree_beyond_x_700(family, params, xs):
+    # one (log|wt|, sign) form: weight_tilde is not cut to 0 where it passes
+    # e^-700, and stays weight / normalization down to the least normal double
+    for x in xs:
+        ln, sign = wt.log_weight_tilde(family, params, x)
+        ref = wt.weight(family, params, x) * math.exp(-st.log_terms(params, x)[1][0])
+        for v in (wt.weight_tilde(family, params, x), sign * math.exp(ln)):
+            assert v > 0.0 and v == pytest.approx(ref, rel=1e-12)
+
+
 def test_weight_keeps_the_argument_shape():
     p = st.validate([2.0], [4.0])
     xs = np.array([0.3, 2.0, 9.0])
@@ -142,14 +156,18 @@ def test_moment_check_matches_single_moment_integrals(family, params):
         assert 0.0 < r.quad_err <= 1e-10 * abs(r.quad) + 1e-14 * r.rho
 
 
-def test_density_integral_never_calls_g_where_density_underflows():
-    # exp(-x) is 0 from x ~ 745 on, and g = exp(x/2) overflows from x ~ 1420:
-    # the masked rows leave no inf * 0 (nor an overflow warning) behind
-    def g(x):
-        assert np.all(np.exp(-x) > 0.0)
-        return np.exp(0.5 * x)
+def test_density_integral_carries_log_density_where_it_underflows():
+    # exp(-x) is 0 from x ~ 745 on, and exp(x/2) overflows from x ~ 1420:
+    # g takes log wt into its exponent, so these nodes leave no inf * 0 (nor
+    # an overflow warning, an error in this suite) behind
+    seen = []
+
+    def g(x, log_wt):
+        seen.append(x.max())
+        return np.exp(0.5 * x + log_wt)
 
     val, err = wt.density_integral("CS", CS, g, rel_tol=1e-10, abs_tol=1e-14)
+    assert max(seen) > 1420.0
     assert math.isfinite(val) and val == pytest.approx(2.0, rel=1e-10)
     assert err <= 1e-10 * val
 
@@ -168,7 +186,7 @@ def test_array_density_matches_scalar_calls(family, params):
     r = wt.support_radius(family)
     xs = np.array([1e-6, 0.01, 0.3, 0.6, 0.9, 0.999]) if r == 1.0 else \
         np.array([1e-6, 0.05, 1.5, 2.9, 40.0, 80.0, 400.0, 699.0, 701.0, 5e4])
-    rows = wt._density(family, wt.family_params(family, params), xs)
+    rows = wt.weight_tilde(family, params, xs)
     ref = np.array([wt.weight_tilde(family, params, float(x)) for x in xs])
     assert rows.shape == xs.shape
     assert np.allclose(rows, ref, rtol=1e-13, atol=0.0)
