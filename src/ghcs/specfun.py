@@ -125,24 +125,20 @@ def rgamma(x) -> float:
     return gamma_sign(x) * math.exp(-math.lgamma(x))
 
 
-def digamma(x):
-    """Digamma function for real or complex x (poles excluded).
+def digamma(x: float) -> float:
+    """Digamma function for real x (poles excluded).
 
-    Uses the shift recurrence up to Re >= 10 and the asymptotic Bernoulli
-    expansion through B14; reflection handles Re(x) < 1/2.  Measured on
-    real x in [0.5, 40]: within 9e-16 of mpmath (absolute, or relative
-    where |psi| > 1).
+    Uses the shift recurrence up to x >= 10 and the asymptotic Bernoulli
+    expansion through B14; reflection handles x < 1/2.  Measured on real x
+    in [0.5, 40]: within 9e-16 of mpmath (absolute, or relative where
+    |psi| > 1).
     """
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at {x}")
-    x = _as_real_if_possible(x)
-    if isinstance(x, complex):
-        if x.real < 0.5:
-            return digamma(1.0 - x) - math.pi / cmath.tan(math.pi * x)
-    elif x < 0.5:
+    if x < 0.5:
         return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
     acc = 0.0
-    while (x.real if isinstance(x, complex) else x) < 10.0:
+    while x < 10.0:
         acc -= 1.0 / x
         x = x + 1.0
     inv2 = 1.0 / (x * x)
@@ -150,8 +146,7 @@ def digamma(x):
     # left out is below 5e-17 at x >= 10
     tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
         1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
-    log = cmath.log(x) if isinstance(x, complex) else math.log(x)
-    return acc + log - 0.5 / x - tail
+    return acc + math.log(x) - 0.5 / x - tail
 
 
 def pochhammer(a, n: int):
@@ -266,25 +261,29 @@ def kummer_m(a, b, x):
     if the sum leaves the double range.  Summed to 1e-14 relative.  A
     non-terminating series at real x < 0, whose terms alternate and cancel,
     is summed at -x through Kummer's transformation
-    M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39).
+    M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39); e^x is folded into the
+    sum in steps of at most e^-300 whenever it passes 1e150, so neither the
+    sum nor e^x leaves the double range on the way.
     """
-    terminating = _is_nonpositive_integer(a)
-    n_stop = -round(complex(a).real) if terminating else None
-    if _is_nonpositive_integer(b):
-        if not (terminating and n_stop <= -round(complex(b).real)):
-            raise PoleError(f"kummer_m pole: b = {b}")
-    if not terminating and not isinstance(x, complex) and x < 0:
-        return math.exp(x) * kummer_m(b - a, b, -x)
-    term = 1.0
-    s = 1.0
+    if _is_nonpositive_integer(b) and not (
+            _is_nonpositive_integer(a) and round(complex(a).real) >= round(complex(b).real)):
+        raise PoleError(f"kummer_m pole: b = {b}")
+    shift, c, y = 0.0, a, x  # M(a; b; x) = e^shift M(c; b; y)
+    if not _is_nonpositive_integer(a) and not isinstance(x, complex) and x < 0:
+        shift, c, y = x, b - a, -x
+    n_stop = -round(complex(c).real) if _is_nonpositive_integer(c) else DEFAULT_MAX_TERMS
+    term = s = 1.0
     small_streak = 0
     for n in range(DEFAULT_MAX_TERMS):
-        if terminating and n >= n_stop:
+        if n >= n_stop:
             break
-        term = term * (a + n) * x / ((b + n) * (n + 1.0))
+        term = term * (c + n) * y / ((b + n) * (n + 1.0))
         if term == 0:
             break
         s = s + term
+        if shift < 0.0 and abs(s) > 1e150:
+            step = max(shift, -300.0)
+            term, s, shift = term * math.exp(step), s * math.exp(step), shift - step
         if abs(term) <= 1e-14 * abs(s):  # an overflowed sum passes this test too
             small_streak += 1
             if small_streak >= 3:
@@ -293,6 +292,8 @@ def kummer_m(a, b, x):
             small_streak = 0
     else:
         raise ConvergenceError(f"kummer_m({a}, {b}, {x}) did not converge")
+    half = math.exp(0.5 * shift)  # two factors: e^shift alone may be subnormal
+    s = s * half * half
     if not abs(s) < math.inf:
         raise RangeError(f"kummer_m({a}, {b}, {x}) exceeds double range")
     return _as_real_if_possible(s)
@@ -330,23 +331,6 @@ def bessel_i(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     return _bessel_i_series(nu, x)
-
-
-def _ln_bessel_k_asymptotic(nu: float, x: float) -> float:
-    """log K_nu(x) via the large-argument expansion (min-term truncated)."""
-    mu = 4.0 * nu * nu
-    a = 1.0
-    s = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        a = a * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(a) >= prev:
-            break
-        s += a
-        prev = abs(a)
-        if abs(a) <= 1e-17 * abs(s):
-            break
-    return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(s)
 
 
 def _bessel_k_nonint(nu: float, x: float) -> float:
@@ -420,18 +404,21 @@ def _log_trapezoid(log_f, lo, hi, n: int) -> np.ndarray:
 
 
 def _bessel_k_integral(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_nu(x) = (1/2) integral_-inf^inf exp(-x cosh t) cosh(nu t) dt for an
-    array x by one trapezoid rule on the windows [-t_max, t_max] (even, entire
-    integrand)."""
-    t_max = np.arccosh(1.0 + 50.0 / x)
-    while (short := x * np.cosh(t_max) - nu * t_max < x + 45.0).any():
+    """log K_nu(x) for an array x, from K_nu(x) = (1/2) integral_-inf^inf
+    exp(-x cosh t) cosh(nu t) dt by one trapezoid rule on the windows
+    [-t_max, t_max] (even, entire integrand).  The exponent is written as
+    -x - 2x sinh^2(t/2) and -x is taken out of the integral, so the log stays
+    finite where K underflows and no node carries the rounding of x cosh t
+    (which stalls the rule near x = 1e8)."""
+    t_max = 2.0 * np.arcsinh(np.sqrt(25.0 / x))
+    while (short := 2.0 * x * np.sinh(0.5 * t_max) ** 2 - nu * t_max < 45.0).any():
         t_max[short] += 0.5
     xc = x[:, None]
 
     def log_f(t):
-        return np.logaddexp(nu * t, -nu * t) - xc * np.cosh(t)
+        return np.logaddexp(nu * t, -nu * t) - 2.0 * xc * np.sinh(0.5 * t) ** 2
 
-    return np.exp(_log_trapezoid(log_f, -t_max, t_max, 64) - math.log(4.0))
+    return _log_trapezoid(log_f, -t_max, t_max, 64) - math.log(4.0) - x
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -444,12 +431,13 @@ def ln_bessel_k(nu: float, x):
     """log K_nu(x), x > 0, finite where K itself underflows; a float x gives a
     float, an array x an array.
 
-    x >= max(16, nu^2/2): asymptotic expansion.  x < 3: I reflection for
-    orders at least 0.05 from an integer, log series for integer orders; every
-    other row by the cosh integral, all such rows in one trapezoid call.  On
-    seeded draws (nu in [0, 6], x in [1e-4, 16)) the relative error of K
-    against 40-digit mpmath stays below 2e-12 (worst 1.2e-12, the reflection
-    just below x = 3).
+    x >= 3, and orders within 0.05 of an integer (not on it) at any x: the
+    cosh integral, all such rows in one trapezoid call.  Other rows at x < 3:
+    I reflection for non-integer orders, log series for integer orders.  On
+    seeded draws with nu in [0, 6] the relative error of K against 40-digit
+    mpmath stays below 2e-12 for x in [1e-4, 16) (worst 1.2e-12, the
+    reflection just below x = 3) and for x in [16, 1e9), where above x = 700,
+    K having underflowed, log K is held to 2e-12 plus its own rounding.
     """
     if not isinstance(x, np.ndarray):
         return float(ln_bessel_k(nu, np.array([float(x)]))[0])
@@ -457,14 +445,11 @@ def ln_bessel_k(nu: float, x):
         raise ValueError(f"bessel_k requires x > 0, got {x.min()}")
     nu, out = abs(nu), np.empty_like(x)
     off = abs(nu - round(nu))
-    asym = x >= max(16.0, 0.5 * nu * nu)
-    trap = ~asym & ((x >= 3.0) | (0.0 < off < 0.05))
-    series = ~(asym | trap)
-    out[asym] = [_ln_bessel_k_asymptotic(nu, v) for v in x[asym].tolist()]
+    trap = (x >= 3.0) | (0.0 < off < 0.05)
     if trap.any():
-        out[trap] = np.log(_bessel_k_integral(nu, x[trap]))
-    out[series] = [math.log(_bessel_k_nonint(nu, v) if off else _bessel_k_integer_series(round(nu), v))
-                   for v in x[series].tolist()]
+        out[trap] = _bessel_k_integral(nu, x[trap])
+    out[~trap] = [math.log(_bessel_k_nonint(nu, v) if off else _bessel_k_integer_series(round(nu), v))
+                  for v in x[~trap].tolist()]
     return out
 
 
@@ -474,25 +459,6 @@ def _tricomi_polynomial(m: int, b, x):
     for k in range(m + 1):
         s += (-1.0) ** k * math.comb(m, k) * pochhammer(b + k, m - k) * x**k
     return (-1.0) ** m * s
-
-
-def _tricomi_asymptotic(a: float, b: float, x: float):
-    """x^{-a} 2F0(a, a-b+1; -1/x) with min-term truncation; returns
-    (value, ok) where ok says the smallest term met 1e-12 relative."""
-    t = 1.0
-    s = 1.0
-    prev = math.inf
-    ok = False
-    for k in range(400):
-        t = t * (a + k) * (a - b + 1.0 + k) / (-(k + 1.0) * x)
-        if abs(t) >= prev:
-            break
-        s += t
-        prev = abs(t)
-        if abs(t) <= 1e-13 * abs(s):
-            ok = True
-            break
-    return math.exp(-a * math.log(x)) * s, ok or prev <= 1e-12 * abs(s)
 
 
 def _tricomi_laplace(a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -541,49 +507,41 @@ def _tricomi_nonint_b(a: float, b: float, x: float) -> float:
 def tricomi_u(a: float, b: float, x):
     """Tricomi confluent hypergeometric function U(a; b; x), x > 0.
 
-    Dispatch: terminating polynomial for non-positive-integer a (exact);
-    large-argument asymptotic series when it certifies itself; the Laplace
-    integral for a > 0, and for a - b + 1 > 0 through the x^{1-b} reflection;
-    otherwise the downward recurrence in a at x >= 5 or b near an integer,
-    and the two-Kummer combination (accurate for small x).  Relative error
-    against 40-digit mpmath is below 1e-10 for a in [-6, 6], b in [-4, 4],
-    x in [0.05, 40] (worst measured 1.6e-12, two-Kummer).  An array x takes
-    the Laplace rows in one trapezoid call, the rest row by row.
+    Dispatch: terminating polynomial for non-positive-integer a (exact); the
+    Laplace integral for a > 0, and for a - b + 1 > 0 through the x^{1-b}
+    reflection; otherwise the downward recurrence in a at x >= 5 or b near an
+    integer, and the two-Kummer combination (accurate for small x) row by row.
+    Relative error against 40-digit mpmath is below 1e-10 for a in [-6, 6],
+    b in [-4, 4], x in [0.05, 40] (worst measured 1.6e-12, two-Kummer), and
+    below 1e-13 for x in [30, 1e10).  An array x takes the polynomial, Laplace
+    and recurrence rows in one array expression each.
     """
     if not isinstance(x, np.ndarray):
         return float(tricomi_u(a, b, np.array([float(x)]))[0])
     if not np.all(x > 0):
         raise ValueError(f"tricomi_u requires x > 0, got {x.min()}")
     if _is_nonpositive_integer(a):
-        return np.array([_tricomi_polynomial(-round(a), b, v) for v in x.tolist()])
-    out = np.empty_like(x)
-    rest = np.ones(len(x), dtype=bool)
-    for i in np.flatnonzero((x >= 30.0) & (abs(a * (a - b + 1.0)) < 0.25 * x)):
-        out[i], ok = _tricomi_asymptotic(a, b, float(x[i]))
-        rest[i] = not ok
-    if not rest.any():
-        return out
+        return _tricomi_polynomial(-round(a), b, x)
     if a > 0:
-        out[rest] = _tricomi_laplace(a, b, x[rest])
-    elif a - b + 1.0 > 0:
-        out[rest] = x[rest] ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x[rest])
-    else:
-        int_b = abs(b - round(b)) < 1e-3
-        out[rest] = [(_tricomi_a_recurrence if v >= 5.0 or int_b else _tricomi_nonint_b)(a, b, v)
-                     for v in x[rest].tolist()]
+        return _tricomi_laplace(a, b, x)
+    if a - b + 1.0 > 0:
+        return x ** (1.0 - b) * _tricomi_laplace(a - b + 1.0, 2.0 - b, x)
+    out = np.empty_like(x)
+    rec = (x >= 5.0) | (abs(b - round(b)) < 1e-3)
+    if rec.any():
+        out[rec] = _tricomi_a_recurrence(a, b, x[rec])
+    out[~rec] = [_tricomi_nonint_b(a, b, v) for v in x[~rec].tolist()]
     return out
 
 
-def _tricomi_a_recurrence(a: float, b: float, x: float) -> float:
+def _tricomi_a_recurrence(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Downward contiguous recurrence
-    U(a-1,b,x) = (2a - b + x) U(a,b,x) - a(a-b+1) U(a+1,b,x),
-    anchored at positive first arguments (Laplace-representable); stable in
-    the decreasing-a direction at machine precision."""
+    U(a-1,b,x) = (2a - b + x) U(a,b,x) - a(a-b+1) U(a+1,b,x) on an array x,
+    anchored by the Laplace integral at the first arguments a0 + 1 > a0 > 0;
+    stable in the decreasing-a direction at machine precision."""
     m = int(math.ceil(-a)) + 1
-    a0 = a + m
-    u_hi = tricomi_u(a0 + 1.0, b, x)
-    u_lo = tricomi_u(a0, b, x)
-    ak = a0
+    ak = a + m
+    u_hi, u_lo = _tricomi_laplace(ak + 1.0, b, x), _tricomi_laplace(ak, b, x)
     for _ in range(m):
         u_hi, u_lo = u_lo, (2.0 * ak - b + x) * u_lo - ak * (ak - b + 1.0) * u_hi
         ak -= 1.0

@@ -256,10 +256,10 @@ class PositivityReport:
 
 
 def positivity_scan(family: str, params: ParameterSet, grid_size: int = 2000,
-                    x_min: float = 1e-6, x_max: float | None = None) -> PositivityReport:
-    """Evaluate the weight on a log-dense grid over (0, R) and report the
-    minimum.  Reports only; positivity is asserted by the caller where the
-    family guarantees it."""
+                    x_min: float = 1e-6) -> PositivityReport:
+    """Evaluate the weight on a log-dense grid over (0, R), R capped at 1e4 on
+    the plane, and report the minimum.  Reports only; positivity is asserted
+    by the caller where the family guarantees it."""
     r = support_radius(family)
     if math.isinf(r):
         grid = np.logspace(math.log10(x_min), 4.0, grid_size)

@@ -241,13 +241,14 @@ def test_batched_trapezoid_rows_match_one_row_calls(rule, xs):
 
 
 def test_array_arguments_match_scalar_calls():
-    # branch masks: K rows on the asymptotic, integral and integer-series
-    # branches, U rows on the asymptotic and Laplace branches, in one call each
+    # branch masks: K rows on the integral and the series branches, U rows on
+    # the Laplace, reflected Laplace, polynomial, recurrence and two-Kummer
+    # branches, in one call each
     xs = np.array([1e-3, 0.7, 2.5, 3.5, 12.0, 20.0, 400.0])
     for nu in (0.0, 1.0, 1.4, 3.0):
         ln = sf.ln_bessel_k(nu, xs)
         assert np.allclose(ln, [sf.ln_bessel_k(nu, float(x)) for x in xs], rtol=1e-14, atol=1e-14)
-    for a, b in ((0.6, 1.1), (2.0, 0.4)):
+    for a, b in ((0.6, 1.1), (2.0, 0.4), (-0.5, -2.0), (-2.0, 0.5), (-2.5, -1.0)):
         u = sf.tricomi_u(a, b, xs)
         assert np.allclose(u, [sf.tricomi_u(a, b, float(x)) for x in xs], rtol=1e-14, atol=0.0)
     assert isinstance(sf.tricomi_u(0.6, 1.1, 2.0), float)
@@ -388,11 +389,14 @@ def _log_uniform(rng, lo, hi):
 @pytest.mark.parametrize("a_range,x_range,bound", [
     ((-6.0, 6.0), (0.05, 40.0), 1e-10),
     ((1e-3, 0.25), (0.05, 30.0), 1e-13),  # Laplace rule alone, mass over many decades of t
+    # large x on the Laplace integral and the recurrence; worst 8.8e-15 here
+    ((-6.0, 6.0), (30.0, 1e4), 1e-13),
+    ((-6.0, 6.0), (1e4, 1e10), 1e-13),
 ])
 def test_tricomi_u_oracle(a_range, x_range, bound):
     rng = np.random.default_rng(4)
     draws = [(rng.uniform(*a_range), rng.uniform(-4.0, 4.0), _log_uniform(rng, *x_range))
-             for _ in range(150)]
+             for _ in range(300)]
     errs = _oracle_errors(sf.tricomi_u, lambda mp, a, b, x: mp.hyperu(a, b, x), draws)
     assert max(errs) < (bound,)
 
@@ -403,6 +407,8 @@ def test_tricomi_u_oracle(a_range, x_range, bound):
     ((-8.0, -1.0), (3.0, 5.0)),
     # orders down to 1e-12 from an integer must not take the integer series
     ((-12.0, -1.0), (1e-4, 3.0)),
+    # the cosh integral alone, far past where K underflows
+    (None, (16.0, 1e9)),
 ])
 def test_bessel_k_oracle(log10_off, x_range):
     rng = np.random.default_rng(5)
@@ -412,7 +418,14 @@ def test_bessel_k_oracle(log10_off, x_range):
         if log10_off:
             nu = abs(round(nu) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*log10_off))
         draws.append((nu, _log_uniform(rng, *x_range)))
-    errs = _oracle_errors(sf.bessel_k, lambda mp, nu, x: mp.besselk(nu, x), draws)
+    errs = _oracle_errors(sf.bessel_k, lambda mp, nu, x: mp.besselk(nu, x),
+                          [p for p in draws if p[1] <= 700.0])
+    # above x = 700 K underflows: log K is held to the 2e-12 of K, on top of
+    # the rounding of log K itself to a double (two ulps of |log K|)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        errs += [(abs(sf.ln_bessel_k(*p) - ref) - 2.0 * math.ulp(ref), p) for p in draws
+                 if p[1] > 700.0 for ref in (float(mp.log(mp.besselk(*p))),)]
     assert max(errs) < (2e-12,)
 
 
@@ -456,15 +469,27 @@ def test_kummer_m_oracle():
 
 
 def test_kummer_m_negative_argument_oracle():
-    # real x < 0: the alternating series is summed at -x through Kummer's
-    # transformation, M(a; b; x) = e^x M(b - a; b; -x).  Worst 6.7e-14 on
-    # these draws (1.3e264 by the direct alternating sum), 1.3e-13 on 2,000
     assert sf.kummer_m(3.0, 3.0, -25.0) == pytest.approx(math.exp(-25.0), rel=1e-15)
-    rng = np.random.default_rng(10)
-    draws = [(rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0), -rng.uniform(0.0, 600.0))
-             for _ in range(400)]
-    errs = _oracle_errors(sf.kummer_m, lambda mp, a, b, x: mp.hyp1f1(a, b, x), draws)
-    assert max(errs) < (2e-13,)
+    assert sf.kummer_m(1.0, 2.0, -720.0) == pytest.approx(1.0 / 720.0, rel=1e-13)
+    # M(5; 2; x) = e^x M(-3; 2; -x) terminates unfolded; e^-720 alone is subnormal
+    cubic = 1.0 - 1.5 * 720.0 + 0.5 * 720.0**2 - 720.0**3 / 24.0
+    assert sf.kummer_m(5.0, 2.0, -720.0) == pytest.approx(
+        math.exp(-360.0) * cubic * math.exp(-360.0), rel=1e-14)
+    for x_range, n, seed, bound in [
+        # real x < 0: the alternating series is summed at -x through Kummer's
+        # transformation, M(a; b; x) = e^x M(b - a; b; -x).  Worst 6.7e-14 on
+        # these draws (1.3e264 by the direct alternating sum), 1.3e-13 on 2,000
+        ((0.0, 600.0), 400, 10, 2e-13),
+        # below x = -709 e^x and M(b - a; b; -x) leave the double range, so e^x
+        # is folded into the sum as it grows.  The error is the truncation tail,
+        # which grows like sqrt(-x): worst 5.6e-13 on 400 draws
+        ((700.0, 1e4), 100, 13, 1e-12),
+    ]:
+        rng = np.random.default_rng(seed)
+        draws = [(rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0), -rng.uniform(*x_range))
+                 for _ in range(n)]
+        errs = _oracle_errors(sf.kummer_m, lambda mp, a, b, x: mp.hyp1f1(a, b, x), draws)
+        assert max(errs) < (bound,), x_range
 
 
 def test_pfq_oracle():
