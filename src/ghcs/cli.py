@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weight", help="weight function w and density w/N", parents=[common])
     add_params(sp)
-    sp.add_argument("--family", required=True, choices=photstat.FAMILIES)
+    sp.add_argument("--family", required=True, choices=states.FAMILIES)
     sp.add_argument("--x-min", type=float, default=1e-6)
     sp.add_argument("--x-max", type=float)
     sp.add_argument("--points", type=int, default=200)
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moment-check", help="quadrature vs rho(n)", parents=[common])
     add_params(sp)
-    sp.add_argument("--family", required=True, choices=photstat.FAMILIES)
+    sp.add_argument("--family", required=True, choices=states.FAMILIES)
     sp.add_argument("--n-max", type=int, default=20)
     sp.add_argument("--quad-tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_moment_check)

@@ -30,6 +30,7 @@ from .states import (
     ParameterSet,
     StateSpec,
     classify,
+    family_params,
     log_terms,
     normalization,
     rho_steps,
@@ -37,8 +38,6 @@ from .states import (
 
 PN_CUMULATIVE = 1.0 - 1e-12
 PN_FLOOR = 1e-16
-
-FAMILIES = ("CS", "F01", "F11", "F10", "F21")
 
 
 @dataclass(frozen=True)
@@ -156,19 +155,6 @@ def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     return mean, -mean + step
 
 
-def family_params(family: str, params: ParameterSet) -> tuple:
-    """Check that params matches the family shape; returns the bare values."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    shapes = {"CS": (0, 0), "F01": (0, 1), "F11": (1, 1), "F10": (1, 0), "F21": (2, 1)}
-    if (params.p, params.q) != shapes[family]:
-        raise ParameterError(
-            f"family {family} expects (p;q) = {shapes[family]}, got "
-            f"({params.p};{params.q})"
-        )
-    return tuple(params.a) + tuple(params.b)
-
-
 def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStats:
     """Closed-form photon statistics of the standard families.
 
@@ -202,7 +188,8 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
     elif family == "F01":
         (b,) = vals
         y = 2.0 * math.sqrt(x)
-        i_bm1, i_b, i_bp1 = (specfun.bessel_i(b + j, y) for j in (-1.0, 0.0, 1.0))
+        i_b, i_bp1 = specfun.bessel_i(b, y), specfun.bessel_i(b + 1.0, y)
+        i_bm1 = i_bp1 + (2.0 * b / y) * i_b  # DLMF 10.29.1; b > 0, so no terms cancel
         mean = math.sqrt(x) * i_b / i_bm1
         q = math.sqrt(x) * (i_bp1 / i_b - i_b / i_bm1)
         lp0 = 0.5 * (b - 1.0) * math.log(x) - math.lgamma(b) - math.log(i_bm1)
@@ -221,7 +208,7 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
         lp0, ratio = a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0)
     else:  # F21
         a1, a2, b = vals
-        f0, f1, f2 = (sf_2f1(a1 + j, a2 + j, b + j, x) for j in (0.0, 1.0, 2.0))
+        f0, f1, f2 = (specfun.gauss_2f1(a1 + j, a2 + j, b + j, x).value for j in (0.0, 1.0, 2.0))
         mean = x * (a1 * a2 / b) * f1 / f0
         q = -mean + x * ((a1 + 1.0) * (a2 + 1.0) / (b + 1.0)) * f2 / f1
         lp0, ratio = -math.log(f0), lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0))
@@ -234,6 +221,3 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
 
     return PhotonStats(_pn_series(log_p, 64, label), mean, q, x)
 
-
-def sf_2f1(a1, a2, b, x):
-    return complex(specfun.gauss_2f1(a1, a2, b, x).value).real

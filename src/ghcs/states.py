@@ -179,6 +179,22 @@ def classify(params: ParameterSet) -> DomainClass:
     )
 
 
+FAMILIES = ("CS", "F01", "F11", "F10", "F21")
+
+
+def family_params(family: str, params: ParameterSet) -> tuple:
+    """Check that params matches the family shape; returns the bare values."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    shapes = {"CS": (0, 0), "F01": (0, 1), "F11": (1, 1), "F10": (1, 0), "F21": (2, 1)}
+    if (params.p, params.q) != shapes[family]:
+        raise ParameterError(
+            f"family {family} expects (p;q) = {shapes[family]}, got "
+            f"({params.p};{params.q})"
+        )
+    return tuple(params.a) + tuple(params.b)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """A parameter set together with a complex point z in its domain."""

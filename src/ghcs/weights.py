@@ -37,8 +37,7 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import CircleNoGoError, ParameterError, RangeError
-from .photstat import family_params, sf_2f1
-from .states import ParameterSet, log_terms, normalization, rho_steps
+from .states import ParameterSet, family_params, log_terms, normalization, rho_steps
 
 
 def support_radius(family: str) -> float:
@@ -145,21 +144,21 @@ def _ln_density(family: str, vals: tuple, x: np.ndarray, om=None) -> tuple:
 
 def _f21_parts(vals: tuple, x: np.ndarray, om: np.ndarray) -> tuple:
     """(log(pref om^{s-2}), 2F1(a2-b, a1-b; s-1; om)) of the F21 density, om =
-    1-x, the 2F1 (row by row) fed by whichever of x, om is exact: near x = 0
-    the 2F1 argument approaches 1 (connection formula needs the exact
-    distance x), near x = 1 the small-om direct series side is exact."""
+    1-x, the 2F1 in one call per branch, each fed by whichever of x, om is
+    exact: x = 0 takes the unit formula, x <= 0.5 the connection formulas in
+    the exact distance x (the 2F1 argument approaches 1), x > 0.5 the direct
+    series in the small om."""
     a1, a2, b = vals
     s = a1 + a2 - b
     ln_pref = math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
-
-    def gauss(x, om):
-        if x == 0.0:
-            return specfun.gauss_2f1_unit(a2 - b, a1 - b, s - 1.0)  # finite iff b > 1
-        if x <= 0.5:
-            return complex(specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x).value).real
-        return sf_2f1(a2 - b, a1 - b, s - 1.0, om)
-
-    return ln_pref + (s - 2.0) * np.log(om), np.array(list(map(gauss, x.tolist(), om.tolist())))
+    f, near, far = np.empty_like(x), (x > 0.0) & (x <= 0.5), x > 0.5
+    if not x.all():
+        f[x == 0.0] = specfun.gauss_2f1_unit(a2 - b, a1 - b, s - 1.0)  # finite iff b > 1
+    if near.any():
+        f[near] = specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x[near]).value
+    if far.any():
+        f[far] = specfun.pfq((a2 - b, a1 - b), (s - 1.0,), om[far]).value
+    return ln_pref + (s - 2.0) * np.log(om), f
 
 
 @dataclass(frozen=True)

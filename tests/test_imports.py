@@ -68,8 +68,7 @@ def test_one_density_formula():
     # every weight density is written once, as (log|wt|, sign): each special
     # function a density needs is called from one top-level function of
     # weights.py, so a second (cut or linear) density formula cannot return
-    evaluators = {"tricomi_u", "ln_bessel_k", "gauss_2f1_unit", "gauss_2f1_near_unit",
-                  "sf_2f1"}
+    evaluators = {"tricomi_u", "ln_bessel_k", "gauss_2f1_unit", "gauss_2f1_near_unit", "pfq"}
     callers = {name: set() for name in evaluators}
     for top in ast.parse((SRC / "weights.py").read_text()).body:
         for node in ast.walk(top):
@@ -79,3 +78,21 @@ def test_one_density_formula():
                 if name in evaluators:
                     callers[name].add(getattr(top, "name", "<module>"))
     assert all(len(c) == 1 for c in callers.values()), callers
+
+
+def test_no_per_row_python_in_the_densities():
+    # the densities and the kernels they call take whole node arrays: none of
+    # them walks its rows in Python through .tolist(), map() or a comprehension
+    kernels = {"weights.py": ("_ln_density", "_f21_parts"),
+               "specfun.py": ("ln_bessel_k", "tricomi_u")}
+    for name, funcs in kernels.items():
+        tops = {f.name: f for f in ast.parse((SRC / name).read_text()).body
+                if isinstance(f, ast.FunctionDef)}
+        for func in funcs:
+            for node in ast.walk(tops[func]):
+                assert not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                             ast.GeneratorExp)), (func, node.lineno)
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    assert called not in ("tolist", "map"), (func, node.lineno)

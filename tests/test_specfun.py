@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ghcs import specfun as sf
+from ghcs import states as st
+from ghcs import weights as wt
 from ghcs.errors import ConvergenceError, DivergenceError, GHSError, PoleError, RangeError
 
 
@@ -158,14 +160,49 @@ def test_kummer_term_cap_read_at_call_time(monkeypatch):
             series()
 
 
-def test_bessel_k_integer_series_raises_at_term_cap(monkeypatch):
-    # at 11 terms the I_1 part converges but the 1e-17 log series does not;
-    # an unconverged sum must raise, not be returned
-    monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 11)
-    with pytest.raises(ConvergenceError, match="integer series"):
-        sf.bessel_k(1.0, 2.0)
-    monkeypatch.undo()
-    assert sf.bessel_k(1.0, 2.0) == pytest.approx(0.13986588181652243, rel=1e-13)
+def _pfq_loop(a, b, x, tol=sf.DEFAULT_TOL):
+    # term-by-term reference: (value, terms, tail) of the sum pfq forms in blocks
+    term = s = 1.0
+    streak, last = 0, [1.0]
+    for n in range(sf.DEFAULT_MAX_TERMS):
+        num, den = x, n + 1.0
+        for ai in a:
+            num = num * (ai + n)
+        for bj in b:
+            den = den * (bj + n)
+        ratio = num / den
+        term = term * ratio
+        if term == 0:
+            return s, n + 2, 0.0
+        s = s + term
+        last = (last + [abs(term)])[-3:]
+        streak = streak + 1 if abs(term) <= tol * abs(s) else 0
+        r = abs(ratio)
+        tail = abs(term) / (1.0 - r) if r < 1.0 else sum(last)
+        if streak >= 3 and tail <= tol * max(1.0, abs(s)):
+            return s, n + 2, tail
+    raise ConvergenceError("reference loop")
+
+
+def test_pfq_array_matches_term_loop():
+    # an array x sums all its nodes in blocks, each node stopping at its own
+    # first term that meets the rule: every node returns, bit for bit, the
+    # value, terms and tail of the term-by-term loop and of its scalar call
+    rng = np.random.default_rng(14)
+    for p, q in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)):
+        a = tuple(rng.uniform(-3.0, 6.0, p).tolist())
+        b = tuple(rng.uniform(0.1, 6.0, q).tolist())
+        xs = rng.uniform(-0.95, 0.95, 40) if p > q else rng.uniform(-60.0, 60.0, 40)
+        xs[0] = 0.0
+        if p == 2 and q == 1:
+            a = (-3.0, a[1])  # a terminating series
+        rows = sf.pfq(a, b, xs)
+        loop = [_pfq_loop(a, b, x) for x in xs.tolist()]
+        ones = [sf.pfq(a, b, x) for x in xs.tolist()]
+        assert rows.value.tolist() == [v for v, _, _ in loop] == [r.value for r in ones], (p, q)
+        assert rows.tail_estimate.tolist() == [t for _, _, t in loop], (p, q)
+        assert rows.terms_used == sum(n for _, n, _ in loop) == sum(r.terms_used for r in ones)
+    assert isinstance(sf.pfq([1.5], [2.5], 3.0).value, float)
 
 
 # ------------------------------------------------------------------ bessel
@@ -190,6 +227,8 @@ def test_bessel_i_domain():
 def test_bessel_k_half_integer_closed_form():
     # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}; frozen at x = 1
     assert sf.bessel_k(0.5, 1.0) == pytest.approx(0.46106850444789454, rel=1e-12)
+    # an integer order below x = 3 (the cosh integral); frozen K_1(2)
+    assert sf.bessel_k(1.0, 2.0) == pytest.approx(0.13986588181652243, rel=1e-13)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 4.0, 0.9999999, 1.001])
@@ -241,9 +280,10 @@ def test_batched_trapezoid_rows_match_one_row_calls(rule, xs):
 
 
 def test_array_arguments_match_scalar_calls():
-    # branch masks: K rows on the integral and the series branches, U rows on
-    # the Laplace, reflected Laplace, polynomial, recurrence and two-Kummer
-    # branches, in one call each
+    # branch masks: K rows on the integral and the reflection branches, U rows
+    # on the Laplace, reflected Laplace, polynomial and recurrence branches,
+    # 2F1 rows on the connection, logarithmic, Euler and polynomial branches,
+    # in one call each
     xs = np.array([1e-3, 0.7, 2.5, 3.5, 12.0, 20.0, 400.0])
     for nu in (0.0, 1.0, 1.4, 3.0):
         ln = sf.ln_bessel_k(nu, xs)
@@ -251,8 +291,22 @@ def test_array_arguments_match_scalar_calls():
     for a, b in ((0.6, 1.1), (2.0, 0.4), (-0.5, -2.0), (-2.0, 0.5), (-2.5, -1.0)):
         u = sf.tricomi_u(a, b, xs)
         assert np.allclose(u, [sf.tricomi_u(a, b, float(x)) for x in xs], rtol=1e-14, atol=0.0)
+    ws = np.array([1e-9, 1e-4, 0.02, 0.2, 0.5, 0.93])
+    for a1, a2, b in ((0.3, 0.7, 1.9), (1.0, 1.0, 3.0), (2.0, 2.0, 2.0), (-2.0, 1.5, 2.5)):
+        f = sf.gauss_2f1_near_unit(a1, a2, b, ws)
+        ones = [sf.gauss_2f1_near_unit(a1, a2, b, float(w)) for w in ws]
+        assert np.allclose(f.value, [r.value for r in ones], rtol=1e-15, atol=0.0)
+    # F21 densities: x = 0 (unit formula), x <= 0.5 (connection formulas in x)
+    # and x > 0.5 (direct series in 1 - x); (3, 3; 2) takes the log case
+    xs = np.array([0.0, 1e-7, 0.3, 0.5, 0.51, 0.9, 1.0 - 1e-9])
+    for a in ([3.0, 3.0], [2.5, 1.8]):
+        params = st.validate(a, [2.0])
+        w = wt.weight_tilde("F21", params, xs)
+        assert np.allclose(w, [wt.weight_tilde("F21", params, float(x)) for x in xs],
+                           rtol=1e-15, atol=0.0)
     assert isinstance(sf.tricomi_u(0.6, 1.1, 2.0), float)
     assert isinstance(sf.ln_bessel_k(1.4, 2.0), float)
+    assert isinstance(sf.gauss_2f1_near_unit(0.3, 0.7, 1.9, 0.1).value, float)
 
 
 # ----------------------------------------------------------------- tricomi
@@ -401,21 +455,38 @@ def test_tricomi_u_oracle(a_range, x_range, bound):
     assert max(errs) < (bound,)
 
 
+def test_tricomi_u_oracle_recurrence_at_small_x():
+    # a <= 0 and a - b + 1 <= 0 with b off the integers take the recurrence
+    # from two Laplace anchors at every x: worst 3.0e-13 here, 8.0e-13 on 900
+    rng = np.random.default_rng(4)
+    draws = []
+    while len(draws) < 300:
+        a, b, x = rng.uniform(-6.0, 0.0), rng.uniform(-4.0, 4.0), _log_uniform(rng, 0.05, 5.0)
+        if a - b + 1.0 <= 0.0 and abs(b - round(b)) >= 1e-3:
+            draws.append((a, b, x))
+    errs = _oracle_errors(sf.tricomi_u, lambda mp, a, b, x: mp.hyperu(a, b, x), draws)
+    assert max(errs) < (1e-11,)
+
+
 @pytest.mark.parametrize("log10_off,x_range", [
     (None, (1e-4, 16.0)),
     # orders 1e-8 to 0.1 from an integer, where the ascending series lose digits
     ((-8.0, -1.0), (3.0, 5.0)),
-    # orders down to 1e-12 from an integer must not take the integer series
+    # orders down to 1e-12 from an integer must not take the reflection
     ((-12.0, -1.0), (1e-4, 3.0)),
     # the cosh integral alone, far past where K underflows
     (None, (16.0, 1e9)),
+    # integer orders 0..6 below x = 3, on the cosh integral; worst 8.4e-15
+    ("integer", (1e-4, 3.0)),
 ])
 def test_bessel_k_oracle(log10_off, x_range):
     rng = np.random.default_rng(5)
     draws = []
     for _ in range(150):
         nu = rng.uniform(0.0, 6.0)
-        if log10_off:
+        if log10_off == "integer":
+            nu = float(round(nu))
+        elif log10_off:
             nu = abs(round(nu) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*log10_off))
         draws.append((nu, _log_uniform(rng, *x_range)))
     errs = _oracle_errors(sf.bessel_k, lambda mp, nu, x: mp.besselk(nu, x),
@@ -471,6 +542,9 @@ def test_kummer_m_oracle():
 def test_kummer_m_negative_argument_oracle():
     assert sf.kummer_m(3.0, 3.0, -25.0) == pytest.approx(math.exp(-25.0), rel=1e-15)
     assert sf.kummer_m(1.0, 2.0, -720.0) == pytest.approx(1.0 / 720.0, rel=1e-13)
+    # where the term ratio is near 1 (n near |x|) the stop takes the geometric
+    # tail, not three small terms, which leave ~sqrt|x|/8 of the last one out
+    assert abs(sf.kummer_m(1.0, 2.0, -9000.0) * 9000.0 - 1.0) < 1e-14
     # M(5; 2; x) = e^x M(-3; 2; -x) terminates unfolded; e^-720 alone is subnormal
     cubic = 1.0 - 1.5 * 720.0 + 0.5 * 720.0**2 - 720.0**3 / 24.0
     assert sf.kummer_m(5.0, 2.0, -720.0) == pytest.approx(
@@ -481,8 +555,8 @@ def test_kummer_m_negative_argument_oracle():
         # these draws (1.3e264 by the direct alternating sum), 1.3e-13 on 2,000
         ((0.0, 600.0), 400, 10, 2e-13),
         # below x = -709 e^x and M(b - a; b; -x) leave the double range, so e^x
-        # is folded into the sum as it grows.  The error is the truncation tail,
-        # which grows like sqrt(-x): worst 5.6e-13 on 400 draws
+        # is folded into the sum as it grows.  The error is the rounding of the
+        # ~|x| terms summed (the tail is cut below 1e-14): worst 4.8e-13 on 400
         ((700.0, 1e4), 100, 13, 1e-12),
     ]:
         rng = np.random.default_rng(seed)
