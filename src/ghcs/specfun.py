@@ -286,15 +286,14 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
 def kummer_m(a, b, x):
     """Kummer confluent series M(a; b; x), standalone term loop.
 
-    Allows non-positive non-integer b (needed with epsilon-offset
-    parameters); raises PoleError if b is a non-positive integer, unless a
-    terminates the series before the pole index is reached, and RangeError
-    if the sum leaves the double range.  Summed to 1e-14 relative.  A
-    non-terminating series at real x < 0, whose terms alternate and cancel,
-    is summed at -x through Kummer's transformation
-    M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39); e^x is folded into the
-    sum in steps of at most e^-300 whenever it passes 1e150, so neither the
-    sum nor e^x leaves the double range on the way.
+    Allows non-positive non-integer b; raises PoleError if b is a
+    non-positive integer, unless a terminates the series before the pole
+    index is reached, and RangeError if the sum leaves the double range.
+    Summed to 1e-14 relative.  A non-terminating series at real x < 0, whose
+    terms alternate and cancel, is summed at -x through Kummer's
+    transformation M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39); e^x is
+    folded into the sum in steps of at most e^-300 whenever it passes 1e150,
+    so neither the sum nor e^x leaves the double range on the way.
     """
     if _is_nonpositive_integer(b) and not (
             _is_nonpositive_integer(a) and round(complex(a).real) >= round(complex(b).real)):
@@ -599,9 +598,14 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
     return SeriesResult(total + coeff * s_log, used, tail, True)
 
 
-def _gauss_nonint_connection(a1, a2, b, w: np.ndarray, tol) -> SeriesResult:
-    """Two-term connection formula in an array w = 1-x, b - a1 - a2 not an
-    integer and a1, a2 not non-positive integers."""
+def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> SeriesResult:
+    """Two-term connection formula c1 r1 + c2 r2 in an array w = 1-x, s =
+    b - a1 - a2 not an integer and a1, a2 not non-positive integers.  Near
+    an integer m both terms carry the rounding of s amplified 1/|s - m|
+    times, and they cancel kappa = (|c1 r1| + |c2 r2|)/|c1 r1 + c2 r2| fold:
+    a node whose error estimate kappa u/|s - m| passes about 2e-13
+    (kappa > 1000 |s - m|) and x <= 0.9 takes the direct series at tol
+    1e-14 instead (a few hundred terms there)."""
     s = b - a1 - a2
     c2 = _gamma_ratio((b, -s), (a1, a2)) * w**s
     r2 = pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
@@ -609,63 +613,70 @@ def _gauss_nonint_connection(a1, a2, b, w: np.ndarray, tol) -> SeriesResult:
         return SeriesResult(c2 * r2.value, r2.terms_used, np.abs(c2) * r2.tail_estimate, True)
     c1 = _gamma_ratio((b, s), (b - a1, b - a2))
     r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
-    return SeriesResult(c1 * r1.value + c2 * r2.value, r1.terms_used + r2.terms_used,
-                        abs(c1) * r1.tail_estimate + np.abs(c2) * r2.tail_estimate, True)
+    one, two = c1 * r1.value, c2 * r2.value
+    value, used = one + two, r1.terms_used + r2.terms_used
+    tail = abs(c1) * r1.tail_estimate + np.abs(c2) * r2.tail_estimate
+    direct = (np.abs(one) + np.abs(two) > 1e3 * abs(s - round(s)) * np.abs(value)) & (x <= 0.9)
+    if direct.any():
+        r = pfq((a1, a2), (b,), x[direct], tol=1e-14)
+        value[direct], tail[direct], used = r.value, r.tail_estimate, used + r.terms_used
+    return SeriesResult(value, used, tail, True)
 
 
-def gauss_2f1(a1: float, a2: float, b: float, x: float,
-              tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Gauss hypergeometric function 2F1(a1, a2; b; x) for real parameters.
+def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
+    """2F1 at nodes x with exact distances w = 1 - x, floats or arrays, that
+    all lie on branch k = (x >= 0) + (x > 0.8) + (w == 0) of gauss_2f1."""
+    if k == 0:
+        # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)) (DLMF 15.8.1), x/(x-1) =
+        # -x/w in (0, 1/2), its tail of one sign; the direct series loses 4.6e-8
+        f, inner = w**-a1, pfq((a1, b - a2), (b,), -x / w, tol=tol)
+        return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate, True)
+    if k == 1:
+        return pfq((a1, a2), (b,), x, tol=tol)
+    if k == 3:
+        return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
+    if not isinstance(w, np.ndarray):  # the connection formulas sum arrays
+        r = _gauss_branch(2, a1, a2, b, np.array([x]), np.array([w]), tol)
+        return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]), True)
+    s = b - a1 - a2
+    if abs(s - round(s)) >= 1e-10:
+        return _gauss_nonint_connection(a1, a2, b, x, w, tol)
+    if round(s) >= 0:
+        return _gauss_log_case(a1, a2, b, w, tol)
+    # Euler: 2F1(a1, a2; b; x) = w^s 2F1(b - a1, b - a2; b; x), exponent -s > 0
+    f, inner = w**s, _gauss_log_case(b - a1, b - a2, b, w, tol)
+    return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate, True)
 
-    -1 < x < 0: Pfaff transformation (DLMF 15.8.1) to a series in x/(x-1) in
-    (0, 1/2), whose tail keeps one sign.  0 <= x <= 0.8: direct series.
-    0.8 < x < 1: connection formulas in (1-x) (two-term for non-integer
-    b-a1-a2, logarithmic branch for integer, Euler transformation first when
-    b-a1-a2 is a negative integer).  x = 1: closed gamma formula, b - a1 - a2 > 0.
+
+def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
+              w=None) -> SeriesResult:
+    """Gauss function 2F1(a1, a2; b; x) for real parameters and real x in
+    (-1, 1], a float or a 1-D array (whose result holds arrays, as pfq's).
+
+    w is the distance 1 - x, formed as 1 - x unless given (exact for
+    x >= 0.5): the F21 density passes it and stays accurate where x rounds
+    to 1.  Each branch takes all its nodes in one call: x < 0 the Pfaff
+    transformation; 0 <= x <= 0.8 the direct series (the connection formulas
+    can lose ~8 digits just past 0.5); 0.8 < x < 1 the connection formulas
+    in w (logarithmic case at integer b - a1 - a2, after the Euler
+    transformation if negative; two terms otherwise, the direct series
+    where they cancel at x <= 0.9); w = 0 the gamma formula, b - a1 - a2 > 0.
+    A terminating series (a1 or a2 a non-positive integer) is summed directly.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"gauss_2f1 pole: b = {b}")
     if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
         return pfq((a1, a2), (b,), x, tol=tol)  # terminating
-    if x == 1.0:
-        return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
-    if abs(x) >= 1.0:
-        raise DivergenceError(f"gauss_2f1 requires |x| < 1 or x = 1, got {x}")
-    if x < 0.0:
-        # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)); the direct series loses 4.6e-8
-        u = x / (x - 1.0)
-        inner = pfq((a1, b - a2), (b,), u, tol=tol)
-        val = (1.0 - x) ** (-a1) * complex(inner.value).real
-        return SeriesResult(val, inner.terms_used, abs(val) * tol, True)
-    # Direct series up to 0.8: the connection formulas can lose ~8 digits just past 0.5
-    if x <= 0.8:
-        return pfq((a1, a2), (b,), x, tol=tol)
-    return gauss_2f1_near_unit(a1, a2, b, 1.0 - x, tol=tol)
-
-
-def gauss_2f1_near_unit(a1: float, a2: float, b: float, w,
-                        tol: float = DEFAULT_TOL) -> SeriesResult:
-    """2F1(a1, a2; b; 1 - w) parameterized by the exact distance w in (0, 1),
-    a float or an array (whose result holds arrays, as pfq's does).
-
-    This is the connection-formula entry point: callers that know the small
-    distance to unit argument exactly (weight densities near the origin of
-    the disk) stay accurate even where 1 - w rounds to 1.
-    """
-    if not isinstance(w, np.ndarray):
-        r = gauss_2f1_near_unit(a1, a2, b, np.array([float(w)]), tol=tol)
-        return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]), True)
-    if _is_nonpositive_integer(b):
-        raise PoleError(f"gauss_2f1 pole: b = {b}")
-    if not np.all((w > 0.0) & (w < 1.0)):
-        raise ValueError(f"need 0 < w < 1, got {w}")
-    if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
-        return pfq((a1, a2), (b,), 1.0 - w, tol=tol)  # polynomial
-    s = b - a1 - a2
-    if abs(s - round(s)) < 1e-10:
-        if round(s) >= 0:
-            return _gauss_log_case(a1, a2, b, w, tol)
-        # Euler transformation flips the sign of b - a1 - a2
-        inner = gauss_2f1_near_unit(b - a1, b - a2, b, w, tol=tol)
-        return SeriesResult(w**s * inner.value, inner.terms_used, w**s * inner.tail_estimate, True)
-    return _gauss_nonint_connection(a1, a2, b, w, tol)
+    nodes, w = isinstance(x, np.ndarray), 1.0 - x if w is None else w
+    inside = (x > -1.0) & (w >= 0.0)  # a bool, or one per node
+    if not (inside.all() if nodes else inside):
+        raise DivergenceError(f"gauss_2f1 requires -1 < x < 1 or x = 1, got {x}")
+    branch = 1 * (x >= 0.0) + (x > 0.8) + (w == 0.0)  # numpy adds bools as or
+    if not nodes:
+        return _gauss_branch(branch, a1, a2, b, x, w, tol)
+    value, tail, used = np.empty_like(x), np.empty_like(x), 0
+    for k in np.flatnonzero(np.bincount(branch)):  # the branches that hold nodes
+        on = branch == k
+        r = _gauss_branch(k, a1, a2, b, x[on], w[on], tol)
+        value[on], tail[on], used = r.value, r.tail_estimate, used + r.terms_used
+    return SeriesResult(value, used, tail, True)

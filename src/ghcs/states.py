@@ -301,28 +301,30 @@ def log_rho_gamma(params: ParameterSet, nu: float):
     return total.real
 
 
-def normalization(params: ParameterSet, x: float, tol: float = specfun.DEFAULT_TOL) -> float:
-    """Normalization function pFq(a; b; x) at x = |z|^2 >= 0.
+def normalization(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
+    """Normalization function pFq(a; b; x) at x = |z|^2 >= 0, a float or a
+    1-D array (whose result is an array).
 
     Unit-circle families evaluated at x = 1 require eta < 0; the (2;1)
     family then uses the closed gamma formula for 2F1 at unit argument
     (the raw series converges only like n^eta there).
     """
-    if x < 0:
+    nodes = isinstance(x, np.ndarray)
+    if (x.min(initial=0.0) if nodes else x) < 0:
         raise ValueError("normalization argument is |z|^2 >= 0")
     dom = classify(params)
-    on_circle = params.p == params.q + 1 and abs(x - 1.0) <= 1e-14
-    if on_circle and dom.eta >= 0:
+    off = abs(x - 1.0) > 1e-14  # off the unit circle: a bool, or one per node
+    if params.p == params.q + 1 and dom.eta >= 0 and not (off.all() if nodes else off):
         raise DivergenceError(f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
     if (params.p, params.q) == (2, 1) and not any(isinstance(v, complex)
                                                   for v in params.a + params.b):
         # the Gauss evaluator keeps full accuracy near and at the disk edge,
-        # where the raw series slows to a crawl
+        # where the raw series slows to a crawl; w = 0 takes its unit formula
         a1, a2, b1 = params.a + params.b
-        value = specfun.gauss_2f1(a1, a2, b1, 1.0 if on_circle else x, tol=tol).value
+        value = specfun.gauss_2f1(a1, a2, b1, x, tol=tol, w=(1.0 - x) * off).value
     else:
         value = specfun.pfq(params.a, params.b, x, tol=tol).value
-    return complex(value).real
+    return value.real if nodes else complex(value).real
 
 
 @dataclass(frozen=True)

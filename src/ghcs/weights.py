@@ -98,7 +98,7 @@ def weight(family: str, params: ParameterSet, x):
     else:
         ln, sign = _ln_density(family, vals, xs)
         if family == "F21":
-            w = sign * np.exp(ln) * [normalization(params, v) for v in xs.tolist()]
+            w = sign * np.exp(ln) * normalization(params, xs)
         else:
             w = sign * np.exp(ln + [float(log_terms(params, v)[1][0]) for v in xs.tolist()])
     return _as_given(w, x)
@@ -137,28 +137,14 @@ def _ln_density(family: str, vals: tuple, x: np.ndarray, om=None) -> tuple:
         om = 1.0 - x if om is None else om
         if family == "F10":
             return math.log(vals[0] - 1.0) + (vals[0] - 2.0) * np.log(om), np.ones_like(x)
-        ln_pref, y = _f21_parts(vals, x, om)
+        a1, a2, b = vals
+        s = a1 + a2 - b
+        ln_pref = (math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
+                   + (s - 2.0) * np.log(om))
+        # x is the exact distance of the 2F1 argument om to 1
+        y = specfun.gauss_2f1(a2 - b, a1 - b, s - 1.0, om, w=x, tol=1e-14).value
     with np.errstate(divide="ignore"):
         return ln_pref + np.log(np.abs(y)), np.sign(y)
-
-
-def _f21_parts(vals: tuple, x: np.ndarray, om: np.ndarray) -> tuple:
-    """(log(pref om^{s-2}), 2F1(a2-b, a1-b; s-1; om)) of the F21 density, om =
-    1-x, the 2F1 in one call per branch, each fed by whichever of x, om is
-    exact: x = 0 takes the unit formula, x <= 0.5 the connection formulas in
-    the exact distance x (the 2F1 argument approaches 1), x > 0.5 the direct
-    series in the small om."""
-    a1, a2, b = vals
-    s = a1 + a2 - b
-    ln_pref = math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
-    f, near, far = np.empty_like(x), (x > 0.0) & (x <= 0.5), x > 0.5
-    if not x.all():
-        f[x == 0.0] = specfun.gauss_2f1_unit(a2 - b, a1 - b, s - 1.0)  # finite iff b > 1
-    if near.any():
-        f[near] = specfun.gauss_2f1_near_unit(a2 - b, a1 - b, s - 1.0, x[near]).value
-    if far.any():
-        f[far] = specfun.pfq((a2 - b, a1 - b), (s - 1.0,), om[far]).value
-    return ln_pref + (s - 2.0) * np.log(om), f
 
 
 @dataclass(frozen=True)

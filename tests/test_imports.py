@@ -67,8 +67,10 @@ def test_one_density_path():
 def test_one_density_formula():
     # every weight density is written once, as (log|wt|, sign): each special
     # function a density needs is called from one top-level function of
-    # weights.py, so a second (cut or linear) density formula cannot return
-    evaluators = {"tricomi_u", "ln_bessel_k", "gauss_2f1_unit", "gauss_2f1_near_unit", "pfq"}
+    # weights.py, so a second (cut or linear) density formula cannot return;
+    # gauss_2f1 owns the 2F1 branch dispatch, so weights calls no pfq or unit
+    # formula of its own
+    evaluators = {"tricomi_u", "ln_bessel_k", "gauss_2f1", "pfq", "gauss_2f1_unit"}
     callers = {name: set() for name in evaluators}
     for top in ast.parse((SRC / "weights.py").read_text()).body:
         for node in ast.walk(top):
@@ -77,14 +79,15 @@ def test_one_density_formula():
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                 if name in evaluators:
                     callers[name].add(getattr(top, "name", "<module>"))
+    assert callers.pop("pfq") == callers.pop("gauss_2f1_unit") == set()
     assert all(len(c) == 1 for c in callers.values()), callers
 
 
 def test_no_per_row_python_in_the_densities():
     # the densities and the kernels they call take whole node arrays: none of
     # them walks its rows in Python through .tolist(), map() or a comprehension
-    kernels = {"weights.py": ("_ln_density", "_f21_parts"),
-               "specfun.py": ("ln_bessel_k", "tricomi_u")}
+    kernels = {"weights.py": ("_ln_density",),
+               "specfun.py": ("ln_bessel_k", "tricomi_u", "gauss_2f1")}
     for name, funcs in kernels.items():
         tops = {f.name: f for f in ast.parse((SRC / name).read_text()).body
                 if isinstance(f, ast.FunctionDef)}

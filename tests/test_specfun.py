@@ -282,8 +282,9 @@ def test_batched_trapezoid_rows_match_one_row_calls(rule, xs):
 def test_array_arguments_match_scalar_calls():
     # branch masks: K rows on the integral and the reflection branches, U rows
     # on the Laplace, reflected Laplace, polynomial and recurrence branches,
-    # 2F1 rows on the connection, logarithmic, Euler and polynomial branches,
-    # in one call each
+    # 2F1 nodes on the Pfaff, direct, connection, logarithmic, Euler, unit
+    # and polynomial branches and the direct series of the near-integer
+    # fallback (x = 0.85 on the last set), in one call each
     xs = np.array([1e-3, 0.7, 2.5, 3.5, 12.0, 20.0, 400.0])
     for nu in (0.0, 1.0, 1.4, 3.0):
         ln = sf.ln_bessel_k(nu, xs)
@@ -291,14 +292,19 @@ def test_array_arguments_match_scalar_calls():
     for a, b in ((0.6, 1.1), (2.0, 0.4), (-0.5, -2.0), (-2.0, 0.5), (-2.5, -1.0)):
         u = sf.tricomi_u(a, b, xs)
         assert np.allclose(u, [sf.tricomi_u(a, b, float(x)) for x in xs], rtol=1e-14, atol=0.0)
-    ws = np.array([1e-9, 1e-4, 0.02, 0.2, 0.5, 0.93])
-    for a1, a2, b in ((0.3, 0.7, 1.9), (1.0, 1.0, 3.0), (2.0, 2.0, 2.0), (-2.0, 1.5, 2.5)):
-        f = sf.gauss_2f1_near_unit(a1, a2, b, ws)
-        ones = [sf.gauss_2f1_near_unit(a1, a2, b, float(w)) for w in ws]
+    xs = np.array([-0.6, -0.1, 0.0, 0.3, 0.8, 0.85, 0.93, 1.0 - 1e-9, 1.0])
+    for a1, a2, b in ((0.3, 0.7, 1.9), (1.0, 1.0, 3.0), (2.0, 2.0, 2.0), (-2.0, 1.5, 2.5),
+                      (4.89, 5.66, 11.55 - 3.77e-7)):
+        at = xs if b - a1 - a2 > 0 else xs[:-1]  # the unit formula needs b - a1 - a2 > 0
+        f = sf.gauss_2f1(a1, a2, b, at)
+        ones = [sf.gauss_2f1(a1, a2, b, float(x)) for x in at]
         assert np.allclose(f.value, [r.value for r in ones], rtol=1e-15, atol=0.0)
-    # F21 densities: x = 0 (unit formula), x <= 0.5 (connection formulas in x)
-    # and x > 0.5 (direct series in 1 - x); (3, 3; 2) takes the log case
-    xs = np.array([0.0, 1e-7, 0.3, 0.5, 0.51, 0.9, 1.0 - 1e-9])
+        assert np.array_equal(f.tail_estimate, [r.tail_estimate for r in ones])
+        assert all(isinstance(r.value, float) for r in ones)
+    # F21 densities: x = 0 (unit formula), x <= 0.2 (connection formulas in
+    # the exact distance x) and x > 0.2 (direct series in 1 - x); (3, 3; 2)
+    # takes the log case
+    xs = np.array([0.0, 1e-7, 0.15, 0.3, 0.5, 0.51, 0.9, 1.0 - 1e-9])
     for a in ([3.0, 3.0], [2.5, 1.8]):
         params = st.validate(a, [2.0])
         w = wt.weight_tilde("F21", params, xs)
@@ -306,7 +312,6 @@ def test_array_arguments_match_scalar_calls():
                            rtol=1e-15, atol=0.0)
     assert isinstance(sf.tricomi_u(0.6, 1.1, 2.0), float)
     assert isinstance(sf.ln_bessel_k(1.4, 2.0), float)
-    assert isinstance(sf.gauss_2f1_near_unit(0.3, 0.7, 1.9, 0.1).value, float)
 
 
 # ----------------------------------------------------------------- tricomi
@@ -398,6 +403,15 @@ def test_gauss_pfaff_negative_argument():
     x = 0.8
     v = sf.gauss_2f1(0.5, 0.5, 1.5, -x * x).value
     assert v == pytest.approx(math.asinh(x) / x, rel=1e-12)
+
+
+def test_gauss_pfaff_tail_is_the_inner_series_tail():
+    # the tail estimate bounds the truncation error: on x < 0 it is the
+    # inner series' tail times the Pfaff factor (1 - x)^{-a1}
+    x = -0.7
+    r = sf.gauss_2f1(1.3, 2.1, 2.9, x, tol=1e-8)
+    inner = sf.pfq((1.3, 2.9 - 2.1), (2.9,), x / (x - 1.0), tol=1e-8)
+    assert r.tail_estimate == (1.0 - x) ** -1.3 * inner.tail_estimate > 0.0
 
 
 def test_gauss_divergence():
@@ -513,8 +527,9 @@ def test_gauss_2f1_near_unit_argument_oracle():
     # x in (0.8, 1): the connection formulas in 1 - x.  Second band: integer
     # m = b - a1 - a2 >= 0, the logarithmic case, whose sum cancels up to
     # ~3e3-fold at a1, a2 ~ 6, b ~ 13, so its psi values must be good to
-    # about an ulp.  Worst on 1,500 draws per band: 2.6e-12 (b - a1 - a2
-    # within 1e-3 of an integer, where the two terms cancel) and 1.7e-12.
+    # about an ulp.  Worst on 1,500 draws per band: 3.2e-12 (a1 = -5.8 and
+    # b - a1 - a2 0.022 from an integer, the direct series, whose terms
+    # alternate) and 2.3e-12.
     rng = np.random.default_rng(7)
     draws = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(0.1, 6.0),
               rng.uniform(0.8, 1.0)) for _ in range(300)]
@@ -527,6 +542,47 @@ def test_gauss_2f1_near_unit_argument_oracle():
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
                           lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
     assert max(errs) < (5e-12,)
+
+
+def test_gauss_2f1_near_integer_oracle():
+    # s = b - a1 - a2 within 1e-7..1e-3 of an integer m, x in (0.8, 0.9]: the
+    # two connection terms cancel and carry the rounding of s amplified
+    # 1/|s - m| times, so these nodes take the direct series.  Worst here
+    # 1.1e-14; the two-term formula alone is 1.7 off.  a1, a2 > 0: where
+    # a2 < 0 puts x near a zero of 2F1 neither branch holds a relative bound
+    rng = np.random.default_rng(15)
+    draws = []
+    while len(draws) < 300:
+        a1, a2, m = rng.uniform(0.1, 6.0), rng.uniform(0.1, 6.0), int(rng.integers(-3, 6))
+        b = a1 + a2 + m + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
+        if b > 0.1:
+            draws.append((a1, a2, b, rng.uniform(0.8, 0.9)))
+    errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
+                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
+    assert max(errs) < (5e-12,)
+    assert sf.gauss_2f1(4.89, 5.66, 11.55 - 3.77e-7, 0.85).value == pytest.approx(
+        30.686748125650137, rel=0.0, abs=5e-12)
+
+
+def test_f21_density_oracle():
+    # wt(x) of the F21 disk weight on x in (0.2, 0.5], where its 2F1 argument
+    # 1 - x lies in [0.5, 0.8): the direct series, not the connection formulas
+    # (3.9e-8 off at (5.64, 4.61; 0.74), x = 0.4945).  Worst here 6.1e-14
+    rng = np.random.default_rng(14)
+    draws = [(5.64, 4.61, 0.74, 0.4945)]
+    while len(draws) < 300:
+        a1, a2, b = rng.uniform(0.3, 6.0, 3)
+        if a1 + a2 - b > 1.05:
+            draws.append((a1, a2, b, rng.uniform(0.2, 0.5)))
+
+    def ref(mp, a1, a2, b, x):
+        s, om = a1 + a2 - b, 1 - mp.mpf(x)
+        return (mp.gamma(a1) * mp.gamma(a2) / (mp.gamma(b) * mp.gamma(s - 1)) * om ** (s - 2)
+                * mp.hyp2f1(a2 - b, a1 - b, s - 1, om))
+
+    errs = _oracle_errors(lambda a1, a2, b, x: wt.weight_tilde("F21", st.validate([a1, a2], [b]), x),
+                          ref, draws)
+    assert max(errs) < (2e-12,)
 
 
 def test_kummer_m_oracle():

@@ -245,6 +245,23 @@ def test_normalization_circle_gauss_constant():
 def test_normalization_circle_divergence():
     with pytest.raises(DivergenceError):
         st.normalization(st.validate([2.0], []), 1.0)
+    with pytest.raises(DivergenceError):
+        st.normalization(st.validate([2.0], []), np.array([0.5, 1.0]))
+
+
+def test_normalization_array_matches_float_calls():
+    # one call over the nodes: a float gives a float, an array the values of
+    # the float calls; on the circle (within 1e-14 of x = 1) the Gauss sum
+    # takes its unit formula
+    xs = np.array([0.0, 0.3, 0.85, 1.0 - 1e-15, 1.0])
+    for p in (st.validate([0.3, 0.4], [1.5]), st.validate([2.5, 1.8], [2.0])):
+        at = xs if p.eta < 0 else xs[:-2]
+        ones = [st.normalization(p, float(x)) for x in at]
+        assert type(ones[0]) is float
+        assert np.allclose(st.normalization(p, at), ones, rtol=1e-15, atol=0.0)
+    edge = st.normalization(st.validate([0.3, 0.4], [1.5]), xs[-2:])
+    assert edge[0] == edge[1]
+    assert np.allclose(st.normalization(CS, xs), np.exp(xs), rtol=1e-13, atol=0.0)
 
 
 # ------------------------------------------------------------- fock_vector
