@@ -15,6 +15,7 @@ rule inside weights.density_integral, the package's one radial integral.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,7 +64,8 @@ def analytic_sample(params: ParameterSet, psi: FockVector, zeta: complex) -> Ana
 
 def ghcs_wavefunction(family: str, params: ParameterSet, psi: FockVector,
                       z: complex) -> complex:
-    """sqrt(w(|z|^2)) <p;q;z|psi> = sqrt(wt(|z|^2)) A(z*)."""
+    """sqrt(w(|z|^2)) <p;q;z|psi> = sqrt(wt(|z|^2)) A(z*), a wavefunction_rows
+    row: finite where wt or a term of A leaves double range."""
     family_params(family, params)
     z = complex(z)
     x = abs(z) ** 2
@@ -73,7 +75,9 @@ def ghcs_wavefunction(family: str, params: ParameterSet, psi: FockVector,
     log_wt, sign = log_weight_tilde(family, params, x)
     if sign < 0:
         raise DivergenceError("weight density is negative here; no wave function")
-    return math.exp(0.5 * log_wt) * analytic_rep(params, psi, z.conjugate())
+    if x == 0.0:
+        return math.exp(0.5 * log_wt) * complex(psi.coeffs[0])
+    return complex(wavefunction_rows(params, psi, [cmath.phase(z)])(np.array([x]), log_wt)[0, 0])
 
 
 def inner_product_via_measure(family: str, params: ParameterSet,

@@ -8,7 +8,7 @@ byte-identical files (written atomically via temp file + rename).
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid parameters,
 64 usage error, 65 numeric failure.  GHCS_MAX_TERMS overrides the series
-term cap; --tol sets the working series tolerance.
+term cap; --tol sets the series tolerance and the unit-circle Fock cut.
 """
 
 from __future__ import annotations
@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Built once per process: no command may change a default (--a/--b share theirs)."""
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=specfun.DEFAULT_TOL,
-                        help="series tolerance (default 1e-12)")
+                        help="tolerance of the series sums and the unit-circle Fock cut "
+                             "(default 1e-12)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", help="output path (atomic write); stdout if omitted")
     p = _Parser(prog="ghcs", description=__doc__,

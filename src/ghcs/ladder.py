@@ -74,8 +74,9 @@ def eigenvalue_residual(spec: StateSpec, tol: float = 1e-14) -> float:
     Interior components cancel through rho(n+1) = rho(n) f(n)^2 up to
     rounding; what remains is the dropped boundary row |z c_N|.  The
     certified tail of fock_vector covers sum_{k>=N} |c_k|^2, c_N included,
-    so |c_N|^2 <= tol and the residual is at most |z| sqrt(tol) plus
-    rounding.
+    so the residual is at most |z| sqrt(tail_bound) plus rounding: below
+    |z| 1e-9 for plane and disk states (their slice rest is at most
+    states.SLICE_REST), below |z| sqrt(tol) on the circle.
     """
     v = fock_vector(spec, tol=tol)
     z = complex(spec.z)

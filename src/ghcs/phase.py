@@ -51,12 +51,6 @@ class GCoefficientTable:
     table: np.ndarray
 
 
-def _capped_log_rho_half(params: ParameterSet, n_cutoff: int) -> np.ndarray:
-    if n_cutoff > G_TABLE_CAP:
-        raise RangeError(f"G table cutoff {n_cutoff} exceeds cap {G_TABLE_CAP}")
-    return log_rho_half(params, n_cutoff)
-
-
 def _g_block(t: np.ndarray, lo: int, w: int) -> np.ndarray:
     """G(n, n') for n, n' = lo..lo+w-1 from T[k] = log rho(k/2), as one w x w
     array: exp(T[n+n'] - (T[2n] + T[2n'])/2) formed in place on a Hankel view
@@ -75,9 +69,10 @@ def g_coefficients(analyzer, n_cutoff: int) -> GCoefficientTable:
     states.log_rho_half; the table is the one N^2 array of _g_block.
     Raises RangeError (an OverflowError) above G_TABLE_CAP.
     """
+    if n_cutoff > G_TABLE_CAP:
+        raise RangeError(f"G table cutoff {n_cutoff} exceeds cap {G_TABLE_CAP}")
     params = analyzer_params(analyzer)
-    t = _capped_log_rho_half(params, n_cutoff)
-    return GCoefficientTable(params, _g_block(t, 0, n_cutoff + 1))
+    return GCoefficientTable(params, _g_block(log_rho_half(params, n_cutoff), 0, n_cutoff + 1))
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,7 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2) is discretely convex
     (then G <= 1, and the dropped terms are below 1e-17 ||psi||_1 max|psi|);
     otherwise, and for density matrices, the window is the whole matrix.
+    A window, not a signal, above G_TABLE_CAP + 1 orders raises RangeError.
     The normalization residual is the trapezoid integral's deviation from 1.
     """
     thetas = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
@@ -117,12 +113,14 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
         herm = np.max(np.abs(psi - psi.conj().T))
         if herm > 1e-12:
             raise ParameterError(f"density matrix hermiticity residual {herm:g} > 1e-12")
-    t = _capped_log_rho_half(analyzer_params(analyzer), len(psi) - 1)
+    t = log_rho_half(analyzer_params(analyzer), len(psi) - 1)
     lo, w = 0, len(psi)
     if pure and np.all(np.diff(t, 2) >= 0.0):
         mag = np.abs(psi)
         keep = np.flatnonzero(~(mag < 1e-17 * mag.max()))  # a nan or 0 max keeps all
         lo, w = int(keep[0]), int(keep[-1] - keep[0]) + 1
+    if w > G_TABLE_CAP + 1:
+        raise RangeError(f"phase window of {w} orders exceeds the G table cap {G_TABLE_CAP}")
     buf = np.zeros((2 * w, w), dtype=complex)
     if pure:
         np.multiply.outer(psi[lo: lo + w], psi[lo: lo + w].conj(), out=buf[:w])

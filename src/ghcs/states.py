@@ -354,15 +354,17 @@ def fock_basis_vector(n: int) -> FockVector:
     return FockVector(c, 0.0, True)
 
 
-def fock_from_coeffs(coeffs, normalize: bool = True) -> FockVector:
+def fock_from_coeffs(coeffs) -> FockVector:
+    """The normalized signal c / ||c||; a zero or non-finite c is refused."""
     c = np.asarray(coeffs, dtype=complex)
-    if normalize:
-        c = c / math.sqrt(float(np.vdot(c, c).real))
     nrm = float(np.vdot(c, c).real)
-    return FockVector(c, 0.0, abs(nrm - 1.0) < 1e-12)
+    if not 0.0 < nrm < math.inf:
+        raise ParameterError(f"coefficient vector has squared norm {nrm:g}; need finite and > 0")
+    return FockVector(c / math.sqrt(nrm), 0.0, True)
 
 
 _RATIO_WINDOW = 16
+SLICE_REST = 1e-18  # log_terms settles its slice to this fraction of the peak term
 
 
 def log_terms(params: ParameterSet, x, shifts: int = 1):
@@ -372,7 +374,7 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     ratios f_k^2[j] = f^2[j+k] (j+1)/(j+k+1) come from the same f^2 slice.
     The slice doubles until its last term plus the geometric bound on the
     rest (last window's largest ratio joined with the n -> inf limit) is
-    below 1e-18 of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
+    below SLICE_REST of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
 
     A 1-D array x adds a leading axis over it, all points on the slice that
     settles x_max = max(x), which settles each smaller x: t_j(x) =
@@ -392,7 +394,7 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
         log_t = jlnx - lr[:n]
         last = log_t[-_RATIO_WINDOW:]
         r_bar = max(math.exp((last[1:] - last[:-1]).max(initial=-math.inf)), r_limit)
-        if r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(1e-18):
+        if r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(SLICE_REST):
             break
         if n >= cap:
             raise ConvergenceError(f"normalization series not settled within {cap} terms")
@@ -411,23 +413,20 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
 def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
-    One numpy expression over a slice of rho_steps, with log N from
-    log_terms (plane/disk) or normalization() (circle).  The cutoff N is
-    certified: the bound covers sum_{k>=N} |c_k|^2, c_N included.  For
-    plane/disk states the squared-coefficient ratios are bounded by a
-    geometric rate (window maximum joined with the n -> inf limit), for
-    normalized circle states by a power-law comparison (the ratios tend to
-    1, so no geometric rate exists).  Unnormalizable circle states get the
+    Plane and disk states are the slice that log_terms settles:
+    |c_n|^2 = t_n / N for every n of it, and the certified tail, which covers
+    sum_{k>=N} |c_k|^2 with c_N included, is its rest SLICE_REST * peak / N;
+    a tol below that rest raises ConvergenceError.  Normalized circle states
+    cut where a power-law comparison bounds the tail by tol (the ratios tend
+    to 1, so no geometric rate exists).  Unnormalizable circle states get the
     1/sqrt(2 pi) prefactor, tail_bound = inf and a RuntimeWarning (their
     squared norm diverges), and stop at the first term below tol.
     """
     params = spec.params
     z = complex(spec.z)
     kind = spec.domain_kind()
-    phase = cmath.phase(z)
-
-    def build(lc_sq):  # coefficients from log |c_n|^2, n = 0..len-1
-        return np.exp(0.5 * lc_sq) * np.exp(1j * phase * np.arange(len(lc_sq)))
+    # coefficients from log |c_n|^2, n = 0..len-1
+    build = lambda lc: np.exp(0.5 * lc) * np.exp(1j * cmath.phase(z) * np.arange(len(lc)))
 
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
         warnings.warn("unnormalizable circle state: coefficients carry 1/sqrt(2 pi), the squared "
@@ -446,33 +445,26 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
         return FockVector(np.array([1.0 + 0.0j]), 0.0, True)
 
     x = abs(z) ** 2
-    circle = kind is DomainKind.CIRCLE_NORMALIZED
-    ln_n = math.log(normalization(params, x)) if circle else float(log_terms(params, x)[1][0])
-    ln_az = math.log(abs(z))
+    if kind is not DomainKind.CIRCLE_NORMALIZED:
+        log_t, (ln_n,) = log_terms(params, x)
+        rest = SLICE_REST * math.exp(log_t.max() - ln_n)
+        if tol < rest:
+            raise ConvergenceError(f"tol {tol:g} is below the Fock slice's rest {rest:.3g}")
+        return FockVector(build(log_t - ln_n), rest, True)
 
-    def lc_sq(lo: int, hi: int):  # log |c_k|^2 for k = lo..hi
-        return 2.0 * np.arange(lo, hi + 1) * ln_az - rho_steps(params, hi)[1][lo:] - ln_n
-
-    n = max(8, int(2.0 * x) + 8)
-    while True:
-        if n > MAX_CUTOFF:
-            raise ConvergenceError(
-                f"fock_vector cutoff cap {MAX_CUTOFF} reached before tail <= {tol:g}")
-        window = lc_sq(n, n + _RATIO_WINDOW)
-        log_ratio = np.diff(window)  # log |c_{k+1}|^2 / |c_k|^2, k = n..n+15
-        if circle:
-            # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
-            k = np.arange(n, n + _RATIO_WINDOW)
-            s = min(float(np.min(-log_ratio / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
-            tail = math.exp(window[0]) * (1.0 + (n + 1.0) / (s - 1.0)) if s > 1.0 else math.inf
-        else:
-            r_bar = max(float(np.exp(log_ratio.max())), x if kind is DomainKind.UNIT_DISK else 0.0)
-            tail = math.exp(window[0]) / (1.0 - r_bar) if r_bar < 1.0 else math.inf
+    ln_n, ln_az = math.log(normalization(params, x)), math.log(abs(z))
+    n = int(2.0 * x) + 8
+    while n <= MAX_CUTOFF:
+        m = n + _RATIO_WINDOW
+        lc = 2.0 * np.arange(m + 1) * ln_az - rho_steps(params, m)[1] - ln_n  # log |c_k|^2
+        # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
+        k = np.arange(n, m)
+        s = min(float(np.min(-np.diff(lc[n:]) / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
+        tail = math.exp(lc[n]) * (1.0 + (n + 1.0) / (s - 1.0)) if s > 1.0 else math.inf
         if tail <= tol:
-            break
-        n = min(MAX_CUTOFF + 1, max(n + 8, int(1.5 * n)))
-
-    return FockVector(build(lc_sq(0, n)), tail, True)
+            return FockVector(build(lc[: n + 1]), tail, True)
+        n = max(n + 8, int(1.5 * n))
+    raise ConvergenceError(f"fock_vector cutoff cap {MAX_CUTOFF} reached before tail <= {tol:g}")
 
 
 def overlap(params: ParameterSet, z: complex, z2: complex,

@@ -44,6 +44,17 @@ def test_wavefunction_coherent_composition():
     assert an.ghcs_wavefunction("CS", CS, sig, z) == pytest.approx(ref, rel=1e-10)
 
 
+def test_wavefunction_at_high_fock_order():
+    # |z|^1000 and 1/sqrt(1000!) each leave double range; with sqrt(wt) their
+    # product is the Husimi amplitude sqrt(pi Q)
+    from ghcs import phase as ph
+    sig = st.fock_basis_vector(1000)
+    z = math.sqrt(1000.0) * cmath.exp(0.3j)
+    v = an.ghcs_wavefunction("CS", CS, sig, z)
+    assert abs(v) == pytest.approx(math.sqrt(math.pi * ph.husimi_q(sig, z)), rel=1e-12)
+    assert abs(v) == pytest.approx(0.1123, abs=1e-4)
+
+
 def test_wavefunction_vacuum_signal():
     p10 = st.validate([3.0], [])
     z = 0.5

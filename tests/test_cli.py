@@ -110,6 +110,12 @@ def test_phase_command(capsys):
     assert doc["norm_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("fam", [[], ["--b", "2"]], ids=["CS", "F01(;2)"])
+def test_phase_command_at_large_absz(capsys, fam):
+    code, doc, _ = run_json(capsys, "phase", *fam, "--absz", "40")
+    assert code == 0 and doc["norm_residual"] <= 1e-8
+
+
 def test_gh_phase_fock_signal_uniform(capsys):
     code, doc, _ = run_json(capsys, "gh-phase", "--a", "3", "--signal-fock", "2",
                             "--points", "41")

@@ -155,6 +155,13 @@ def test_eigenvalue_residual_meets_its_bound(b, az):
     assert res <= az * 1e-7 * (1.0 + 1e-6) and res <= 1e-6
 
 
+def test_eigenvalue_residual_of_the_slice():
+    # the Fock slice ends SLICE_REST below its peak, so |z c_N| is far below
+    # |z| sqrt(tol) (2.33e-7 from a separate cutoff search)
+    res = ld.eigenvalue_residual(st.StateSpec(st.validate([2.0], [4.0]), 3.0j), tol=1e-14)
+    assert res <= 1e-9
+
+
 def test_eigenvalue_circle_beyond_old_cap():
     p = st.validate([2.5, 2.5], [9.0])  # eta = -4: cutoff 26,151 at tol 1e-14
     assert ld.eigenvalue_residual(st.StateSpec(p, 1.0)) <= 1e-6

@@ -9,7 +9,7 @@ from ghcs import phase as ph
 from ghcs import specfun as sf
 from ghcs import states as st
 from ghcs import weights as wt
-from ghcs.errors import GHSError, ParameterError, RangeError
+from ghcs.errors import ParameterError, RangeError
 
 CS = st.validate([], [])
 TWO_PI = 2.0 * math.pi
@@ -66,9 +66,23 @@ def test_g_table_cap():
 def test_g_table_cap_is_structured_and_bounds_phase_cutoff():
     with pytest.raises(RangeError):
         ph.g_coefficients("Q", ph.G_TABLE_CAP + 1)
-    # the support window of |2049> is one entry, but the cap is on the cutoff
-    with pytest.raises(GHSError):
-        ph.phase_distribution(st.fock_basis_vector(ph.G_TABLE_CAP + 1), "Q")
+    # the cap is on the support window: |2049> has one entry, a flat vector
+    # of 2050 orders has them all
+    d = ph.phase_distribution(st.fock_basis_vector(ph.G_TABLE_CAP + 1), "Q")
+    assert np.max(np.abs(d.values - 1.0 / (2.0 * math.pi))) <= 1e-12
+    with pytest.raises(RangeError):
+        ph.phase_distribution(st.fock_from_coeffs(np.ones(ph.G_TABLE_CAP + 2)), "Q")
+
+
+@pytest.mark.parametrize("b", [[], [2.0]], ids=["CS", "F01(;2)"])
+def test_phase_window_not_slice_length_decides(b):
+    # at |z| = 40 the Fock slices run to 3,200 orders, their support windows
+    # hold about 1,000 (CS) and 107 (F01) entries
+    sig = coherent_signal(40.0, 0.7, st.validate([], b))
+    assert sig.cutoff > ph.G_TABLE_CAP
+    d = ph.phase_distribution(sig, "Q")
+    assert d.norm_residual <= 1e-8
+    assert abs(d.peak()[0] - 0.7) <= TWO_PI / 720
 
 
 def _lgamma_log_rho(a_list, b_list):

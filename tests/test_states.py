@@ -309,6 +309,42 @@ def test_fock_unnormalizable_circle_warns():
     assert abs(abs(v.coeffs[0]) - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-14
 
 
+SLICE_CASES = (
+    [(a, b, az) for a, b in (([], []), ([], [2.0]), ([2.0], [3.0])) for az in (0.75, 15.0, 60.0)]
+    + [(a, b, az) for a, b in (([2.0], []), ([0.7, 1.3], [2.2])) for az in (0.75, 0.97)]
+)
+
+
+@pytest.mark.parametrize("a,b,az", SLICE_CASES,
+                         ids=[f"({a};{b})@{az:g}" for a, b, az in SLICE_CASES])
+def test_fock_vector_is_the_log_terms_slice(a, b, az):
+    p = st.validate(a, b)
+    v = st.fock_vector(st.StateSpec(p, az * cmath.exp(0.4j)), tol=1e-12)
+    log_t, (ln_n,) = st.log_terms(p, az * az)
+    assert v.cutoff + 1 == len(log_t)
+    c_sq = np.abs(v.coeffs) ** 2
+    assert np.max(np.abs(c_sq - np.exp(log_t - ln_n))) <= 1e-15 * c_sq.max()
+    assert abs(v.coeffs[-1]) ** 2 <= v.tail_bound <= st.SLICE_REST
+    k = np.arange(len(log_t), 4 * len(log_t))  # the rest, summed out to 4 slice lengths
+    rest = np.exp(k * math.log(az * az) - st.rho_steps(p, k[-1])[1][k] - ln_n).sum()
+    assert rest <= v.tail_bound
+
+
+def test_fock_tol_below_the_slice_rest_raises():
+    spec = st.StateSpec(CS, 0.75)
+    assert st.fock_vector(spec, tol=1e-18).tail_bound <= 1e-18
+    with pytest.raises(ConvergenceError):
+        st.fock_vector(spec, tol=1e-25)
+
+
+def test_fock_from_coeffs_normalizes_and_refuses_empty_norms():
+    v = st.fock_from_coeffs([3.0, 4.0j])
+    assert v.normalized and v.norm_sq() == pytest.approx(1.0, rel=1e-15)
+    for bad in ([0.0, 0.0], [1.0, math.nan], [math.inf, 1.0], []):
+        with pytest.raises(ParameterError):
+            st.fock_from_coeffs(bad)
+
+
 def test_fock_tail_bound_is_honest():
     # compare the certified bound against a run at much tighter tolerance
     spec = st.StateSpec(st.validate([2.0], [4.0]), 2.0)
@@ -366,13 +402,14 @@ def test_log_terms_respects_the_term_cap(monkeypatch):
         st.log_terms(st.validate([], [1.0]), 9.0)
 
 
-# fock_vector cutoffs of the signals of figures 8-13 (|z| = 3/4, tol 1e-12):
-# a change to the cutoff rule shows here before it moves a figure
+# fock_vector cutoffs of the signals of figures 8-13 (|z| = 3/4, tol 1e-12),
+# the lengths of their log_terms slices less one: a change to the slice rule
+# shows here before it moves a figure
 FIGURE_SIGNAL_CUTOFFS = [
-    (([], [0.5]), 9), (([], [1.0]), 9), (([], [3.0]), 9),               # figure 8
-    (([2.0], [4.0]), 17), (([3.0], [3.0]), 17), (([4.0], [2.0]), 17),  # figure 9
-    (([1.5], []), 55), (([2.0], []), 55), (([4.0], []), 82),           # figure 10
-    (([], []), 17),                                                    # CS, figures 8-13
+    (([], [0.5]), 32), (([], [1.0]), 32), (([], [3.0]), 32),               # figure 8
+    (([2.0], [4.0]), 32), (([3.0], [3.0]), 32), (([4.0], [2.0]), 32),      # figure 9
+    (([1.5], []), 131), (([2.0], []), 131), (([4.0], []), 131),            # figure 10
+    (([], []), 32),                                                        # CS, figures 8-13
 ]
 
 
