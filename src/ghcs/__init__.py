@@ -51,10 +51,8 @@ from .analytic import (
 )
 from .specfun import (
     SeriesResult,
-    bessel_i,
     bessel_k,
     gauss_2f1,
-    kummer_m,
     ln_gamma,
     pfq,
     pochhammer,
@@ -93,12 +91,12 @@ __all__ = [
     "GCoefficientTable", "GHSError", "MomentReport",
     "ParameterError", "ParameterSet", "PhaseDistribution", "PhotonStats",
     "PoleError", "RangeError", "SeriesResult", "StateSpec", "analytic_rep", "apply_lowering",
-    "apply_raising", "bessel_i", "bessel_k", "circle_weight_attempt", "classify",
+    "apply_raising", "bessel_k", "circle_weight_attempt", "classify",
     "closed_form_stats", "coalesce", "commutator_diagonal", "default_theta_grid",
     "eigenvalue_residual", "f_coeff", "factorial_moment", "fock_basis_vector",
     "fock_from_coeffs", "fock_vector", "g_coefficients", "gauss_2f1",
     "gh_husimi", "ghcs_wavefunction", "hermitian_matrices", "husimi_q",
-    "inner_product_via_measure", "kummer_m", "ln_gamma", "mean_and_mandel",
+    "inner_product_via_measure", "ln_gamma", "mean_and_mandel",
     "moment_check", "normalization", "overlap", "pfq", "phase_distribution",
     "pn_distribution", "pochhammer", "positivity_scan", "radial_phase_check",
     "rho", "self_dual_husimi", "tricomi_u", "validate", "weight", "weight_tilde",

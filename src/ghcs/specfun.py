@@ -3,9 +3,10 @@
 Everything downstream (state construction, photon statistics, weight
 functions, phase distributions) is built on the evaluators in this module:
 log-gamma, Pochhammer symbols, the generalized hypergeometric series pFq,
-modified Bessel functions I and K, the Kummer and Tricomi confluent
-hypergeometric functions, and the Gauss function 2F1 including its unit
-argument and near-unit-argument connection formulas.
+the modified Bessel function K, the Tricomi confluent hypergeometric
+function U, and the Gauss function 2F1 including its unit argument and
+near-unit-argument connection formulas.  The Bessel I and Kummer M ratios
+of the closed-form photon statistics are continued fractions in photstat.
 
 All evaluators are pure functions in double precision.  Series are summed
 by term-ratio recurrences; convergence is declared when three consecutive
@@ -283,82 +284,13 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
     return SeriesResult(_as_real_if_possible(value[0].item()), used, float(tail[0]), True)
 
 
-def kummer_m(a, b, x):
-    """Kummer confluent series M(a; b; x), standalone term loop.
-
-    Allows non-positive non-integer b; raises PoleError if b is a
-    non-positive integer, unless a terminates the series before the pole
-    index is reached, and RangeError if the sum leaves the double range.
-    Summed to 1e-14 relative.  A non-terminating series at real x < 0, whose
-    terms alternate and cancel, is summed at -x through Kummer's
-    transformation M(a; b; x) = e^x M(b - a; b; -x) (DLMF 13.2.39); e^x is
-    folded into the sum in steps of at most e^-300 whenever it passes 1e150,
-    so neither the sum nor e^x leaves the double range on the way.
-    """
-    if _is_nonpositive_integer(b) and not (
-            _is_nonpositive_integer(a) and round(complex(a).real) >= round(complex(b).real)):
-        raise PoleError(f"kummer_m pole: b = {b}")
-    shift, c, y = 0.0, a, x  # M(a; b; x) = e^shift M(c; b; y)
-    if not _is_nonpositive_integer(a) and not isinstance(x, complex) and x < 0:
-        shift, c, y = x, b - a, -x
-    n_stop = -round(complex(c).real) if _is_nonpositive_integer(c) else DEFAULT_MAX_TERMS
-    term = s = 1.0
-    small_streak = 0
-    for n in range(DEFAULT_MAX_TERMS):
-        if n >= n_stop:
-            break
-        term = term * (c + n) * y / ((b + n) * (n + 1.0))
-        if term == 0:
-            break
-        s = s + term
-        if shift < 0.0 and abs(s) > 1e150:
-            step = max(shift, -300.0)
-            term, s, shift = term * math.exp(step), s * math.exp(step), shift - step
-        if abs(term) <= 1e-14 * abs(s):  # an overflowed sum passes this test too
-            small_streak += 1
-            # three small terms and, as in pfq, a geometric tail below 1e-14 of the sum
-            r = abs((c + n) * y / ((b + n) * (n + 1.0)))
-            tail = abs(term) / (1.0 - r) if r < 1.0 else math.inf
-            if small_streak >= 3 and (tail <= 1e-14 * abs(s) or abs(s) == math.inf):
-                break
-        else:
-            small_streak = 0
-    else:
-        raise ConvergenceError(f"kummer_m({a}, {b}, {x}) did not converge")
-    half = math.exp(0.5 * shift)  # two factors: e^shift alone may be subnormal
-    s = s * half * half
-    if not abs(s) < math.inf:
-        raise RangeError(f"kummer_m({a}, {b}, {x}) exceeds double range")
-    return _as_real_if_possible(s)
-
-
-def _bessel_i_series(nu: float, x):
-    """I_nu(x) = (x/2)^nu / Gamma(nu+1) 0F1(; nu+1; x^2/4) for x > 0, a float
-    or an array; nu + 1 may be any real but a non-positive integer (nu < -1
-    is used by the reflection in bessel_k)."""
-    lead = gamma_sign(nu + 1.0) * np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1.0))
-    return lead * pfq((), (nu + 1.0,), 0.25 * x * x, tol=1e-15).value
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind I_nu(x), nu > -1, x >= 0."""
-    if nu <= -1:
-        raise ValueError(f"bessel_i requires nu > -1, got {nu}")
-    if x < 0:
-        raise ValueError(f"bessel_i requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    return float(_bessel_i_series(nu, x))
-
-
 def _bessel_k_nonint(nu: float, x: np.ndarray) -> np.ndarray:
-    # K_nu = (pi/2) (I_{-nu} - I_nu) / sin(nu pi); even in nu automatically.
-    return (
-        0.5
-        * math.pi
-        * (_bessel_i_series(-nu, x) - _bessel_i_series(nu, x))
-        / math.sin(nu * math.pi)
-    )
+    # K_nu = (pi/2) (I_-nu - I_nu) / sin(nu pi), even in nu automatically, with
+    # I_v(x) = (x/2)^v / Gamma(v+1) 0F1(; v+1; x^2/4) (v + 1 any real but a
+    # non-positive integer) summed over the array x by one pfq call per order
+    i_minus, i_plus = (gamma_sign(v + 1.0) * np.exp(v * np.log(0.5 * x) - math.lgamma(v + 1.0))
+                       * pfq((), (v + 1.0,), 0.25 * x * x, tol=1e-15).value for v in (-nu, nu))
+    return 0.5 * math.pi * (i_minus - i_plus) / math.sin(nu * math.pi)
 
 
 def _log_trapezoid(log_f, lo, hi, n: int) -> np.ndarray:

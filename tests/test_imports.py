@@ -99,3 +99,10 @@ def test_no_per_row_python_in_the_densities():
                     f = node.func
                     called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     assert called not in ("tolist", "map"), (func, node.lineno)
+
+
+def test_export_list_resolves():
+    # every name in ghcs.__all__ is bound on the package, once: a deleted
+    # evaluator cannot linger in the export list
+    assert len(ghcs.__all__) == len(set(ghcs.__all__))
+    assert [n for n in ghcs.__all__ if not hasattr(ghcs, n)] == []

@@ -6,7 +6,7 @@ import pytest
 from ghcs import photstat as ps
 from ghcs import specfun as sf
 from ghcs import states as st
-from ghcs.errors import DivergenceError, ParameterError, RangeError
+from ghcs.errors import DivergenceError, ParameterError
 
 CS = st.validate([], [])
 
@@ -87,9 +87,53 @@ def test_closed_form_cs():
 
 
 def test_closed_form_f01_bessel_ratio():
+    mpmath = pytest.importorskip("mpmath")
     stats = ps.closed_form_stats("F01", st.validate([], [1.0]), 9.0)
-    ref = 3.0 * sf.bessel_i(1.0, 6.0) / sf.bessel_i(0.0, 6.0)
-    assert stats.mean == pytest.approx(ref, rel=1e-12)
+    ref = 3.0 * mpmath.besseli(1, 6) / mpmath.besseli(0, 6)
+    assert stats.mean == pytest.approx(float(ref), rel=1e-12)
+
+
+def _closed_form_errors(family, draws):
+    """Worst mean error (relative) and Q error (relative to max(1, mean)) of
+    closed_form_stats against 40-digit mpmath; draws are (a, b, x), a = None
+    for F01, whose ratios are taken from I_v(2 sqrt x), F11's from M(a+k; b+k; x)."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = [0.0, 0.0]
+    with mpmath.workdps(40):
+        for a, b, x in draws:
+            stats = ps.closed_form_stats(family, st.validate([] if a is None else [a], [b]), x)
+            if a is None:
+                i = [mpmath.besseli(b - 1 + k, 2 * mpmath.sqrt(x)) for k in range(3)]
+                mean = mpmath.sqrt(x) * i[1] / i[0]
+                n2_over_mean = mpmath.sqrt(x) * i[2] / i[1]
+            else:
+                m = [mpmath.hyp1f1(a + k, b + k, x) for k in range(3)]
+                mean = x * mpmath.mpf(a) / b * m[1] / m[0]
+                n2_over_mean = x * mpmath.mpf(a + 1) / (b + 1) * m[2] / m[1]
+            worst[0] = max(worst[0], float(abs(stats.mean / mean - 1)))
+            worst[1] = max(worst[1], float(abs(stats.mandel_q - (n2_over_mean - mean))
+                                           / max(1, mean)))
+    return worst
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+@pytest.mark.parametrize("family,x_range", [
+    # F01 from the Bessel fraction: worst 4.3e-15 here, 4.9e-15 on 300 draws
+    ("F01", (0.01, 1e5)),
+    # F11 from the fraction in b: worst 4.8e-15 here (6.2e-15 on 300 draws),
+    # and 7.0e-15 with x in (1e3, 1e4], where M(a; b; x) leaves double range
+    ("F11", (0.01, 1e3)),
+    ("F11", (1e3, 1e4)),
+])
+def test_closed_form_ratio_oracle(family, x_range):
+    rng = np.random.default_rng(17)
+    draws = [(None if family == "F01" else rng.uniform(0.3, 6.0),
+              rng.uniform(0.2 if family == "F01" else 0.3, 6.0), _log_uniform(rng, *x_range))
+             for _ in range(100)]
+    assert max(_closed_form_errors(family, draws)) < 1e-13
 
 
 def test_closed_form_family_mismatch():
@@ -268,10 +312,13 @@ def test_closed_form_pn_matches_scalar_scan(family, vals, x):
 
 
 def test_closed_form_f11_overflow_fails_at_once():
-    # M(2, 3, 784) leaves the double range: kummer_m raises, so the closed
-    # form stops there instead of walking P(n) to the cutoff cap
-    with pytest.raises(RangeError):
-        ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 784.0)
+    # M(2; 3; 784) leaves the double range, but the closed form takes only
+    # ratios of contiguous functions and a log-scaled anchor: it returns the
+    # mean and Q, and a P(n) that sums to 1
+    worst = _closed_form_errors("F11", [(2.0, 3.0, 784.0)])
+    assert max(worst) <= 1e-13
+    stats = ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 784.0)
+    assert stats.pn.norm_residual <= 1e-10
 
 
 # the array form of mean_and_mandel (one log_terms pass per |z| grid)

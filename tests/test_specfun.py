@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ghcs import photstat as ps
 from ghcs import specfun as sf
 from ghcs import states as st
 from ghcs import weights as wt
@@ -133,8 +134,11 @@ def test_pfq_tol_refinement_within_tail():
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("zeta", [0.1, 1.0, 9.0])
 def test_pfq_bessel_bridge(b, zeta):
+    # 0F1(; b; zeta) = Gamma(b) zeta^((1-b)/2) I_(b-1)(2 sqrt zeta), I from mpmath
+    mpmath = pytest.importorskip("mpmath")
     lhs = sf.pfq([], [b], zeta).value
-    rhs = math.gamma(b) * zeta ** ((1.0 - b) / 2.0) * sf.bessel_i(b - 1.0, 2.0 * math.sqrt(zeta))
+    i_b = float(mpmath.besseli(b - 1.0, 2.0 * math.sqrt(zeta)))
+    rhs = math.gamma(b) * zeta ** ((1.0 - b) / 2.0) * i_b
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -144,18 +148,16 @@ def test_pfq_binomial_bridge(a, zeta):
     assert sf.pfq([a], [], zeta).value == pytest.approx((1.0 - zeta) ** (-a), rel=1e-10)
 
 
-def test_kummer_matches_pfq():
-    for a, b, x in ((1.3, 2.2, 0.7), (4.0, 0.5, 3.0), (-2.0, 1.5, 2.0)):
-        assert sf.kummer_m(a, b, x) == pytest.approx(
-            sf.pfq([a], [b], x, tol=1e-14).value, rel=1e-12
-        )
-
-
 def test_kummer_term_cap_read_at_call_time(monkeypatch):
-    # the CLI's GHCS_MAX_TERMS lowers DEFAULT_MAX_TERMS after import
+    # the CLI's GHCS_MAX_TERMS lowers DEFAULT_MAX_TERMS after import; every
+    # series and continued fraction reads it at call time: pfq, the log case
+    # of 2F1, the I reflection of bessel_k and the closed-form Bessel and
+    # Kummer fractions
     monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 5)
-    for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.kummer_m(1.0, 2.5, 3.0),
-                   lambda: sf.bessel_i(0.5, 30.0)):
+    for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.gauss_2f1(3.0, 3.0, 8.0, 0.95),
+                   lambda: sf.bessel_k(0.3, 1.0),
+                   lambda: ps.closed_form_stats("F01", st.validate([], [2.0]), 9.0),
+                   lambda: ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 9.0)):
         with pytest.raises(ConvergenceError):
             series()
 
@@ -207,23 +209,6 @@ def test_pfq_array_matches_term_loop():
 
 # ------------------------------------------------------------------ bessel
 
-def test_bessel_i_at_zero():
-    assert sf.bessel_i(0.0, 0.0) == 1.0
-    assert sf.bessel_i(1.0, 0.0) == 0.0
-
-
-def test_bessel_i_cross_oracle():
-    # 0F1(; 1; 1) = I_0(2)
-    assert sf.bessel_i(0.0, 2.0) == pytest.approx(sf.pfq([], [1.0], 1.0).value, rel=1e-12)
-
-
-def test_bessel_i_domain():
-    with pytest.raises(ValueError):
-        sf.bessel_i(-1.5, 1.0)
-    with pytest.raises(ValueError):
-        sf.bessel_i(0.5, -1.0)
-
-
 def test_bessel_k_half_integer_closed_form():
     # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}; frozen at x = 1
     assert sf.bessel_k(0.5, 1.0) == pytest.approx(0.46106850444789454, rel=1e-12)
@@ -234,7 +219,10 @@ def test_bessel_k_half_integer_closed_form():
 @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 4.0, 0.9999999, 1.001])
 @pytest.mark.parametrize("x", [0.01, 0.5, 2.0, 4.9, 5.1, 9.0, 15.9, 16.1, 35.0])
 def test_bessel_wronskian(nu, x):
-    w = sf.bessel_i(nu, x) * sf.bessel_k(nu + 1.0, x) + sf.bessel_i(nu + 1.0, x) * sf.bessel_k(nu, x)
+    # I_nu K_(nu+1) + I_(nu+1) K_nu = 1/x, I from mpmath
+    mpmath = pytest.importorskip("mpmath")
+    i_nu, i_up = (float(mpmath.besseli(v, x)) for v in (nu, nu + 1.0))
+    w = i_nu * sf.bessel_k(nu + 1.0, x) + i_up * sf.bessel_k(nu, x)
     assert w * x == pytest.approx(1.0, rel=2e-10)
 
 
@@ -585,43 +573,6 @@ def test_f21_density_oracle():
     assert max(errs) < (2e-12,)
 
 
-def test_kummer_m_oracle():
-    # the direct term loop on a, b > 0, x >= 0, where no terms cancel; the
-    # rounding grows with the ~x terms summed.  Worst on 1,500 draws: 5.0e-14
-    rng = np.random.default_rng(9)
-    draws = [(rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0), rng.uniform(0.0, 600.0))
-             for _ in range(200)]
-    errs = _oracle_errors(sf.kummer_m, lambda mp, a, b, x: mp.hyp1f1(a, b, x), draws)
-    assert max(errs) < (1e-13,)
-
-
-def test_kummer_m_negative_argument_oracle():
-    assert sf.kummer_m(3.0, 3.0, -25.0) == pytest.approx(math.exp(-25.0), rel=1e-15)
-    assert sf.kummer_m(1.0, 2.0, -720.0) == pytest.approx(1.0 / 720.0, rel=1e-13)
-    # where the term ratio is near 1 (n near |x|) the stop takes the geometric
-    # tail, not three small terms, which leave ~sqrt|x|/8 of the last one out
-    assert abs(sf.kummer_m(1.0, 2.0, -9000.0) * 9000.0 - 1.0) < 1e-14
-    # M(5; 2; x) = e^x M(-3; 2; -x) terminates unfolded; e^-720 alone is subnormal
-    cubic = 1.0 - 1.5 * 720.0 + 0.5 * 720.0**2 - 720.0**3 / 24.0
-    assert sf.kummer_m(5.0, 2.0, -720.0) == pytest.approx(
-        math.exp(-360.0) * cubic * math.exp(-360.0), rel=1e-14)
-    for x_range, n, seed, bound in [
-        # real x < 0: the alternating series is summed at -x through Kummer's
-        # transformation, M(a; b; x) = e^x M(b - a; b; -x).  Worst 6.7e-14 on
-        # these draws (1.3e264 by the direct alternating sum), 1.3e-13 on 2,000
-        ((0.0, 600.0), 400, 10, 2e-13),
-        # below x = -709 e^x and M(b - a; b; -x) leave the double range, so e^x
-        # is folded into the sum as it grows.  The error is the rounding of the
-        # ~|x| terms summed (the tail is cut below 1e-14): worst 4.8e-13 on 400
-        ((700.0, 1e4), 100, 13, 1e-12),
-    ]:
-        rng = np.random.default_rng(seed)
-        draws = [(rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0), -rng.uniform(*x_range))
-                 for _ in range(n)]
-        errs = _oracle_errors(sf.kummer_m, lambda mp, a, b, x: mp.hyp1f1(a, b, x), draws)
-        assert max(errs) < (bound,), x_range
-
-
 def test_pfq_oracle():
     # p, q <= 2 with positive parameters and real x >= 0, where no terms
     # cancel: the error is the truncation tail (tol = 1e-12 relative) plus
@@ -637,18 +588,3 @@ def test_pfq_oracle():
     errs = _oracle_errors(lambda a, b, x: sf.pfq(a, b, x).value,
                           lambda mp, a, b, x: mp.hyper(a, b, x), draws)
     assert max(errs) < (2e-12,)
-
-
-def test_bessel_i_oracle():
-    # the ascending series, positive terms.  Worst 7.0e-15 on 2,000 draws
-    rng = np.random.default_rng(12)
-    draws = [(rng.uniform(0.0, 6.0), _log_uniform(rng, 1e-3, 40.0)) for _ in range(300)]
-    errs = _oracle_errors(sf.bessel_i, lambda mp, nu, x: mp.besseli(nu, x), draws)
-    assert max(errs) < (1e-14,)
-
-
-def test_kummer_m_overflow_raises_range_error():
-    # M(2, 3, 784) ~ e^784 / 392 leaves the double range: a RangeError, not inf
-    with pytest.raises(RangeError, match="exceeds double range"):
-        sf.kummer_m(2.0, 3.0, 784.0)
-    assert math.isfinite(sf.kummer_m(2.0, 3.0, 700.0))

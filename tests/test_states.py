@@ -346,11 +346,15 @@ def test_fock_from_coeffs_normalizes_and_refuses_empty_norms():
 
 
 def test_fock_tail_bound_is_honest():
-    # compare the certified bound against a run at much tighter tolerance
-    spec = st.StateSpec(st.validate([2.0], [4.0]), 2.0)
+    # compare the certified bound against a run at much tighter tolerance, on a
+    # normalized circle state, where tol still sets the cut (a plane or disk
+    # vector is the whole log_terms slice at any tol): cutoffs 18 and 60,
+    # bound 4.4e-11 against a true tail of 2.0e-11
+    spec = st.StateSpec(st.validate([0.5, 0.5], [16.0]), cmath.exp(0.7j))
     v = st.fock_vector(spec, tol=1e-8)
     ref = st.fock_vector(spec, tol=1e-15)
-    true_tail = float(np.sum(np.abs(ref.coeffs[v.cutoff + 1:]) ** 2))
+    assert v.cutoff < ref.cutoff
+    true_tail = float(np.sum(np.abs(ref.coeffs[v.cutoff + 1:]) ** 2)) + ref.tail_bound
     assert true_tail <= v.tail_bound
 
 
