@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, RangeError
 from .states import FockVector, ParameterSet, rho_steps
 from .weights import density_integral, family_params, log_weight_tilde, support_radius
 
@@ -34,7 +34,8 @@ class AnalyticSample:
 
 
 def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> complex:
-    """A(zeta) = sum_n zeta^n psi_n / sqrt(rho(n)) over the truncated signal."""
+    """A(zeta) = sum_n zeta^n psi_n / sqrt(rho(n)) over the truncated signal, with
+    zeta^n / sqrt(rho(n)) stepped by zeta / f(n); one past double range raises RangeError."""
     zeta = complex(zeta)
     if params.p == params.q + 1 and abs(zeta) > 1.0:
         # the truncated sum is a polynomial, so the closed disk is allowed;
@@ -42,8 +43,12 @@ def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> comple
         raise DivergenceError(
             f"analytic representation of a disk family needs |zeta| <= 1, got {abs(zeta):g}"
         )
-    scaled = psi.coeffs * np.exp(-0.5 * rho_steps(params, psi.cutoff)[1])
-    return complex(np.polynomial.polynomial.polyval(zeta, scaled))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = complex(psi.coeffs @ np.cumprod(np.append(1.0, zeta / np.sqrt(rho_steps(
+            params, psi.cutoff)[0]))))
+    if not cmath.isfinite(value):
+        raise RangeError(f"zeta^n / sqrt(rho(n)) passes double range at |zeta| = {abs(zeta):g}")
+    return value
 
 
 def wavefunction_rows(params: ParameterSet, psi: FockVector, thetas):

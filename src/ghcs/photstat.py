@@ -26,17 +26,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DivergenceError, ParameterError
-from .states import (
-    MAX_CUTOFF,
-    DomainKind,
-    ParameterSet,
-    StateSpec,
-    classify,
-    family_params,
-    log_terms,
-    normalization,
-    rho_steps,
-)
+from .states import (MAX_CUTOFF, DomainKind, ParameterSet, StateSpec, classify, family_params,
+                     log_shares, log_terms, normalization, rho_steps)
 
 PN_CUMULATIVE = 1.0 - 1e-12
 PN_FLOOR = 1e-16
@@ -80,8 +71,8 @@ def _pn_series(log_p, n: int, label: str) -> DistributionSeries:
 
 
 def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> DistributionSeries:
-    """Photon number distribution P(n) = x^n / (rho(n) N(x)); tol applies to
-    the Gauss sum of normalized circle states."""
+    """Photon number distribution P(n) = x^n / (rho(n) N(x)), the log_shares
+    of the slice on the plane and disk; tol applies to the circle's Gauss sum."""
     kind = spec.domain_kind()
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
         raise DivergenceError("unnormalizable circle states have no photon distribution")
@@ -92,8 +83,8 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     if kind is DomainKind.CIRCLE_NORMALIZED:
         ln_n = math.log(normalization(params, x, tol=tol))
         return _pn_series(lambda n: -rho_steps(params, n - 1)[1] - ln_n, 64, params.label())
-    log_t, (ln_n,) = log_terms(params, x)
-    return _pn_series(lambda n: log_t - ln_n, len(log_t), params.label())
+    log_p = log_shares(log_terms(params, x)[0])
+    return _pn_series(lambda n: log_p, len(log_p), params.label())
 
 
 def _factorial_moments(params: ParameterSet, x, k: int, tol: float) -> tuple:
@@ -194,20 +185,20 @@ def _stepped(lp0: float, ratio):
 
 def _summed(ratio):
     """log_p for _pn_series: log P(n) = log t_n - log N for the positive terms
-    t_0 = 1, t_(n+1) = ratio(n) t_n, with N their sum taken in log space, so
-    P(n) sums to 1 however far log t_n runs from 0.  The slice doubles from
-    64 terms until its last ratio is below 1/2 and its last term below 1e-17
-    of the largest.  From there on the ratios of F01 and F11 only fall (F11:
-    once n^2 >= b), so the terms left out sum to less than the last one,
-    below 1e-17 of N, and the P(n) rule is met inside the slice."""
+    t_0 = 1, t_(n+1) = ratio(n) t_n, as log_shares, so P(n) sums to 1 however
+    far log t_n runs from 0.  The slice doubles from 64 terms until its last
+    ratio r is below 1 and its last term times r/(1 - r) below 1e-17 of the
+    largest.  From there on the ratios of F01 and F11 only fall (F11: once
+    n^2 >= b), so that bounds the terms left out, below 1e-17 of N, and the
+    P(n) rule is met inside the slice."""
     n = 64
     while True:
         log_r = _log_ratios(ratio, n)
         log_t = np.concatenate(([0.0], np.add.accumulate(log_r)))
-        top = log_t.max()
-        if log_r[-1] < -math.log(2.0) and log_t[-1] < top + math.log(1e-17):
-            log_t -= top + math.log(np.exp(log_t - top).sum())
-            return lambda m: log_t[:m]
+        if log_r[-1] < 0.0 and (log_t[-1] + log_r[-1] - math.log1p(-math.exp(log_r[-1]))
+                                < log_t.max() + math.log(1e-17)):
+            log_p = log_shares(log_t)
+            return lambda m: log_p[:m]
         if n >= MAX_CUTOFF:
             raise ConvergenceError(f"the normalization sum did not settle within {MAX_CUTOFF} terms")
         n = min(2 * n, MAX_CUTOFF)
@@ -236,9 +227,9 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
     to max(1, mean)): F01 within 1e-13 for b in [0.2, 6], x in [0.01, 1e5];
     F11 within 1e-13 for a, b in [0.3, 6], x in [0.01, 1e4] (worst measured
     7.0e-15).  P(n) of F01 and F11 is t_n/N with N the positive-term sum of
-    _summed, stepped by the family's ratio (for F11 about 2x terms, so past
-    x of about 3e4 it raises ConvergenceError); CS, F10 and F21 step P(n)
-    from their closed-form P(0).
+    _summed, stepped by the family's ratio (for F11 about x + 9 sqrt(x)
+    terms, so past x of about 6.3e4 it raises ConvergenceError); CS, F10
+    and F21 step P(n) from their closed-form P(0).
 
     Entirely independent of the generic pfq/rho path (log_terms, rho_steps),
     so the two can be cross-checked against each other.

@@ -372,9 +372,12 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     slice of rho_steps: log_t[j] = j log x - log rho(j), and log_n[k] the
     log-sum-exp log N_k(x) of the set params.shifted(k), k < shifts, whose
     ratios f_k^2[j] = f^2[j+k] (j+1)/(j+k+1) come from the same f^2 slice.
-    The slice doubles until its last term plus the geometric bound on the
+    The slice is settled when its last term plus the geometric bound on the
     rest (last window's largest ratio joined with the n -> inf limit) is
     below SLICE_REST of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
+    It starts a window past where the terms fall to SLICE_REST of their mode m,
+    f^2(m) = x (plane: a Gaussian of variance m/d, f^2 ~ n^d, d = q + 1 - p; disk:
+    n^(eta-1) x^n), and grows, at most doubling, as far as its last ratio sheds the excess.
 
     A 1-D array x adds a leading axis over it, all points on the slice that
     settles x_max = max(x), which settles each smaller x: t_j(x) =
@@ -384,21 +387,25 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     """
     many = isinstance(x, np.ndarray) and x.ndim > 0
     x_max = float(x.max()) if many else x
-    lnx = math.log(x_max)
-    r_limit = x_max if params.p == params.q + 1 else 0.0
+    lnx, fall = math.log(x_max), -math.log(SLICE_REST)
+    d, eta = params.q + 1 - params.p, params.eta  # f^2 ~ (n + (1 - eta)/d)^d or 1 + (1 - eta)/n
+    m = max(0.0, x_max ** (1 / d) - (1 - eta) / d if d else (eta - 1) * x_max / (1 - x_max))
     cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
-    n = min(cap, int(2.0 * x_max) + 2 * _RATIO_WINDOW)
+    n = min(cap, int(m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)) + _RATIO_WINDOW)
     while True:
         f2, lr = rho_steps(params, n + shifts)
         jlnx = np.arange(n) * lnx
         log_t = jlnx - lr[:n]
-        last = log_t[-_RATIO_WINDOW:]
-        r_bar = max(math.exp((last[1:] - last[:-1]).max(initial=-math.inf)), r_limit)
+        last = np.diff(log_t[-_RATIO_WINDOW:])
+        r_bar = max(math.exp(last.max(initial=-math.inf)), 0.0 if d else x_max)
         if r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(SLICE_REST):
             break
         if n >= cap:
             raise ConvergenceError(f"normalization series not settled within {cap} terms")
-        n = min(cap, 2 * n)
+        ln_r = max(last[-1], -math.inf if d else lnx)  # the last ratio, joined with the limit
+        step = n if ln_r >= 0.0 else max(1, math.ceil(
+            (log_t[-1] - math.log1p(-math.exp(ln_r)) - log_t.max() + fall) / -ln_r))
+        n = min(cap, n + min(n, step))
     if many:
         jlnx = np.array([math.log(v) for v in x])[:, None] * np.arange(n)
         log_t = jlnx - lr[:n]
@@ -410,11 +417,17 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     return log_t, peak + np.log(np.exp(rows - peak[..., None]).sum(axis=-1))
 
 
+def log_shares(log_t: np.ndarray) -> np.ndarray:
+    """log(t_n / sum t) against the largest term, free of log N's rounding (an ulp of |z|^2)."""
+    lp = log_t - log_t.max()
+    return lp - math.log(np.exp(lp).sum())
+
+
 def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
-    Plane and disk states are the slice that log_terms settles:
-    |c_n|^2 = t_n / N for every n of it, and the certified tail, which covers
+    Plane and disk states are the slice that log_terms settles: |c_n|^2 =
+    t_n / N (log_shares) for every n of it, and the certified tail, covering
     sum_{k>=N} |c_k|^2 with c_N included, is its rest SLICE_REST * peak / N;
     a tol below that rest raises ConvergenceError.  Normalized circle states
     cut where a power-law comparison bounds the tail by tol (the ratios tend
@@ -446,14 +459,14 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
 
     x = abs(z) ** 2
     if kind is not DomainKind.CIRCLE_NORMALIZED:
-        log_t, (ln_n,) = log_terms(params, x)
-        rest = SLICE_REST * math.exp(log_t.max() - ln_n)
+        lc = log_shares(log_terms(params, x)[0])
+        rest = SLICE_REST * math.exp(lc.max())
         if tol < rest:
             raise ConvergenceError(f"tol {tol:g} is below the Fock slice's rest {rest:.3g}")
-        return FockVector(build(log_t - ln_n), rest, True)
+        return FockVector(build(lc), rest, True)
 
     ln_n, ln_az = math.log(normalization(params, x)), math.log(abs(z))
-    n = int(2.0 * x) + 8
+    n = 10  # 2x + 8 at x = 1, so no rounding of |z|^2 moves the cut
     while n <= MAX_CUTOFF:
         m = n + _RATIO_WINDOW
         lc = 2.0 * np.arange(m + 1) * ln_az - rho_steps(params, m)[1] - ln_n  # log |c_k|^2

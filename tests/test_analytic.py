@@ -7,7 +7,7 @@ import pytest
 from ghcs import analytic as an
 from ghcs import states as st
 from ghcs import weights as wt
-from ghcs.errors import DivergenceError
+from ghcs.errors import DivergenceError, RangeError
 
 CS = st.validate([], [])
 
@@ -25,6 +25,21 @@ def test_single_photon_representation():
     one = st.fock_basis_vector(1)
     zeta = 0.7 + 0.1j
     assert an.analytic_rep(CS, one, zeta) == zeta  # rho(1) = 1
+
+
+def test_analytic_rep_at_high_fock_order():
+    # zeta^1000 / sqrt(1000!) at zeta = sqrt(1000) is 1.58e216, while
+    # exp(-log rho(1000) / 2) alone underflows (it returned 0); a factor past
+    # double range raises
+    mpmath = pytest.importorskip("mpmath")
+    zeta = math.sqrt(1000.0)
+    got = an.analytic_rep(CS, st.fock_basis_vector(1000), zeta * cmath.exp(0.3j))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.mpf(1000) ** 500 / mpmath.sqrt(mpmath.factorial(1000))
+                      * mpmath.expj(300))
+    assert got == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(RangeError):
+        an.analytic_rep(CS, st.fock_basis_vector(1000), 2.0 * zeta)
 
 
 def test_hardy_representation():

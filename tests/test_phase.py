@@ -74,12 +74,14 @@ def test_g_table_cap_is_structured_and_bounds_phase_cutoff():
         ph.phase_distribution(st.fock_from_coeffs(np.ones(ph.G_TABLE_CAP + 2)), "Q")
 
 
-@pytest.mark.parametrize("b", [[], [2.0]], ids=["CS", "F01(;2)"])
-def test_phase_window_not_slice_length_decides(b):
-    # at |z| = 40 the Fock slices run to 3,200 orders, their support windows
-    # hold about 1,000 (CS) and 107 (F01) entries
-    sig = coherent_signal(40.0, 0.7, st.validate([], b))
-    assert sig.cutoff > ph.G_TABLE_CAP
+@pytest.mark.parametrize("b,absz,long_slice", [([], 45.0, True), ([2.0], 40.0, False)],
+                         ids=["CS", "F01(;2)"])
+def test_phase_window_not_slice_length_decides(b, absz, long_slice):
+    # the CS slice at |z| = 45 runs to 2,459 orders, past the G table cap, its
+    # support window holds 970; F01 (;2) at |z| = 40 peaks at n = 39, and its
+    # slice, which starts there, has 94 orders (3,232 from a start at 2|z|^2 + 32)
+    sig = coherent_signal(absz, 0.7, st.validate([], b))
+    assert sig.cutoff > ph.G_TABLE_CAP if long_slice else sig.cutoff < 150
     d = ph.phase_distribution(sig, "Q")
     assert d.norm_residual <= 1e-8
     assert abs(d.peak()[0] - 0.7) <= TWO_PI / 720
@@ -249,7 +251,7 @@ def test_g_table_builds_one_square_array():
 
 
 def test_phase_distribution_memory_scales_with_support_window():
-    sig = coherent_signal(absz=25.0, phi=0.3)
+    sig = coherent_signal(absz=40.0, phi=0.3)
     assert sig.cutoff >= 1250
     ph.phase_distribution(sig, "Q")  # warm the rho sequences
     mag = np.abs(sig.coeffs)

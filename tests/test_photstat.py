@@ -127,12 +127,17 @@ def _log_uniform(rng, lo, hi):
     # and 7.0e-15 with x in (1e3, 1e4], where M(a; b; x) leaves double range
     ("F11", (0.01, 1e3)),
     ("F11", (1e3, 1e4)),
+    # (2;3) at x = 4e4 and 6e4, past the 3e4 where the P(n) sum stopped at a
+    # ratio below 1/2 and raised ConvergenceError; the geometric-rest stop
+    # reaches them: worst 4.9e-17
+    ("F11", [(2.0, 3.0, 4e4), (2.0, 3.0, 6e4)]),
 ])
 def test_closed_form_ratio_oracle(family, x_range):
     rng = np.random.default_rng(17)
-    draws = [(None if family == "F01" else rng.uniform(0.3, 6.0),
-              rng.uniform(0.2 if family == "F01" else 0.3, 6.0), _log_uniform(rng, *x_range))
-             for _ in range(100)]
+    draws = x_range if isinstance(x_range, list) else [
+        (None if family == "F01" else rng.uniform(0.3, 6.0),
+         rng.uniform(0.2 if family == "F01" else 0.3, 6.0), _log_uniform(rng, *x_range))
+        for _ in range(100)]
     assert max(_closed_form_errors(family, draws)) < 1e-13
 
 
@@ -234,6 +239,18 @@ def test_state_core_at_absz_60(family, a, b):
     k = len(d.values)
     assert np.max(np.abs(d.values - np.abs(v.coeffs[:k]) ** 2)) <= 1e-12
     assert mean == pytest.approx(float(np.sum(d.grid * d.values)), rel=1e-10)
+
+
+@pytest.mark.parametrize("az", [240.0, 250.0])
+def test_pn_distribution_at_the_slice_cap(az):
+    # log N ~ |z|^2 carries 3.6e-12 of rounding at |z| = 240: P(n) formed against the
+    # slice's largest term sums to 1 within ulps, where exp(log t_n - log N)
+    # summed to 1 - 3.6e-12 and missed the 1 - 1e-12 rule (ConvergenceError)
+    spec = st.StateSpec(CS, az)
+    d = ps.pn_distribution(spec)
+    v = st.fock_vector(spec)
+    assert d.norm_residual <= 1e-14 and abs(v.norm_sq() - 1.0) <= 1e-14
+    assert float(np.sum(d.grid * d.values)) == pytest.approx(az * az, rel=1e-12)
 
 
 def test_moments_against_mpmath_at_large_amplitude():

@@ -292,6 +292,17 @@ def test_fock_circle_normalized():
     assert abs(v.norm_sq() - 1.0) <= 2.0 * v.tail_bound + 1e-13
 
 
+def test_fock_circle_cut_ignores_the_last_bit_of_x():
+    # |z|^2 rounds to 1.0 at e^{0.7i} and to 1 - 2^-53 at e^{0.36i}; the
+    # circle search starts from one constant, so both cut at 27 (25 and 27
+    # when it started at int(2|z|^2) + 8)
+    p = st.validate([0.5, 0.5], [16.0])
+    assert abs(cmath.exp(0.36j)) ** 2 < 1.0 == abs(cmath.exp(0.7j)) ** 2
+    cuts = {st.fock_vector(st.StateSpec(p, cmath.exp(1j * t)), tol=1e-12).cutoff
+            for t in (0.7, 0.36)}
+    assert cuts == {27}
+
+
 def test_fock_circle_cap_for_shallow_eta():
     # eta = -0.8 decays like n^{-1.8}: a 1e-14 tail needs n far beyond the cap
     p = st.validate([0.3, 0.4], [1.5])
@@ -322,12 +333,47 @@ def test_fock_vector_is_the_log_terms_slice(a, b, az):
     v = st.fock_vector(st.StateSpec(p, az * cmath.exp(0.4j)), tol=1e-12)
     log_t, (ln_n,) = st.log_terms(p, az * az)
     assert v.cutoff + 1 == len(log_t)
+    # |c_n|^2 against the slice's exact shares t_n / sum t: exp(log t_n - log N)
+    # would carry the rounding of log N, an ulp of |z|^2 (4.5e-13 at |z| = 60)
+    w = np.exp(log_t - log_t.max())
+    assert abs(ln_n - (log_t.max() + math.log(math.fsum(w)))) <= 1e-15 * max(1.0, ln_n)
     c_sq = np.abs(v.coeffs) ** 2
-    assert np.max(np.abs(c_sq - np.exp(log_t - ln_n))) <= 1e-15 * c_sq.max()
+    assert np.max(np.abs(c_sq - w / math.fsum(w))) <= 1e-15 * c_sq.max()
     assert abs(v.coeffs[-1]) ** 2 <= v.tail_bound <= st.SLICE_REST
     k = np.arange(len(log_t), 4 * len(log_t))  # the rest, summed out to 4 slice lengths
     rest = np.exp(k * math.log(az * az) - st.rho_steps(p, k[-1])[1][k] - ln_n).sum()
     assert rest <= v.tail_bound
+
+
+PLANE_SETS = [([], []), ([], [0.2]), ([], [2.0]), ([], [6.0]), ([2.0], [3.0]), ([5.0], [0.5]),
+              ([1 + 2j, 1 - 2j], [0.5, 2.0, 2.5]), ([-1.5, -1.5], [2.0, 3.0])]
+SLICE_START_CASES = (
+    [(a, b, az) for a, b in PLANE_SETS for az in (0.75, 3.0, 15.0, 40.0)]
+    + [(a, b, az) for a, b in (([2.0], []), ([0.7, 1.3], [2.2])) for az in (0.3, 0.75, 0.97)]
+)
+
+
+def _settled(params, log_t, x) -> bool:
+    """The slice certificate of log_terms on the prefix log_t, restated."""
+    last = log_t[-16:]
+    r_bar = max(math.exp((last[1:] - last[:-1]).max(initial=-math.inf)),
+                x if params.p == params.q + 1 else 0.0)
+    return r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(st.SLICE_REST)
+
+
+@pytest.mark.parametrize("a,b,az", SLICE_START_CASES,
+                         ids=[f"({a};{b})@{az:g}" for a, b, az in SLICE_START_CASES])
+def test_slice_length_near_the_shortest_settled_prefix(a, b, az):
+    # L* is the shortest prefix the slice certificate accepts, by brute force;
+    # the slice starts from the mode and width of t_n, so it is at most a
+    # quarter and two windows longer (F01 (;2) at |z| = 40: 94 orders against
+    # L* = 88, where a start at 2|z|^2 + 32 gave 3,232)
+    params = st.validate(a, b)
+    x = az * az
+    n = len(st.log_terms(params, x)[0])
+    full = np.arange(4 * n) * math.log(x) - st.rho_steps(params, 4 * n)[1][: 4 * n]
+    l_star = next(k for k in range(1, n + 1) if _settled(params, full[:k], x))
+    assert l_star <= n <= 1.25 * l_star + 32
 
 
 def test_fock_tol_below_the_slice_rest_raises():
@@ -408,12 +454,13 @@ def test_log_terms_respects_the_term_cap(monkeypatch):
 
 # fock_vector cutoffs of the signals of figures 8-13 (|z| = 3/4, tol 1e-12),
 # the lengths of their log_terms slices less one: a change to the slice rule
-# shows here before it moves a figure
+# shows here before it moves a figure (32 and 131 when the slice started at
+# 2|z|^2 + 32 and doubled)
 FIGURE_SIGNAL_CUTOFFS = [
-    (([], [0.5]), 32), (([], [1.0]), 32), (([], [3.0]), 32),               # figure 8
-    (([2.0], [4.0]), 32), (([3.0], [3.0]), 32), (([4.0], [2.0]), 32),      # figure 9
-    (([1.5], []), 131), (([2.0], []), 131), (([4.0], []), 131),            # figure 10
-    (([], []), 32),                                                        # CS, figures 8-13
+    (([], [0.5]), 16), (([], [1.0]), 15), (([], [3.0]), 15),               # figure 8
+    (([2.0], [4.0]), 16), (([3.0], [3.0]), 17), (([4.0], [2.0]), 27),      # figure 9
+    (([1.5], []), 87), (([2.0], []), 88), (([4.0], []), 92),               # figure 10
+    (([], []), 17),                                                        # CS, figures 8-13
 ]
 
 
