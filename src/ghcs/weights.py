@@ -88,7 +88,8 @@ def _as_given(v: np.ndarray, x):
 def weight(family: str, params: ParameterSet, x):
     """Weight function w(x) of the resolution of unity, x = |z|^2 in [0, R), a
     float or a 1-D array.  Plane families form w = sign exp(log|wt| + log N),
-    finite where wt underflows and N overflows."""
+    finite where wt underflows and N overflows; log N takes one log_terms
+    pass per octave of x, on the slice of the octave's largest point."""
     xs = _nodes(x)
     vals = _checked_vals(family, params, xs)
     if family == "CS":
@@ -100,7 +101,10 @@ def weight(family: str, params: ParameterSet, x):
         if family == "F21":
             w = sign * np.exp(ln) * normalization(params, xs)
         else:
-            w = sign * np.exp(ln + [float(log_terms(params, v)[1][0]) for v in xs.tolist()])
+            octave = np.floor(np.log2(xs))
+            for k in np.unique(octave):
+                ln[octave == k] += log_terms(params, xs[octave == k])[1][:, 0]
+            w = sign * np.exp(ln)
     return _as_given(w, x)
 
 
@@ -182,9 +186,10 @@ def density_integral(family: str, params: ParameterSet, g,
     g's weight, and the first panels meet at its peak (QUADPACK's break
     points, QAGP).  A peak much narrower than those panels can still be
     missed (F01 (;2) at m = 3000).  R = inf is mapped to (0,1) via x = t/(1-t) and
-    integrable endpoint behavior is absorbed by power substitutions.  On the
-    disk the right half evaluates the density at the exact distance
-    om = 1 - x (where it is power-law singular) and hands g the point 1 - om.
+    integrable endpoint behavior is absorbed by power substitutions.  One
+    quadrature.integrate pass evaluates the density once per refinement
+    round on the nodes of both halves of (0, 1), each with its exact
+    om = 1 - x: the disk densities, singular at x = 1, are taken at om.
     """
     vals = _checked_vals(family, params)
     lr = rho_steps(params, n_peak + 1)[1]
@@ -197,8 +202,7 @@ def density_integral(family: str, params: ParameterSet, g,
 
     if math.isinf(support_radius(family)):
         return quadrature.integrate_half_line(f, rel_tol=rel_tol, abs_tol=abs_tol, points=points)
-    return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, points=points,
-                                     right_f=lambda om: f(1.0 - om, om))
+    return quadrature.integrate_unit(f, rel_tol=rel_tol, abs_tol=abs_tol, points=points)
 
 
 def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):

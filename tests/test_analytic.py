@@ -95,7 +95,7 @@ def test_wavefunction_norm_by_quadrature():
         ) / m_ang
 
     # (1/pi) int d^2z |Psi|^2 = (1/pi)(1/2) int dx (2 pi f(x)) = int f dx
-    val, _ = qd.integrate_unit(lambda xs: np.array([f_point(x) for x in xs.tolist()]),
+    val, _ = qd.integrate_unit(lambda xs, om: np.array([f_point(x) for x in xs.tolist()]),
                                rel_tol=1e-6, abs_tol=1e-9)
     assert val == pytest.approx(1.0, abs=1e-4)
 

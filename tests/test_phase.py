@@ -391,7 +391,7 @@ def test_gh_husimi_normalization_2d():
             for a in angles
         ) / m_ang
 
-    val, _ = qd.integrate_unit(lambda xs: np.array([f_point(x) for x in xs.tolist()]),
+    val, _ = qd.integrate_unit(lambda xs, om: np.array([f_point(x) for x in xs.tolist()]),
                                rel_tol=1e-6, abs_tol=1e-9)
     assert math.pi * val == pytest.approx(1.0, abs=1e-4)
 

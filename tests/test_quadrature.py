@@ -8,8 +8,8 @@ from ghcs.errors import ConvergenceError
 
 
 def counted(f):
-    """f with a call counter in .calls (one call per panel) and the shapes of
-    the node arrays it was handed in .shapes."""
+    """f with a call counter in .calls (one call per refinement round) and the
+    shapes of the node arrays it was handed in .shapes."""
     def wrapper(x):
         wrapper.calls += 1
         wrapper.shapes.append(np.shape(x))
@@ -72,6 +72,24 @@ def test_interval_budget_raises_for_any_component():
         qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, max_intervals=10)
 
 
+def test_a_round_stays_within_the_interval_budget():
+    # a round evaluates only the halves of the panels it bisects, and never
+    # leaves more than max_intervals live panels: at most 10 panels per call
+    f = counted(columns(np.ones_like, lambda x: np.abs(x - 1.0 / 3.0) ** -0.5))
+    with pytest.raises(ConvergenceError, match="budget of 10 intervals"):
+        qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, max_intervals=10)
+    assert f.calls > 1
+    assert max(shape[0] for shape in f.shapes) <= 150
+
+
+def test_nan_integrand_ends_at_the_interval_budget():
+    # a NaN error meets no tolerance: every round still bisects a panel, so
+    # the pass raises at the budget instead of looping on an empty round
+    f = columns(np.ones_like, lambda x: np.where(x > 0.7, np.nan, 1.0))
+    with pytest.raises(ConvergenceError, match="budget of 50 intervals"):
+        qd.integrate(f, 0.0, 1.0, max_intervals=50)
+
+
 def test_near_zero_component_meets_abs_tol():
     # the second integral is 0: rel_tol * |I| is out of reach, abs_tol decides,
     # and it is the second component's own target, not one scaled by the first
@@ -83,40 +101,49 @@ def test_near_zero_component_meets_abs_tol():
     assert err[1] > 1e-6 * abs(val[1])
 
 
-def test_one_call_per_panel_on_fifteen_nodes(monkeypatch):
+def test_one_call_per_round_on_whole_panels(monkeypatch):
     panels = []
-    gk_panel = qd._gk_panel
-    monkeypatch.setattr(qd, "_gk_panel", lambda f, a, b: panels.append((a, b)) or gk_panel(f, a, b))
+    gk_panels = qd._gk_panels
+    monkeypatch.setattr(qd, "_gk_panels",
+                        lambda f, lo, hi: panels.extend(zip(lo, hi)) or gk_panels(f, lo, hi))
     f = counted(lambda x: 1.0 / (1e-3 + (x - 0.3) ** 2))
     qd.integrate(f, 0.0, 1.0, rel_tol=1e-12)
-    assert f.calls == len(panels) > 1
-    assert f.shapes == [(15,)] * f.calls
+    assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in f.shapes)
+    assert sum(shape[0] for shape in f.shapes) == 15 * len(panels)
+    assert 1 < f.calls < len(panels)
 
 
-# ------------------------------------------------------------- heap loop
+# ------------------------------------------------------- refinement rounds
 
 def _sorted_loop_evals(f, a, b, rel_tol, abs_tol):
     """Reference: integrand calls and value of a plain adaptive loop that
-    re-sorts all intervals by error and re-sums them on every bisection."""
+    bisects one panel at a time, re-sorting all intervals by error and
+    re-summing them on every bisection."""
     f = counted(f)
-    val, err, _ = qd._gk_panel(f, a, b)
-    intervals = [(err, a, b, val)]
+
+    def panel(lo, hi):
+        val, err = qd._gk_panels(f, np.array([lo]), np.array([hi]))
+        return err[0], lo, hi, val[0]
+
+    intervals = [panel(a, b)]
     while sum(it[0] for it in intervals) > max(abs_tol, rel_tol * abs(sum(it[3] for it in intervals))):
         intervals.sort(key=lambda it: it[0])
         _, lo, hi, _ = intervals.pop()
         mid = 0.5 * (lo + hi)
-        for x0, x1 in ((lo, mid), (mid, hi)):
-            v, e, _ = qd._gk_panel(f, x0, x1)
-            intervals.append((e, x0, x1, v))
+        intervals += [panel(lo, mid), panel(mid, hi)]
     return f.calls, sum(it[3] for it in intervals)
 
 
 def test_peaked_integrand_panel_count_not_above_sorted_loop():
+    # rounds bisect no more panels than the one-at-a-time loop, in a quarter
+    # of its integrand calls or fewer
     peak = lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2)
     f = counted(peak)
     val, err = qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14, max_intervals=4000)
-    ref_calls, ref_val = _sorted_loop_evals(peak, 0.0, 1.0, 1e-12, 1e-14)
-    assert f.calls <= ref_calls
+    ref_panels, ref_val = _sorted_loop_evals(peak, 0.0, 1.0, 1e-12, 1e-14)
+    panels = sum(shape[0] for shape in f.shapes) // 15
+    assert panels <= ref_panels
+    assert f.calls <= panels / 4
     assert val == pytest.approx(ref_val, rel=1e-12)
     exact = 1e3 * (math.atan(0.7e3) + math.atan(0.3e3))
     assert val == pytest.approx(exact, rel=1e-11)

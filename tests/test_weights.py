@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ghcs import cli
 from ghcs import states as st
 from ghcs import weights as wt
 from ghcs.errors import CircleNoGoError, ParameterError
@@ -85,6 +87,28 @@ def test_plane_weights_refuse_the_origin(f, family, params):
         f(family, params, 0.0)
 
 
+def test_weight_on_a_grid_takes_one_slice_per_octave(monkeypatch):
+    # 2,000 log-spaced points over ten decades lie in 34 octaves of x: one
+    # log_terms pass per octave, where one per point took 2,000, and the
+    # longer slice of the octave moves log N by no more than its last bit
+    xs = np.logspace(-6, 4, 2000)
+    for family, params in (("F01", st.validate([], [2.0])), ("F11", st.validate([3.0], [3.0]))):
+        ref = np.array([wt.weight(family, params, x) for x in xs.tolist()])
+        calls = []
+        log_terms = wt.log_terms
+        monkeypatch.setattr(wt, "log_terms", lambda p, x: calls.append(x) or log_terms(p, x))
+        tracemalloc.start()
+        try:
+            w = wt.weight(family, params, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert len(calls) <= 40
+        assert peak <= 24e6
+        assert np.max(np.abs(w / ref - 1.0)) <= 9e-16
+
+
 def test_weight_tilde_is_weight_over_normalization():
     cases = [("F01", st.validate([], [2.0]), 1.3),
              ("F11", st.validate([2.0], [4.0]), 0.9),
@@ -152,8 +176,23 @@ def test_moment_check_matches_single_moment_integrals(family, params):
     rep = wt.moment_check(family, params, n_max=20)
     for r in rep:
         assert r.quad == pytest.approx(wt.moment_integral(family, params, r.n), rel=1e-10)
-        # the estimate meets the per-component rule (summed over two halves)
+        # the estimate meets the per-component rule
         assert 0.0 < r.quad_err <= 1e-10 * abs(r.quad) + 1e-14 * r.rho
+
+
+def test_verify_moment_sets_take_few_density_calls(monkeypatch):
+    # one density call per refinement round, on the nodes of both halves of
+    # the unit map: a pass with one call per panel made 351 calls on 5,265
+    # nodes over the 11 sets of `ghcs verify moments`
+    sizes = []
+    ln_density = wt._ln_density
+    monkeypatch.setattr(wt, "_ln_density", lambda family, vals, x, om=None:
+                        sizes.append(len(x)) or ln_density(family, vals, x, om))
+    checks = []
+    cli._verify_moments(checks)
+    assert len(checks) == 11 and all(c["pass"] for c in checks)
+    assert len(sizes) <= 100
+    assert sum(sizes) <= 5265
 
 
 def test_density_integral_carries_log_density_where_it_underflows():
