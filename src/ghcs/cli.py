@@ -56,6 +56,12 @@ def parse_complex(token: str) -> complex:
     return complex(re_part, float(im_tok))
 
 
+def parse_count(token: str) -> int:
+    if not token.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {token!r}")
+    return int(token)
+
+
 def parse_param_list(text: str):
     text = text.strip()
     if not text:
@@ -232,8 +238,9 @@ def cmd_weight(args) -> int:
     params = _get_params(args)
     r = weights.support_radius(args.family)
     hi = args.x_max if args.x_max is not None else (0.999 if r == 1.0 else 25.0)
-    if hi >= r:
-        raise UsageError(f"--x-max must be below the support radius {r}")
+    if not args.x_min <= hi < r:
+        raise UsageError(f"need --x-min <= --x-max < {r:g}, the support radius; "
+                         f"got {args.x_min:g}, {hi:g}")
     grid = np.linspace(max(args.x_min, 1e-12), hi, args.points)
     emit(args, [
         _series("w", grid, weights.weight(args.family, params, grid), params=params.label()),
@@ -307,8 +314,6 @@ def _sweep_params(fig: int, override):
 
 def cmd_figure(args) -> int:
     fig = args.id
-    if not 1 <= fig <= 13:
-        raise UsageError(f"figure id must be 1..13, got {fig}")
     override = None
     if args.sweep:
         toks = args.sweep.split(",")
@@ -514,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="mean photon number and Mandel Q", parents=[common])
     add_params(sp); add_point(sp)
     sp.add_argument("--absz-max", type=float, help="sweep |z| from 0 to this")
-    sp.add_argument("--points", type=int, default=61)
+    sp.add_argument("--points", type=parse_count, default=61)
     sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("weight", help="weight function w and density w/N", parents=[common])
@@ -522,20 +527,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=states.FAMILIES)
     sp.add_argument("--x-min", type=float, default=1e-6)
     sp.add_argument("--x-max", type=float)
-    sp.add_argument("--points", type=int, default=200)
+    sp.add_argument("--points", type=parse_count, default=200)
     sp.set_defaults(func=cmd_weight)
 
     sp = sub.add_parser("moment-check", help="quadrature vs rho(n)", parents=[common])
     add_params(sp)
     sp.add_argument("--family", required=True, choices=states.FAMILIES)
-    sp.add_argument("--n-max", type=int, default=20)
+    sp.add_argument("--n-max", type=parse_count, default=20)
     sp.add_argument("--quad-tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_moment_check)
 
     sp = sub.add_parser("phase", help="phase distribution of a family state", parents=[common])
     add_params(sp); add_point(sp)
     sp.add_argument("--analyzer", default="Q", choices=("Q", "PB"))
-    sp.add_argument("--points", type=int, default=721)
+    sp.add_argument("--points", type=parse_count, default=721)
     sp.set_defaults(func=cmd_phase)
 
     sp = sub.add_parser("gh-phase",
@@ -546,14 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--signal-absz", type=float, default=0.75)
     sp.add_argument("--signal-phi", type=float, default=0.0)
     sp.add_argument("--signal-fock", type=int, help="use Fock state |N> as signal")
-    sp.add_argument("--points", type=int, default=721)
+    sp.add_argument("--points", type=parse_count, default=721)
     sp.set_defaults(func=cmd_gh_phase)
 
     sp = sub.add_parser("figure", help="emit the data series of figure 1..13", parents=[common])
-    sp.add_argument("id", type=int)
+    sp.add_argument("id", type=int, choices=range(1, 14), metavar="ID", help="1..13")
     sp.add_argument("--sweep", help="override parameter sweep, e.g. '0.5,1,3' or '2:4,3:3'")
     sp.add_argument("--absz", type=float, help="override |z|")
-    sp.add_argument("--points", type=int,
+    sp.add_argument("--points", type=parse_count,
                     help="grid size (default: 61 amplitude steps / 721 angles)")
     sp.set_defaults(func=cmd_figure)
 

@@ -105,6 +105,7 @@ def validate(a=(), b=()) -> ParameterSet:
     """Check the positivity constraints and return a ParameterSet.
 
     Acceptance rules for the combined lists:
+      * every entry is finite (real and imaginary parts);
       * no entry may be zero or a negative integer;
       * complex entries must occur in conjugate pairs within their own list;
       * real negative entries must be even in number and pair up with equal
@@ -119,6 +120,9 @@ def validate(a=(), b=()) -> ParameterSet:
     for which, vals in lists.items():
         complex_pool = {}
         for idx, v in enumerate(vals):
+            if not cmath.isfinite(v):
+                raise ParameterError(f"{which}[{idx}] = {v}: entries must be finite",
+                                     which=which, index=idx, rule="non-finite")
             if specfun._is_nonpositive_integer(v):
                 raise ParameterError(
                     f"{which}[{idx}] = {v}: zero and negative integer parameters are excluded",
@@ -349,6 +353,8 @@ class FockVector:
 
 
 def fock_basis_vector(n: int) -> FockVector:
+    if n < 0:
+        raise ParameterError(f"Fock index {n} is negative", rule="negative-fock-index")
     c = np.zeros(n + 1, dtype=complex)
     c[n] = 1.0
     return FockVector(c, 0.0, True)

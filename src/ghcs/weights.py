@@ -228,6 +228,8 @@ def moment_check(family: str, params: ParameterSet, n_max: int = 20,
                  quad_tol: float = 1e-10) -> MomentReport:
     """Verify integral_0^R x^n wt(x) dx = rho(n) for n = 0..n_max, all n in
     one adaptive pass."""
+    if n_max < 0:
+        raise ValueError(f"moment_check needs n_max >= 0, got n_max = {n_max}")
     quads, errs, rhos = _moment_integrals(family, params, np.arange(n_max + 1), quad_tol)
     records = [MomentRecord(n, q, r, abs(q - r) / r, e)
                for n, (q, e, r) in enumerate(zip(quads.tolist(), errs.tolist(), rhos.tolist()))]

@@ -38,10 +38,37 @@ def test_validate_conjugate_pair_syntax(capsys):
     assert code == 0 and doc["valid"]
 
 
+def test_validate_rejects_non_finite(capsys):
+    code, doc, _ = run_json(capsys, "validate", "--b", "1e999")
+    assert code == 2 and not doc["valid"]
+    assert (doc["rule"], doc["which"], doc["index"]) == ("non-finite", "b", 0)
+
+
+def test_negative_fock_signal_is_refused(capsys):
+    code, _, err = run(capsys, "gh-phase", "--signal-fock", "-1")
+    assert code == 2 and json.loads(err)["rule"] == "negative-fock-index"
+
+
+def test_zero_points_give_empty_series(capsys):
+    # 0 is a count: the grid is empty and the command succeeds
+    code, doc, _ = run_json(capsys, "stats", "--absz-max", "2", "--points", "0")
+    assert code == 0 and [s["points"] for s in doc["series"]] == [[], []]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "figure", "99")[0] == 64
     assert run(capsys, "no-such-command")[0] == 64
     assert run(capsys, "state", "--bogus")[0] == 64
+    # negative counts and an --x-min past the grid's end, not numeric failures
+    for argv in (("stats", "--absz-max", "2", "--points", "-1"),
+                 ("weight", "--family", "CS", "--points", "-1"),
+                 ("phase", "--absz", "1", "--points", "-1"),
+                 ("gh-phase", "--points", "-1"),
+                 ("figure", "1", "--points", "-1"),
+                 ("moment-check", "--family", "CS", "--n-max", "-1"),
+                 ("weight", "--family", "F10", "--a", "2", "--x-min", "2"),
+                 ("weight", "--family", "CS", "--x-min", "3", "--x-max", "2")):
+        assert run(capsys, *argv)[0] == 64, argv
 
 
 def test_numeric_failure_exit(capsys):

@@ -83,6 +83,30 @@ def test_one_density_formula():
     assert all(len(c) == 1 for c in callers.values()), callers
 
 
+def test_one_bessel_k_rule():
+    # K has one rule, the cosh integral: no function reachable from
+    # ln_bessel_k sums a pfq series, and _log_trapezoid is specfun's only
+    # integrator (the one top-level function that calls a function it is
+    # handed), so a second K rule, a series or another quadrature, cannot
+    # come back beside it
+    tops = {f.name: f for f in ast.parse((SRC / "specfun.py").read_text()).body
+            if isinstance(f, ast.FunctionDef)}
+
+    def called(func):
+        return {n.func.id for n in ast.walk(func)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    reach, todo = set(), ["ln_bessel_k"]
+    while todo:
+        name = todo.pop()
+        if name not in reach:
+            reach.add(name)
+            todo += called(tops[name]) & tops.keys()
+    assert "pfq" not in reach and "_log_trapezoid" in reach, reach
+    integrators = {name for name, f in tops.items() if called(f) & {a.arg for a in f.args.args}}
+    assert integrators == {"_log_trapezoid"}
+
+
 def test_no_per_row_python_in_the_densities():
     # the densities and the kernels they call take whole node arrays: none of
     # them walks its rows in Python through .tolist(), map() or a comprehension

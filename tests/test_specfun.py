@@ -151,11 +151,9 @@ def test_pfq_binomial_bridge(a, zeta):
 def test_kummer_term_cap_read_at_call_time(monkeypatch):
     # the CLI's GHCS_MAX_TERMS lowers DEFAULT_MAX_TERMS after import; every
     # series and continued fraction reads it at call time: pfq, the log case
-    # of 2F1, the I reflection of bessel_k and the closed-form Bessel and
-    # Kummer fractions
+    # of 2F1 and the closed-form Bessel and Kummer fractions
     monkeypatch.setattr(sf, "DEFAULT_MAX_TERMS", 5)
     for series in (lambda: sf.pfq([1.0], [2.5], 3.0), lambda: sf.gauss_2f1(3.0, 3.0, 8.0, 0.95),
-                   lambda: sf.bessel_k(0.3, 1.0),
                    lambda: ps.closed_form_stats("F01", st.validate([], [2.0]), 9.0),
                    lambda: ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 9.0)):
         with pytest.raises(ConvergenceError):
@@ -267,9 +265,30 @@ def test_batched_trapezoid_rows_match_one_row_calls(rule, xs):
     assert np.allclose(rows, ones, rtol=1e-15, atol=0.0)
 
 
+def test_trapezoid_refines_only_open_rows(monkeypatch):
+    # a row that has met the tolerance takes no further nodes, so a batch
+    # hands log_f exactly the nodes of its one-row calls together (230,288)
+    nodes = [0]
+    trapezoid = sf._log_trapezoid
+
+    def counted(log_f, *args):
+        def f(t, *cols):
+            nodes[0] += t.size
+            return log_f(t, *cols)
+        return trapezoid(f, *args)
+
+    monkeypatch.setattr(sf, "_log_trapezoid", counted)
+    xs = 2.0 * np.sqrt(np.logspace(-6.0, 4.0, 2000))
+    sf.ln_bessel_k(1.0, xs)
+    batch, nodes[0] = nodes[0], 0
+    for x in xs.tolist():
+        sf.ln_bessel_k(1.0, x)
+    assert batch == nodes[0] < 250_000
+
+
 def test_array_arguments_match_scalar_calls():
-    # branch masks: K rows on the integral and the reflection branches, U rows
-    # on the Laplace, reflected Laplace, polynomial and recurrence branches,
+    # K rows at small and large x on the one cosh integral, U rows on the
+    # Laplace, reflected Laplace, polynomial and recurrence branches,
     # 2F1 nodes on the Pfaff, direct, connection, logarithmic, Euler, unit
     # and polynomial branches and the direct series of the near-integer
     # fallback (x = 0.85 on the last set), in one call each
@@ -474,7 +493,7 @@ def test_tricomi_u_oracle_recurrence_at_small_x():
     (None, (1e-4, 16.0)),
     # orders 1e-8 to 0.1 from an integer, where the ascending series lose digits
     ((-8.0, -1.0), (3.0, 5.0)),
-    # orders down to 1e-12 from an integer must not take the reflection
+    # orders down to 1e-12 from an integer below x = 3
     ((-12.0, -1.0), (1e-4, 3.0)),
     # the cosh integral alone, far past where K underflows
     (None, (16.0, 1e9)),
@@ -500,6 +519,14 @@ def test_bessel_k_oracle(log10_off, x_range):
         errs += [(abs(sf.ln_bessel_k(*p) - ref) - 2.0 * math.ulp(ref), p) for p in draws
                  if p[1] > 700.0 for ref in (float(mp.log(mp.besselk(*p))),)]
     assert max(errs) < (2e-12,)
+
+
+def test_bessel_k_oracle_small_x_off_the_integers():
+    # every order takes the cosh integral at small x too: worst 1.0e-14 here
+    rng = np.random.default_rng(20)
+    draws = [(rng.uniform(0.0, 6.0), _log_uniform(rng, 1e-4, 3.0)) for _ in range(600)]
+    errs = _oracle_errors(sf.bessel_k, lambda mp, nu, x: mp.besselk(nu, x), draws)
+    assert max(errs) < (2e-14,)
 
 
 def test_gauss_2f1_negative_argument_oracle():

@@ -44,6 +44,23 @@ def test_validate_rejects_negative_integer():
     assert ei.value.which == "a" and ei.value.index == 0
 
 
+@pytest.mark.parametrize("a,b,which", [
+    ([], [math.inf], "b"), ([math.nan], [], "a"), ([2.0, complex(1.0, math.inf)], [], "a"),
+])
+def test_validate_rejects_non_finite(a, b, which):
+    # a non-finite real or imaginary part is refused by name, before any
+    # rounding or series sees it
+    with pytest.raises(ParameterError) as ei:
+        st.validate(a, b)
+    assert (ei.value.rule, ei.value.which, ei.value.index) == ("non-finite", which, len(a + b) - 1)
+
+
+def test_fock_basis_vector_refuses_negative_index():
+    assert st.fock_basis_vector(0).coeffs.tolist() == [1.0]
+    with pytest.raises(ParameterError):
+        st.fock_basis_vector(-1)
+
+
 def test_validate_rejects_zero():
     with pytest.raises(ParameterError):
         st.validate([1.0], [0.0])

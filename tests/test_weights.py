@@ -134,6 +134,11 @@ def test_f10_beta_integral_oracle():
         assert wt.moment_integral("F10", p, n) == pytest.approx(beta, rel=1e-9)
 
 
+def test_moment_check_refuses_negative_n_max():
+    with pytest.raises(ValueError, match="n_max"):
+        wt.moment_check("CS", st.validate(), n_max=-1)
+
+
 def test_f01_moment_check_b2():
     rep = wt.moment_check("F01", st.validate([], [2.0]), n_max=20)
     assert rep.max_rel_error <= 1e-6
