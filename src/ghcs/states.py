@@ -51,7 +51,8 @@ class ParameterSet:
     inputs produce bit-identical downstream results.  Construct through
     validate(); the constructor itself only normalizes.  The instance also
     carries its rho sequence (see rho_steps), built on first use and grown
-    by doubling; it is not a field, so equality and hashing ignore it.
+    by doubling, and its last settled log_terms slice at one x; neither is a
+    field, so equality and hashing ignore them.
     """
 
     a: tuple
@@ -390,13 +391,34 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     (x/x_max)^j t_j(x_max) shrinks every ratio t_{j+1}/t_j (and the bound)
     by x/x_max, and t_N(x)/t_M(x) <= (x/x_max)^(N-M) t_N(x_max)/t_M(x_max)
     for the peak index M <= N of x_max.
+
+    A scalar call with shifts <= 3 reads the slice kept on params, the last
+    (x, term cap, log_t, log_n) settled with the rows N_0..N_2 that photstat
+    reads (read-only, published by one attribute assignment); another x or
+    cap settles and keeps a new one.  So one state's Fock vector, P(n), mean,
+    Q and eigen residual share one pass, and each call gets the bits of that
+    3-row pass whatever came before it.  Arrays of x and shifts > 3 (factorial
+    moments of order >= 3) settle per call and are not kept.
     """
+    cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
+    if (isinstance(x, np.ndarray) and x.ndim > 0) or shifts > 3:
+        return _settled_slice(params, x, shifts, cap)
+    kept = params.__dict__.get("_slice")
+    if kept is None or kept[0] != x or kept[1] != cap:
+        kept = (x, cap) + _settled_slice(params, x, 3, cap)
+        for arr in kept[2:]:
+            arr.flags.writeable = False
+        object.__setattr__(params, "_slice", kept)
+    return kept[2], kept[3][:shifts]
+
+
+def _settled_slice(params: ParameterSet, x, shifts: int, cap: int):
+    """The settling pass of log_terms, slice length at most cap."""
     many = isinstance(x, np.ndarray) and x.ndim > 0
     x_max = float(x.max()) if many else x
     lnx, fall = math.log(x_max), -math.log(SLICE_REST)
     d, eta = params.q + 1 - params.p, params.eta  # f^2 ~ (n + (1 - eta)/d)^d or 1 + (1 - eta)/n
     m = max(0.0, x_max ** (1 / d) - (1 - eta) / d if d else (eta - 1) * x_max / (1 - x_max))
-    cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
     n = min(cap, int(m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)) + _RATIO_WINDOW)
     while True:
         f2, lr = rho_steps(params, n + shifts)

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from ghcs import ladder as ld
 from ghcs import photstat as ps
 from ghcs import specfun as sf
 from ghcs import states as st
@@ -336,6 +338,36 @@ def test_closed_form_f11_overflow_fails_at_once():
     assert max(worst) <= 1e-13
     stats = ps.closed_form_stats("F11", st.validate([2.0], [3.0]), 784.0)
     assert stats.pn.norm_residual <= 1e-10
+
+
+# slices of 34 to 212 orders that settle at their start length (one that
+# grows past it rebuilds rho at double the length)
+JOB_STATES = [(CS, 5.0), (st.validate([], [2.0]), 6.0), (st.validate([4.0], [2.0]), 5.0),
+              (st.validate([2.0], []), 0.8), (st.validate([0.7, 1.3], [2.2]), 0.9)]
+
+
+@pytest.mark.parametrize("params,az", JOB_STATES,
+                         ids=[f"{p.label()}@{az:g}" for p, az in JOB_STATES])
+def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
+    # the Fock vector, P(n), mean/Q and eigen residual of one plane or disk
+    # state share the slice kept on the set: one rho build, one settling
+    # pass (2 and 4 when each call settled its own slice)
+    calls = {"rho": 0, "settle": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(st, "_log_ratio_sum", counted("rho", st._log_ratio_sum))
+    monkeypatch.setattr(st, "_settled_slice", counted("settle", st._settled_slice))
+    spec = st.StateSpec(st.ParameterSet(params.a, params.b), az * cmath.exp(0.7j))
+    st.fock_vector(spec)
+    ps.pn_distribution(spec)
+    ps.mean_and_mandel(spec.params, abs(spec.z) ** 2)
+    ld.eigenvalue_residual(spec)
+    assert calls == {"rho": 1, "settle": 1}
 
 
 # the array form of mean_and_mandel (one log_terms pass per |z| grid)

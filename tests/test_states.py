@@ -1,5 +1,8 @@
 import cmath
+import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -467,6 +470,65 @@ def test_log_terms_respects_the_term_cap(monkeypatch):
     monkeypatch.setattr(st.specfun, "DEFAULT_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError):
         st.log_terms(st.validate([], [1.0]), 9.0)
+
+
+def test_kept_slice_is_not_served_under_a_lower_term_cap(monkeypatch):
+    # the slice kept on the set was settled under the default cap; a lower
+    # cap settles anew and refuses, as on a fresh set
+    p = st.validate([], [1.0])
+    assert len(st.log_terms(p, 9.0)[0]) > 5
+    monkeypatch.setattr(st.specfun, "DEFAULT_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError):
+        st.log_terms(p, 9.0)
+
+
+KEPT_SLICE_CASES = [([], [], 9.0), ([], [2.0], 36.0), ([2.0], [3.0], 25.0),
+                    ([2.0], [], 0.81), ([0.7, 1.3], [2.2], 0.81)]
+
+
+@pytest.mark.parametrize("a,b,x", KEPT_SLICE_CASES,
+                         ids=[f"({a};{b})@{x:g}" for a, b, x in KEPT_SLICE_CASES])
+def test_kept_slice_is_order_independent_and_read_only(a, b, x):
+    # every order of shifts 1..4 on one set gives the bits of a fresh set;
+    # shifts 1..3 read the kept 3-row slice, 4 settles its own
+    for order in itertools.permutations((1, 2, 3, 4)):
+        p = st.validate(a, b)
+        for k in order:
+            got, ref = st.log_terms(p, x, k), st.log_terms(st.validate(a, b), x, k)
+            assert len(got[1]) == k
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert p == st.validate(a, b) and hash(p) == hash(st.validate(a, b))  # not a field
+    log_t, log_n = st.log_terms(p, x, 2)
+    for arr in (log_t, log_n):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_kept_slice_shared_by_threads_matches_its_point():
+    # threads alternating two points on one set each get their own point's
+    # slice: the kept tuple is read once and published whole
+    xs = (9.0, 30.0)
+    refs = [st.log_terms(st.validate([], [2.0]), x, 3) for x in xs]
+    p, bad = st.validate([], [2.0]), []
+
+    def work(i):
+        for j in range(300):
+            k = (i + j) % 2
+            got = st.log_terms(p, xs[k], 3)
+            if not (np.array_equal(got[0], refs[k][0]) and np.array_equal(got[1], refs[k][1])):
+                bad.append((i, j))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and bad == []
 
 
 # fock_vector cutoffs of the signals of figures 8-13 (|z| = 3/4, tol 1e-12),
