@@ -11,10 +11,11 @@ Mandel parameter come from the first two factorial moments.  Every P(n) is
 cut by one rule (_pn_series).
 
 Closed-form path: the five standard families from their own formulas, with
-P(n) stepped from its own anchor by the family's term ratio; it shares none
-of the sums above and serves as their oracle.  The mean and Q of F01 and
-F11 come from continued fractions for contiguous ratios (closed_form_stats),
-so no whole Bessel or Kummer value is formed and nothing overflows.
+P(n) from the family's term ratio; it shares none of the sums above and
+serves as their oracle.  The mean and Q of F01, F11 and F21 come from
+continued fractions for contiguous ratios (closed_form_stats), so no whole
+Bessel, Kummer or Gauss value is formed, nothing overflows and no specfun
+series is summed.
 """
 
 from __future__ import annotations
@@ -150,21 +151,25 @@ def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
 
 def _lentz(b0: float, term) -> float:
     """The continued fraction b0 + a_1/(b_1 + a_2/(b_2 + ...)), term(j) =
-    (a_j, b_j), by modified Lentz (Thompson & Barnett, J. Comput. Phys. 64
-    (1986) 490): stops at the first step that moves the value by at most one
-    ulp of 1.  The step cap is specfun.DEFAULT_MAX_TERMS, read at call time;
-    reaching it raises ConvergenceError."""
+    (a_j, b_j).  Modified Lentz (Thompson & Barnett, J. Comput. Phys. 64
+    (1986) 490) finds the depth: the first step that moves the value by at
+    most one ulp of 1.  The value is then summed backward from that depth,
+    tail first, which damps each rounding where the Lentz product keeps them
+    all: the F21 Q for x in [0.8, 0.9409] is within 2e-14 of mpmath, against
+    1.2e-13 from the product.  The step cap is specfun.DEFAULT_MAX_TERMS,
+    read at call time; reaching it raises ConvergenceError."""
     tiny = 1e-30
-    f = b0 or tiny
-    c, d = f, 0.0
+    c, d, links, prev = b0 or tiny, 0.0, [], b0
     for j in range(1, specfun.DEFAULT_MAX_TERMS + 1):
         a, b = term(j)
+        links.append((a, prev))
+        prev = b
         d = 1.0 / ((b + a * d) or tiny)
         c = (b + a / c) or tiny
-        step = c * d
-        f *= step
-        if abs(step - 1.0) <= 2.0**-52:
-            return f
+        if abs(c * d - 1.0) <= 2.0**-52:  # the Lentz step f_j / f_(j-1)
+            for a, b in reversed(links):
+                prev = b + a / (prev or tiny)
+            return prev
     raise ConvergenceError(
         f"continued fraction did not settle within {specfun.DEFAULT_MAX_TERMS} steps")
 
@@ -183,20 +188,24 @@ def _stepped(lp0: float, ratio):
     return lambda n: np.add.accumulate(np.concatenate(([lp0], _log_ratios(ratio, n))))
 
 
-def _summed(ratio):
+def _summed(ratio, limit: float = 0.0):
     """log_p for _pn_series: log P(n) = log t_n - log N for the positive terms
     t_0 = 1, t_(n+1) = ratio(n) t_n, as log_shares, so P(n) sums to 1 however
-    far log t_n runs from 0.  The slice doubles from 64 terms until its last
-    ratio r is below 1 and its last term times r/(1 - r) below 1e-17 of the
-    largest.  From there on the ratios of F01 and F11 only fall (F11: once
-    n^2 >= b), so that bounds the terms left out, below 1e-17 of N, and the
-    P(n) rule is met inside the slice."""
+    far log t_n runs from 0.  The slice doubles from 64 terms until r, its
+    last ratio joined with the n -> inf limit of the ratios (0 for F01 and
+    F11, x for F21), is below 1 and its last term times r/(1 - r) below 1e-17
+    of the largest.  From there on the ratios of F01 and F11 only fall (F11:
+    once n^2 >= b) and those of F21 fall towards x (eta > 1) or rise towards
+    it (eta < 1), as ratio(n)/x - 1 ~ (eta - 1)/n, so r bounds the terms left
+    out, below 1e-17 of N, and the P(n) rule is met inside the slice."""
+    ln_lim = math.log(limit) if limit > 0.0 else -math.inf
     n = 64
     while True:
         log_r = _log_ratios(ratio, n)
         log_t = np.concatenate(([0.0], np.add.accumulate(log_r)))
-        if log_r[-1] < 0.0 and (log_t[-1] + log_r[-1] - math.log1p(-math.exp(log_r[-1]))
-                                < log_t.max() + math.log(1e-17)):
+        ln_r = max(log_r[-1], ln_lim)
+        if ln_r < 0.0 and (log_t[-1] + ln_r - math.log1p(-math.exp(ln_r))
+                           < log_t.max() + math.log(1e-17)):
             log_p = log_shares(log_t)
             return lambda m: log_p[:m]
         if n >= MAX_CUTOFF:
@@ -220,16 +229,25 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
          mean.  (The fraction of DLMF 13.5.1 for M(a+1; b+1; x)/M(a; b; x)
          cancels where a << b: 7e-11 at (0.37; 5.16), x = 877.)
     F10: geometric forms, mean = a x/(1-x), Q = x/(1-x) (a-independent).
-    F21: Gauss ratios of 2F1(a1+j, a2+j; b+j; x).
+    F21: Gauss ratios, a1 >= a2.  mean = x (a1 a2/b) R with R = F(a1+1,
+         a2+1; b+1; x)/F(a1, a2; b; x) = g/(1 - x (a2/b) g) by F(a+1, b; c) =
+         F + (b x/c) F(a+1, b+1; c+1), and 1/g = F(a1+1, a2; b)/F(a1+1,
+         a2+1; b+1) by Gauss's continued fraction (DLMF §15.7); shifting
+         the larger a keeps the subtraction's loss, 1 + mean/a1, smallest.
+         Q is the mean of the shifted set (a1+1, a2+1; b+1) less the mean.
 
-    Both fractions are summed by _lentz, so no whole Bessel or Kummer value
-    is formed.  Against 40-digit mpmath (mean relative to itself, Q relative
-    to max(1, mean)): F01 within 1e-13 for b in [0.2, 6], x in [0.01, 1e5];
-    F11 within 1e-13 for a, b in [0.3, 6], x in [0.01, 1e4] (worst measured
-    7.0e-15).  P(n) of F01 and F11 is t_n/N with N the positive-term sum of
-    _summed, stepped by the family's ratio (for F11 about x + 9 sqrt(x)
-    terms, so past x of about 6.3e4 it raises ConvergenceError); CS, F10
-    and F21 step P(n) from their closed-form P(0).
+    The three fractions are summed by _lentz, so no whole Bessel, Kummer or
+    Gauss value is formed.  Against 40-digit mpmath (mean relative to
+    itself, Q relative to max(1, mean)): F01 within 1e-13 for b in [0.2, 6],
+    x in [0.01, 1e5]; F11 within 1e-13 for a, b in [0.3, 6], x in
+    [0.01, 1e4] (worst measured 7.0e-15); F21 within 1e-13 for a1, a2, b in
+    [0.3, 5] and |z| <= 0.97 (x <= 0.9409), s = b - a1 - a2 near an integer
+    included (worst measured 1.9e-14); from x = 0.9409 to 0.99 the
+    subtraction costs digits (4.5e-13 measured, no bound claimed).  P(n) of
+    F01, F11 and F21 is t_n/N with N the positive-term sum of _summed,
+    stepped by the family's ratio (for F11 about x + 9 sqrt(x) terms, so
+    past x of about 6.3e4 it raises ConvergenceError); CS and F10 step P(n)
+    from their closed-form P(0).
 
     Entirely independent of the generic pfq/rho path (log_terms, rho_steps),
     so the two can be cross-checked against each other.
@@ -274,10 +292,17 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
         mean, q = a * x / (1.0 - x), x / (1.0 - x)
         log_p = _stepped(a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0))
     else:  # F21
-        a1, a2, b = vals
-        f0, f1, f2 = (specfun.gauss_2f1(a1 + j, a2 + j, b + j, x).value for j in (0.0, 1.0, 2.0))
-        mean = x * (a1 * a2 / b) * f1 / f0
-        q = -mean + x * ((a1 + 1.0) * (a2 + 1.0) / (b + 1.0)) * f2 / f1
-        log_p = _stepped(-math.log(f0), lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0)))
+        a2, a1, b = vals  # a1 >= a2: the larger numerator parameter is shifted
+        log_p = _summed(lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0)), x)
+
+        def gauss_mean(a1, a2, b):  # x (a1 a2/b) R with 1/R = 1/g - x a2/b
+            def term(j):  # Gauss's fraction for 1/g = F(a1+1, a2; b)/F(a1+1, a2+1; b+1)
+                n = j // 2
+                top = (a1 + 1.0 + n) * (b - a2 + n) if j % 2 else (a2 + n) * (b - a1 - 1.0 + n)
+                return -x * top / ((b + j - 1.0) * (b + j)), 1.0
+            return x * (a1 * a2 / b) / (_lentz(1.0, term) - x * (a2 / b))
+
+        mean = gauss_mean(a1, a2, b)
+        q = gauss_mean(a1 + 1.0, a2 + 1.0, b + 1.0) - mean
 
     return PhotonStats(_pn_series(log_p, 64, label), mean, q, x)

@@ -230,13 +230,13 @@ def _log_ratio_sum(params: ParameterSet, k):
     """(f2, s): f2 = f(k)^2 = (k+1) prod(b_j+k)/prod(a_i+k) = rho(k+1)/rho(k) on
     the grid k, and s = _log_cumsum(f2).  This is the one place where the
     ratio product is formed."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f2 = (k + 1.0) * np.prod([bj + k for bj in params.b], axis=0) / np.prod(
-            [ai + k for ai in params.a], axis=0)
-    bad = ~np.isfinite(f2) | ~(f2.real > 0.0) | (np.abs(f2.imag) > 1e-12 * np.abs(f2.real))
-    if bad.any():
-        k0 = int(np.argmax(bad))
-        raise ParameterError(f"f({k[k0]:g})^2 = {f2[k0]} is not a positive real")
+    with np.errstate(divide="ignore", invalid="ignore"):  # each product taken left to right
+        f2 = (k + 1.0) * math.prod(bj + k for bj in params.b) / math.prod(ai + k for ai in params.a)
+    if f2.dtype.kind == "c" or not ((f2 > 0.0) & (f2 < math.inf)).all():
+        bad = ~np.isfinite(f2) | ~(f2.real > 0.0) | (np.abs(f2.imag) > 1e-12 * np.abs(f2.real))
+        if bad.any():
+            k0 = int(np.argmax(bad))
+            raise ParameterError(f"f({k[k0]:g})^2 = {f2[k0]} is not a positive real")
     return f2.real, _log_cumsum(f2.real)
 
 
@@ -420,6 +420,7 @@ def _settled_slice(params: ParameterSet, x, shifts: int, cap: int):
     d, eta = params.q + 1 - params.p, params.eta  # f^2 ~ (n + (1 - eta)/d)^d or 1 + (1 - eta)/n
     m = max(0.0, x_max ** (1 / d) - (1 - eta) / d if d else (eta - 1) * x_max / (1 - x_max))
     n = min(cap, int(m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)) + _RATIO_WINDOW)
+    rho_steps(params, min(2 * n, cap) + shifts)  # a pass at most doubles n: one rho build
     while True:
         f2, lr = rho_steps(params, n + shifts)
         jlnx = np.arange(n) * lnx

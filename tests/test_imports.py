@@ -107,6 +107,30 @@ def test_one_bessel_k_rule():
     assert integrators == {"_log_trapezoid"}
 
 
+def test_closed_forms_sum_no_series():
+    # the closed-form oracle takes contiguous ratios by continued fractions
+    # and P(n) by positive-term sums: nothing reachable from
+    # closed_form_stats calls pfq or gauss_2f1, so it stays independent of
+    # the Gauss evaluator it could be used to check
+    tops = {}
+    for name in ("photstat.py", "states.py"):
+        tops.update({f.name: f for f in ast.parse((SRC / name).read_text()).body
+                     if isinstance(f, ast.FunctionDef)})
+
+    def called(func):
+        return {n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
+                for n in ast.walk(func) if isinstance(n, ast.Call)}
+
+    reach, todo, calls = set(), ["closed_form_stats"], set()
+    while todo:
+        name = todo.pop()
+        if name not in reach:
+            reach.add(name)
+            calls |= called(tops[name])
+            todo += calls & tops.keys()
+    assert "_lentz" in reach and not calls & {"pfq", "gauss_2f1"}, reach
+
+
 def test_no_per_row_python_in_the_densities():
     # the densities and the kernels they call take whole node arrays: none of
     # them walks its rows in Python through .tolist(), map() or a comprehension

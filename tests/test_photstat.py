@@ -98,20 +98,23 @@ def test_closed_form_f01_bessel_ratio():
 def _closed_form_errors(family, draws):
     """Worst mean error (relative) and Q error (relative to max(1, mean)) of
     closed_form_stats against 40-digit mpmath; draws are (a, b, x), a = None
-    for F01, whose ratios are taken from I_v(2 sqrt x), F11's from M(a+k; b+k; x)."""
+    for F01, whose ratios are taken from I_v(2 sqrt x), a number for F11 and
+    a pair for F21, whose ratios are taken from pFq(a+k; b+k; x)."""
     mpmath = pytest.importorskip("mpmath")
     worst = [0.0, 0.0]
     with mpmath.workdps(40):
         for a, b, x in draws:
-            stats = ps.closed_form_stats(family, st.validate([] if a is None else [a], [b]), x)
-            if a is None:
+            a = [] if a is None else list(a) if isinstance(a, tuple) else [a]
+            stats = ps.closed_form_stats(family, st.validate(a, [b]), x)
+            if not a:
                 i = [mpmath.besseli(b - 1 + k, 2 * mpmath.sqrt(x)) for k in range(3)]
                 mean = mpmath.sqrt(x) * i[1] / i[0]
                 n2_over_mean = mpmath.sqrt(x) * i[2] / i[1]
             else:
-                m = [mpmath.hyp1f1(a + k, b + k, x) for k in range(3)]
-                mean = x * mpmath.mpf(a) / b * m[1] / m[0]
-                n2_over_mean = x * mpmath.mpf(a + 1) / (b + 1) * m[2] / m[1]
+                m = [mpmath.hyper([v + k for v in a], [b + k], x) for k in range(3)]
+                shift = lambda k: mpmath.fprod(mpmath.mpf(v) + k for v in a) / (b + k)
+                mean = x * shift(0) * m[1] / m[0]
+                n2_over_mean = x * shift(1) * m[2] / m[1]
             worst[0] = max(worst[0], float(abs(stats.mean / mean - 1)))
             worst[1] = max(worst[1], float(abs(stats.mandel_q - (n2_over_mean - mean))
                                            / max(1, mean)))
@@ -141,6 +144,53 @@ def test_closed_form_ratio_oracle(family, x_range):
          rng.uniform(0.2 if family == "F01" else 0.3, 6.0), _log_uniform(rng, *x_range))
         for _ in range(100)]
     assert max(_closed_form_errors(family, draws)) < 1e-13
+
+
+@pytest.mark.parametrize("near_integer_s,x_range", [
+    (False, None), (False, (0.8, 0.9409)), (True, None), (True, (0.8, 0.9409))])
+def test_closed_form_f21_oracle(near_integer_s, x_range):
+    # the bench's F21 disk ranges, a1, a2, b in [0.3, 5] and |z| in (0, 0.97),
+    # or x uniform in x_range; near_integer_s moves b so that s = b - a1 - a2
+    # lies 1e-9..1e-3 from an integer, on either side.  Gauss's continued
+    # fraction: worst 1.5e-14 here (1.9e-14 on 300 draws a band).  The three
+    # gauss_2f1 values taken before were 3.7e-13 off on the first three
+    # bands, and 2.4e-7 off on the last, where 5 of the 100 calls raised
+    rng = np.random.default_rng(29)
+    draws = []
+    for _ in range(100):
+        a1, a2, b = rng.uniform(0.3, 5.0, 3)
+        if near_integer_s:
+            b = a1 + a2 + round(b - a1 - a2) + rng.choice([-1, 1]) * 10 ** rng.uniform(-9, -3)
+            b += 1.0 if b < 0.3 else 0.0
+        x = rng.uniform(*x_range) if x_range else rng.uniform(0.0, 0.97) ** 2
+        draws.append(((a1, a2), b, x))
+    assert max(_closed_form_errors("F21", draws)) < 1e-13
+
+
+@pytest.mark.parametrize("a,b,az", [
+    ((0.548, 2.618), 3.16601, 0.97),  # s within 1e-5 of 1
+    ((0.548, 2.618), 3.165, 0.97),
+    ((1.2, 2.9), 5.1 - 3e-8, 0.96),  # s within 3e-8 of 1
+    ((0.7, 1.3), 2.2, 0.97), ((0.3, 0.4), 4.5, 0.97), ((2.5, 4.0), 6.0, 0.97),
+])
+def test_closed_form_f21_pn_against_mpmath(a, b, az):
+    # eta < 1: the F21 ratios rise towards x, and the slice is cut on the
+    # larger of its last ratio and x.  P(n) sums to 1 within 1e-12 and each
+    # P(n) is within 1e-13 of 40-digit mpmath (worst 4.3e-14); stepped from
+    # the anchor 1/2F1 it was 2.4e-10 off at the first point and raised
+    # ConvergenceError at the third
+    mpmath = pytest.importorskip("mpmath")
+    x = az * az
+    pn = ps.closed_form_stats("F21", st.validate(list(a), [b]), x).pn
+    assert abs(pn.values.sum() - 1.0) <= 1e-12
+    worst = 0.0
+    with mpmath.workdps(40):
+        a1, a2, b = (mpmath.mpf(v) for v in (*a, b))
+        ref = 1 / mpmath.hyp2f1(a1, a2, b, x)
+        for n, p in enumerate(pn.values):
+            worst = max(worst, float(abs(p / ref - 1)))
+            ref *= x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1))
+    assert worst <= 1e-13
 
 
 def test_closed_form_family_mismatch():
@@ -340,10 +390,13 @@ def test_closed_form_f11_overflow_fails_at_once():
     assert stats.pn.norm_residual <= 1e-10
 
 
-# slices of 34 to 212 orders that settle at their start length (one that
-# grows past it rebuilds rho at double the length)
+# slices of 34 to 212 orders that settle at their start length, and three
+# that grow past it (CS at |z|^2 = 53, F11 (2;3) at |z| = 4 and 5), which
+# read the rho that their first pass built with room for a doubling
 JOB_STATES = [(CS, 5.0), (st.validate([], [2.0]), 6.0), (st.validate([4.0], [2.0]), 5.0),
-              (st.validate([2.0], []), 0.8), (st.validate([0.7, 1.3], [2.2]), 0.9)]
+              (st.validate([2.0], []), 0.8), (st.validate([0.7, 1.3], [2.2]), 0.9),
+              (CS, math.sqrt(53.0)), (st.validate([2.0], [3.0]), 4.0),
+              (st.validate([2.0], [3.0]), 5.0)]
 
 
 @pytest.mark.parametrize("params,az", JOB_STATES,
@@ -351,7 +404,8 @@ JOB_STATES = [(CS, 5.0), (st.validate([], [2.0]), 6.0), (st.validate([4.0], [2.0
 def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
     # the Fock vector, P(n), mean/Q and eigen residual of one plane or disk
     # state share the slice kept on the set: one rho build, one settling
-    # pass (2 and 4 when each call settled its own slice)
+    # pass (2 and 4 when each call settled its own slice, and 2 rho builds
+    # for a slice that grew past its start)
     calls = {"rho": 0, "settle": 0}
 
     def counted(name, fn):
