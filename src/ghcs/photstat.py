@@ -1,14 +1,14 @@
 """Photon number statistics of generalized hypergeometric states.
 
 Generic path, with x = |z|^2 and the terms t_n = x^n / rho(n) of
-N(x) = pFq(a; b; x): for plane and disk states P(n) = t_n / N(x), and the
-factorial moments x^k [prod (a_i)_k / prod (b_j)_k] N_k(x) / N(x) with N_k
-the normalization of the shifted set (a+k; b+k), all in log space from one
-slice of the rho sequence (states.log_terms): no pFq series is summed.
+N(x) = pFq(a; b; x): for plane and disk states P(n) = t_n / N(x) and the
+factorial moments m_k = sum_n t_n g_n...g_(n+k-1) / sum_n t_n, with the term
+ratio g_j = x (j+1)/f^2(j), all from one slice of the rho sequence
+(states.log_terms): no pFq series is summed and no log N enters a moment.
 Normalized circle states, whose terms fall only like n^(eta-1), take N and
-N_k from the Gauss sum at unit argument (states.normalization).  Mean and
-Mandel parameter come from the first two factorial moments.  Every P(n) is
-cut by one rule (_pn_series).
+the shifted N_k from the Gauss sum at unit argument (states.normalization).
+Mean and Mandel Q are r_1 and r_2 - r_1, r_k = m_k/m_(k-1).  Every P(n)
+is cut by one rule (_pn_series).
 
 Closed-form path: the five standard families from their own formulas, with
 P(n) from the family's term ratio; it shares none of the sums above and
@@ -88,65 +88,73 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     return _pn_series(lambda n: log_p, len(log_p), params.label())
 
 
-def _factorial_moments(params: ParameterSet, x, k: int, tol: float) -> tuple:
-    """(moments, step): the factorial moments of orders 1..k at x = |z|^2 > 0
-    (see factorial_moment), and their last ratio moment_k / moment_{k-1}
-    formed directly as x [prod (a_i+k-1) / prod (b_j+k-1)] N_k / N_{k-1}, or
-    arrays of them over a 1-D array x of plane and disk points."""
+def _checked_x(x: float) -> None:
+    """Refuse a non-finite x = |z|^2, as StateSpec does, or a negative one."""
+    if not math.isfinite(x):
+        raise DivergenceError("x = |z|^2 must be finite")
+    if x < 0.0:
+        raise ValueError("x = |z|^2 must be non-negative")
+
+
+def _moment_ratios(params: ParameterSet, x, k: int, tol: float) -> list:
+    """[r_1..r_k], r_j = m_j/m_(j-1) of the factorial moments (m_0 = 1) at x > 0,
+    or arrays of them over a 1-D array x of plane and disk points.  With the
+    term ratio g_j = (j+1) t_(j+1)/t_j = x (j+1)/f^2(j), r_j is the mean of
+    g_(n+j-1) under the weights t_n g_n...g_(n+j-2), taken against its value
+    v_m at the mode m of t_n as v_m + sum w (v - v_m)/sum w: a constant g
+    gives x to the bit, and a g_0 far above the mean (F01, small b) cancels
+    nothing.  Circle points take r_j = g_(j-1) N_j/N_(j-1) from the shifted
+    Gauss sums."""
     many = isinstance(x, np.ndarray)
-    exp, fmax = (np.exp, np.maximum) if many else (math.exp, max)  # scalars stay Python floats
-    if many or StateSpec(params, math.sqrt(x)).domain_kind() in (
-            DomainKind.PLANE, DomainKind.UNIT_DISK):
-        log_n = log_terms(params, x, k + 1)[1].T
-    else:  # circle: terms fall like n^(eta-1); normalization() uses the Gauss sum
-        log_n = [math.log(normalization(params.shifted(j), x, tol=tol)) for j in range(k + 1)]
-    shift, moments = 1.0 + 0.0j, []
-    for j in range(1, k + 1):  # shift = prod (a_i)_j / prod (b_j)_j
-        ratio = math.prod(v + j - 1 for v in params.a) / math.prod(v + j - 1 for v in params.b)
-        shift *= ratio
-        val = x**j * shift * exp(log_n[j] - log_n[0])
-        bad = abs(val.imag) > 1e-10 * fmax(1.0, abs(val.real))
-        if bad.any() if many else bad:
-            raise ParameterError(f"factorial moment has imaginary residue {np.max(val.imag):g}")
-        moments.append(val.real)
-    return moments, (x * ratio * exp(log_n[k] - log_n[k - 1])).real
+    if not many and StateSpec(params, math.sqrt(x)).domain_kind() not in (
+            DomainKind.PLANE, DomainKind.UNIT_DISK):  # circle: terms fall like n^(eta-1)
+        f2 = rho_steps(params, k)[0].tolist()
+        norms = [normalization(params.shifted(j), x, tol=tol) for j in range(k + 1)]
+        return [x * (j / f2[j - 1]) * (norms[j] / norms[j - 1]) for j in range(1, k + 1)]
+    log_t = log_terms(params, x)[0]
+    n = log_t.shape[-1]
+    h = np.arange(1.0, n + k) / rho_steps(params, n + k - 1)[0]  # g_j / x
+    w = np.exp(log_t - log_t.max(axis=-1, keepdims=True))
+    mode = log_t.argmax(axis=-1)
+    ratios = []
+    for j in range(k):
+        v = h[j: j + n]
+        r = x * (v[mode] + (w * (v - v[mode][..., None])).sum(axis=-1) / w.sum(axis=-1))
+        ratios.append(r if many else float(r))
+        w = w * v
+    return ratios
 
 
 def factorial_moment(params: ParameterSet, x: float, k: int,
                      tol: float = specfun.DEFAULT_TOL) -> float:
     """k-th factorial moment <n(n-1)...(n-k+1)> at x = |z|^2:
-    x^k [prod (a_i)_k / prod (b_j)_k] pFq(a+k; b+k; x) / pFq(a; b; x)."""
+    x^k [prod (a_i)_k / prod (b_j)_k] pFq(a+k; b+k; x) / pFq(a; b; x),
+    the product of the moment ratios r_1..r_k."""
     if k < 1:
         raise ValueError("factorial moment order must be >= 1")
-    if x == 0.0:
-        return 0.0
-    return _factorial_moments(params, x, k, tol)[0][-1]
+    _checked_x(x)
+    return math.prod(_moment_ratios(params, x, k, tol)) if x != 0.0 else 0.0
 
 
 def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
-    """(mean photon number, Mandel Q) at x = |z|^2.
-
-    Q = -mean + n2/mean with n2 the second factorial moment, n2/mean formed
-    directly as x [prod (a_i+1) / prod (b_j+1)] N_2/N_1 (so the coherent
-    state's Q is exactly 0); at x = 0 both vanish linearly so Q is returned as
-    its continuous-extension value 0.
+    """(mean photon number, Mandel Q) at x = |z|^2: the moment ratios r_1
+    and r_2 - r_1 = m_2/m_1 - m_1, so the coherent state's Q is exactly 0;
+    at x = 0 both vanish linearly and Q takes its continuous extension 0.
     A 1-D numpy array x gives arrays: its plane and open-disk points share one
-    log_terms pass, the rest take scalar calls (circle points, domain errors).
-    """
+    log_terms pass, the rest take scalar calls (circle points, domain errors)."""
     if isinstance(x, np.ndarray) and x.ndim > 0:
         plane = classify(params).kind is DomainKind.PLANE
         sweep = (x > 0.0) & (x < (math.inf if plane else 1.0 - 3e-14))  # off the circle band
         out = np.zeros((2, len(x)))
-        if sweep.any():
-            (mean, _), step = _factorial_moments(params, x[sweep], 2, tol)
-            out[:, sweep] = mean, -mean + step
-        for i in np.flatnonzero(~sweep & (x != 0.0)):
+        for i in np.flatnonzero(~sweep & (x != 0.0)):  # first, so bad points raise at once
             out[:, i] = mean_and_mandel(params, float(x[i]), tol)
+        if sweep.any():
+            r1, r2 = _moment_ratios(params, x[sweep], 2, tol)
+            out[:, sweep] = r1, r2 - r1
         return out[0], out[1]
-    if x == 0.0:
-        return 0.0, 0.0
-    (mean, _), step = _factorial_moments(params, x, 2, tol)
-    return mean, -mean + step
+    _checked_x(x)
+    r1, r2 = _moment_ratios(params, x, 2, tol) if x != 0.0 else (0.0, 0.0)
+    return r1, r2 - r1
 
 
 def _lentz(b0: float, term) -> float:
@@ -253,8 +261,7 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
     so the two can be cross-checked against each other.
     """
     vals = family_params(family, params)
-    if x < 0:
-        raise ValueError("x = |z|^2 must be non-negative")
+    _checked_x(x)
     label = f"{family}{params.label()}"
     if x == 0.0:
         pn = DistributionSeries(np.array([0]), np.array([1.0]), 0.0, label)

@@ -374,17 +374,16 @@ _RATIO_WINDOW = 16
 SLICE_REST = 1e-18  # log_terms settles its slice to this fraction of the peak term
 
 
-def log_terms(params: ParameterSet, x, shifts: int = 1):
+def log_terms(params: ParameterSet, x):
     """(log_t, log_n) of a plane or disk state at x = |z|^2 > 0, from one
-    slice of rho_steps: log_t[j] = j log x - log rho(j), and log_n[k] the
-    log-sum-exp log N_k(x) of the set params.shifted(k), k < shifts, whose
-    ratios f_k^2[j] = f^2[j+k] (j+1)/(j+k+1) come from the same f^2 slice.
-    The slice is settled when its last term plus the geometric bound on the
-    rest (last window's largest ratio joined with the n -> inf limit) is
-    below SLICE_REST of the peak, within MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.
-    It starts a window past where the terms fall to SLICE_REST of their mode m,
-    f^2(m) = x (plane: a Gaussian of variance m/d, f^2 ~ n^d, d = q + 1 - p; disk:
-    n^(eta-1) x^n), and grows, at most doubling, as far as its last ratio sheds the excess.
+    slice of rho_steps: log_t[j] = j log x - log rho(j), and log_n the
+    log-sum-exp log N(x) of the slice.  The slice is settled when its last
+    term plus the geometric bound on the rest (last window's largest ratio
+    joined with the n -> inf limit) is below SLICE_REST of the peak, within
+    MAX_CUTOFF and specfun.DEFAULT_MAX_TERMS.  It starts a window past where
+    the terms fall to SLICE_REST of their mode m, f^2(m) = x (plane: a
+    Gaussian of variance m/d, f^2 ~ n^d, d = q + 1 - p; disk: n^(eta-1) x^n),
+    and grows, at most doubling, as far as its last ratio sheds the excess.
 
     A 1-D array x adds a leading axis over it, all points on the slice that
     settles x_max = max(x), which settles each smaller x: t_j(x) =
@@ -392,27 +391,25 @@ def log_terms(params: ParameterSet, x, shifts: int = 1):
     by x/x_max, and t_N(x)/t_M(x) <= (x/x_max)^(N-M) t_N(x_max)/t_M(x_max)
     for the peak index M <= N of x_max.
 
-    A scalar call with shifts <= 3 reads the slice kept on params, the last
-    (x, term cap, log_t, log_n) settled with the rows N_0..N_2 that photstat
-    reads (read-only, published by one attribute assignment); another x or
-    cap settles and keeps a new one.  So one state's Fock vector, P(n), mean,
-    Q and eigen residual share one pass, and each call gets the bits of that
-    3-row pass whatever came before it.  Arrays of x and shifts > 3 (factorial
-    moments of order >= 3) settle per call and are not kept.
+    A scalar call reads the slice kept on params, the last (x, term cap,
+    log_t, log_n) settled (read-only, published by one attribute
+    assignment); another x or cap settles and keeps a new one.  So one
+    state's Fock vector, P(n), factorial moments and eigen residual share
+    one pass, and each call gets the bits of that pass whatever came before
+    it.  Arrays of x settle per call and are not kept.
     """
     cap = min(MAX_CUTOFF, specfun.DEFAULT_MAX_TERMS)
-    if (isinstance(x, np.ndarray) and x.ndim > 0) or shifts > 3:
-        return _settled_slice(params, x, shifts, cap)
+    if isinstance(x, np.ndarray) and x.ndim > 0:
+        return _settled_slice(params, x, cap)
     kept = params.__dict__.get("_slice")
     if kept is None or kept[0] != x or kept[1] != cap:
-        kept = (x, cap) + _settled_slice(params, x, 3, cap)
-        for arr in kept[2:]:
-            arr.flags.writeable = False
+        kept = (x, cap) + _settled_slice(params, x, cap)
+        kept[2].flags.writeable = False
         object.__setattr__(params, "_slice", kept)
-    return kept[2], kept[3][:shifts]
+    return kept[2], kept[3]
 
 
-def _settled_slice(params: ParameterSet, x, shifts: int, cap: int):
+def _settled_slice(params: ParameterSet, x, cap: int):
     """The settling pass of log_terms, slice length at most cap."""
     many = isinstance(x, np.ndarray) and x.ndim > 0
     x_max = float(x.max()) if many else x
@@ -420,11 +417,10 @@ def _settled_slice(params: ParameterSet, x, shifts: int, cap: int):
     d, eta = params.q + 1 - params.p, params.eta  # f^2 ~ (n + (1 - eta)/d)^d or 1 + (1 - eta)/n
     m = max(0.0, x_max ** (1 / d) - (1 - eta) / d if d else (eta - 1) * x_max / (1 - x_max))
     n = min(cap, int(m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)) + _RATIO_WINDOW)
-    rho_steps(params, min(2 * n, cap) + shifts)  # a pass at most doubles n: one rho build
+    rho_steps(params, min(2 * n, cap) + 2)  # one build: n at most doubles, moments read 2 past it
     while True:
-        f2, lr = rho_steps(params, n + shifts)
-        jlnx = np.arange(n) * lnx
-        log_t = jlnx - lr[:n]
+        lr = rho_steps(params, n)[1][:n]
+        log_t = np.arange(n) * lnx - lr
         last = np.diff(log_t[-_RATIO_WINDOW:])
         r_bar = max(math.exp(last.max(initial=-math.inf)), 0.0 if d else x_max)
         if r_bar < 1.0 and log_t[-1] - math.log1p(-r_bar) < log_t.max() + math.log(SLICE_REST):
@@ -436,14 +432,9 @@ def _settled_slice(params: ParameterSet, x, shifts: int, cap: int):
             (log_t[-1] - math.log1p(-math.exp(ln_r)) - log_t.max() + fall) / -ln_r))
         n = min(cap, n + min(n, step))
     if many:
-        jlnx = np.array([math.log(v) for v in x])[:, None] * np.arange(n)
-        log_t = jlnx - lr[:n]
-    rows = log_t[..., None, :]
-    if shifts > 1:
-        j1, k = np.arange(1.0, n), np.arange(shifts)[:, None]
-        rows = jlnx[..., None, :] - _log_cumsum(f2[np.arange(n - 1) + k] * j1 / (j1 + k))
-    peak = rows.max(axis=-1)
-    return log_t, peak + np.log(np.exp(rows - peak[..., None]).sum(axis=-1))
+        log_t = np.array([math.log(v) for v in x])[:, None] * np.arange(n) - lr
+    peak = log_t.max(axis=-1)
+    return log_t, peak + np.log(np.exp(log_t - peak[..., None]).sum(axis=-1))
 
 
 def log_shares(log_t: np.ndarray) -> np.ndarray:

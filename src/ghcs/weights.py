@@ -103,7 +103,7 @@ def weight(family: str, params: ParameterSet, x):
         else:
             octave = np.floor(np.log2(xs))
             for k in np.unique(octave):
-                ln[octave == k] += log_terms(params, xs[octave == k])[1][:, 0]
+                ln[octave == k] += log_terms(params, xs[octave == k])[1]
             w = sign * np.exp(ln)
     return _as_given(w, x)
 

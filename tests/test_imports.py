@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import ghcs
+from ghcs import states
 
 SRC = Path(ghcs.__file__).parent
 
@@ -147,6 +149,22 @@ def test_no_per_row_python_in_the_densities():
                     f = node.func
                     called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     assert called not in ("tolist", "map"), (func, node.lineno)
+
+
+def test_one_slice_row():
+    # the factorial moments take the term ratio on the one row log t_n: neither
+    # log_terms nor its settling pass takes a count of shifted rows, and no
+    # call in the package passes log_terms more than (params, x)
+    assert list(inspect.signature(states.log_terms).parameters) == ["params", "x"]
+    assert "shifts" not in inspect.signature(states._settled_slice).parameters
+    extra = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "log_terms" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if len(node.args) > 2 or node.keywords:
+                    extra.append(f"{path.name}:{node.lineno}")
+    assert extra == []
 
 
 def test_export_list_resolves():

@@ -318,6 +318,91 @@ def test_moments_against_mpmath_at_large_amplitude():
     assert abs(q - float(ref_q)) <= 1e-12 * mean
 
 
+def test_higher_factorial_moments_against_mpmath():
+    # orders 3 and 4 on the kept slice, where M(2+k; 3+k; 784) overflows:
+    # within 7e-17 of 40-digit mpmath (4.8e-14 at order 3 from shifted rows)
+    mpmath = pytest.importorskip("mpmath")
+    params, x = st.validate([2.0], [3.0]), 784.0
+    with mpmath.workdps(40):
+        for k in (3, 4):
+            ref = x**k * mpmath.rf(2, k) / mpmath.rf(3, k) * (
+                mpmath.hyp1f1(2 + k, 3 + k, x) / mpmath.hyp1f1(2, 3, x))
+            assert ps.factorial_moment(params, x, k) == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_circle_factorial_moments_from_the_gauss_sums():
+    # at |z| = 1, 2F1(a1+k, a2+k; b+k; 1) = G(b+k) G(s-k) / (G(b-a1) G(b-a2)),
+    # s = b - a1 - a2, so <n(n-1)...(n-k+1)> = prod_(i<k) (a1+i)(a2+i)/(s-1-i)
+    params, s = st.validate([0.5, 0.5], [16.0]), 15.0
+    for k in (1, 2, 3):
+        ref = math.prod((0.5 + i) ** 2 / (s - 1.0 - i) for i in range(k))
+        assert ps.factorial_moment(params, 1.0, k) == pytest.approx(ref, rel=1e-13)
+
+
+def _mpmath_stats(a, b, x):
+    """Mean and Q from 40-digit pFq(a+k; b+k; x), k = 0, 1, 2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = [mpmath.hyper([v + k for v in a], [v + k for v in b], x) for k in range(3)]
+        shift = lambda k: (mpmath.fprod(mpmath.mpmathify(v) + k for v in a)
+                           / mpmath.fprod(mpmath.mpmathify(v) + k for v in b))
+        mean = x * shift(0) * m[1] / m[0]
+        return float(mpmath.re(mean)), float(mpmath.re(x * shift(1) * m[2] / m[1] - mean))
+
+
+MOMENT_BANDS = {  # (a, b, |z|) per draw
+    "F01": lambda rng: ([], [rng.uniform(0.2, 6.0)], rng.uniform(0.0, 60.0)),
+    "F11": lambda rng: ([rng.uniform(0.3, 6.0)], [rng.uniform(0.3, 6.0)], rng.uniform(0.0, 240.0)),
+    "F10": lambda rng: ([rng.uniform(0.3, 6.0)], [], rng.uniform(0.0, 0.97)),
+    "F21": lambda rng: (list(rng.uniform(0.3, 5.0, 2)), [rng.uniform(0.3, 5.0)],
+                        rng.uniform(0.0, 0.97)),
+    "pair": lambda rng: ([1 + 2j, 1 - 2j], [5.5], rng.uniform(0.0, 0.97)),
+}
+
+
+@pytest.mark.parametrize("band", list(MOMENT_BANDS))
+def test_mean_and_mandel_band_against_mpmath(band):
+    # 60 draws a band, and F11 (2;3) at |z| = 240: the mean within 1e-13 of
+    # itself and Q within 1e-13 of max(1, mean).  Worst measured: F01
+    # 1.6e-15, F11 8.1e-15, the disk bands 1.8e-15.  With Q formed as
+    # x c exp(log N_2 - log N_1) - mean, each log N rounded to an ulp of
+    # |z|^2, the F11 band was 7.7e-12 off (2.3 % of Q at (2;3), |z| = 240)
+    rng = np.random.default_rng(5)
+    draws = [MOMENT_BANDS[band](rng) for _ in range(60)]
+    if band == "F11":
+        draws.append(([2.0], [3.0], 240.0))
+    for a, b, az in draws:
+        x = az * az
+        mean, q = ps.mean_and_mandel(st.validate(a, b), x)
+        ref_mean, ref_q = _mpmath_stats(a, b, x)
+        assert abs(mean / ref_mean - 1.0) <= 1e-13, (a, b, az)
+        assert abs(q - ref_q) <= 1e-13 * max(1.0, ref_mean), (a, b, az)
+
+
+REFUSED_X = {
+    "negative": (lambda: ps.mean_and_mandel(CS, -1.0), ValueError),
+    "negative moment": (lambda: ps.factorial_moment(CS, -1.0, 2), ValueError),
+    "negative in array": (lambda: ps.mean_and_mandel(CS, np.array([0.0, 1.0, -1.0])), ValueError),
+    "nan closed form": (lambda: ps.closed_form_stats("F11", st.validate([2.0], [3.0]), math.nan),
+                        DivergenceError),
+    "inf closed form": (lambda: ps.closed_form_stats("CS", CS, math.inf), DivergenceError),
+    "nan": (lambda: ps.mean_and_mandel(CS, math.nan), DivergenceError),
+    "inf moment": (lambda: ps.factorial_moment(st.validate([], [2.0]), math.inf, 2),
+                   DivergenceError),
+    "inf in array": (lambda: ps.mean_and_mandel(CS, np.array([1.0, math.inf])), DivergenceError),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_X))
+def test_bad_x_is_refused_up_front(case):
+    # a negative x is named as such (not a math domain error of sqrt); a
+    # non-finite one raises DivergenceError as StateSpec does (not a
+    # non-positive ratio for nan, nor 65,536 terms and a RuntimeWarning for inf)
+    call, error = REFUSED_X[case]
+    with pytest.raises(error, match="non-negative" if error is ValueError else "finite"):
+        call()
+
+
 def test_coherent_mandel_q_is_exactly_zero():
     for az in (0.1, 1.1, 1.8, 2.7, 6.0, 28.0):
         assert ps.mean_and_mandel(CS, az * az)[1] == 0.0
@@ -402,10 +487,10 @@ JOB_STATES = [(CS, 5.0), (st.validate([], [2.0]), 6.0), (st.validate([4.0], [2.0
 @pytest.mark.parametrize("params,az", JOB_STATES,
                          ids=[f"{p.label()}@{az:g}" for p, az in JOB_STATES])
 def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
-    # the Fock vector, P(n), mean/Q and eigen residual of one plane or disk
-    # state share the slice kept on the set: one rho build, one settling
-    # pass (2 and 4 when each call settled its own slice, and 2 rho builds
-    # for a slice that grew past its start)
+    # the Fock vector, P(n), mean/Q, third factorial moment and eigen
+    # residual of one plane or disk state share the slice kept on the set:
+    # one rho build, one settling pass (the third moment settled a slice of
+    # its own while it read shifted rows)
     calls = {"rho": 0, "settle": 0}
 
     def counted(name, fn):
@@ -420,6 +505,7 @@ def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
     st.fock_vector(spec)
     ps.pn_distribution(spec)
     ps.mean_and_mandel(spec.params, abs(spec.z) ** 2)
+    ps.factorial_moment(spec.params, abs(spec.z) ** 2, 3)
     ld.eigenvalue_residual(spec)
     assert calls == {"rho": 1, "settle": 1}
 

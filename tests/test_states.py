@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ghcs import photstat as ps
 from ghcs import states as st
 from ghcs.errors import ConvergenceError, DivergenceError, ParameterError
 
@@ -351,7 +352,7 @@ SLICE_CASES = (
 def test_fock_vector_is_the_log_terms_slice(a, b, az):
     p = st.validate(a, b)
     v = st.fock_vector(st.StateSpec(p, az * cmath.exp(0.4j)), tol=1e-12)
-    log_t, (ln_n,) = st.log_terms(p, az * az)
+    log_t, ln_n = st.log_terms(p, az * az)
     assert v.cutoff + 1 == len(log_t)
     # |c_n|^2 against the slice's exact shares t_n / sum t: exp(log t_n - log N)
     # would carry the rounding of log N, an ulp of |z|^2 (4.5e-13 at |z| = 60)
@@ -435,17 +436,17 @@ LOG_NORM_CASES = (
 @pytest.mark.parametrize("a,b,az", LOG_NORM_CASES,
                          ids=[f"({a};{b})@{az:g}" for a, b, az in LOG_NORM_CASES])
 def test_log_norm_against_mpmath(a, b, az):
-    # log N and the shifted log N_k (one rho slice) against 40-digit mpmath,
-    # including |z| = 28 and 60, where N itself leaves the double range
+    # log N and the log N_k of the shifted sets (a+k; b+k), each from its own
+    # slice, against 40-digit mpmath, including |z| = 28 and 60, where N
+    # itself leaves the double range
     mpmath = pytest.importorskip("mpmath")
     params = st.validate(a, b)
     x = az * az
-    log_n = st.log_terms(params, x, 3)[1]
-    assert st.log_terms(params, x)[1][0] == pytest.approx(log_n[0], rel=1e-15)
     with mpmath.workdps(40):
         for k in range(3):
+            log_n = st.log_terms(params.shifted(k), x)[1]
             ref = float(mpmath.log(mpmath.hyper([v + k for v in a], [v + k for v in b], x)))
-            assert abs(log_n[k] - ref) <= 1e-14 * max(1.0, abs(ref))
+            assert abs(log_n - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("a,b,hi", [([], [], 28.0), ([], [0.2], 6.0), ([4.0], [2.0], 6.0),
@@ -455,14 +456,14 @@ def test_log_terms_array_matches_scalar_calls(a, b, hi):
     # scalar call, slice and bits
     params = st.validate(a, b)
     x = np.linspace(0.05, hi, 25) ** 2
-    log_t, log_n = st.log_terms(params, x, 3)
-    assert log_t.shape[0] == log_n.shape[0] == len(x) and log_n.shape[1] == 3
-    for v, row in zip(x, log_n):
-        ref = st.log_terms(params, float(v), 3)[1]
-        assert np.all(np.abs(row - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
-    one_t, one_n = st.log_terms(params, x[-1:], 3)
-    ref_t, ref_n = st.log_terms(params, float(x[-1]), 3)
-    assert np.array_equal(one_t[0], ref_t) and np.array_equal(one_n[0], ref_n)
+    log_t, log_n = st.log_terms(params, x)
+    assert log_t.shape[0] == len(x) and log_n.shape == x.shape
+    for v, got in zip(x, log_n):
+        ref = st.log_terms(params, float(v))[1]
+        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+    one_t, one_n = st.log_terms(params, x[-1:])
+    ref_t, ref_n = st.log_terms(params, float(x[-1]))
+    assert np.array_equal(one_t[0], ref_t) and one_n[0] == ref_n
 
 
 def test_log_terms_respects_the_term_cap(monkeypatch):
@@ -489,33 +490,39 @@ KEPT_SLICE_CASES = [([], [], 9.0), ([], [2.0], 36.0), ([2.0], [3.0], 25.0),
 @pytest.mark.parametrize("a,b,x", KEPT_SLICE_CASES,
                          ids=[f"({a};{b})@{x:g}" for a, b, x in KEPT_SLICE_CASES])
 def test_kept_slice_is_order_independent_and_read_only(a, b, x):
-    # every order of shifts 1..4 on one set gives the bits of a fresh set;
-    # shifts 1..3 read the kept 3-row slice, 4 settles its own
-    for order in itertools.permutations((1, 2, 3, 4)):
+    # every order of the slice's readers on one set (the Fock vector, mean
+    # and Q, the third factorial moment, an array call at the same x) gives
+    # the bits of a fresh set, and leaves the kept slice as a fresh set
+    # settles it
+    readers = (lambda p: st.fock_vector(st.StateSpec(p, math.sqrt(x))).coeffs,
+               lambda p: np.array(ps.mean_and_mandel(p, x)),
+               lambda p: ps.factorial_moment(p, x, 3),
+               lambda p: st.log_terms(p, np.array([x]))[0][0])
+    refs = [read(st.validate(a, b)) for read in readers]
+    ref_t, ref_n = st.log_terms(st.validate(a, b), x)
+    for order in itertools.permutations(range(len(readers))):
         p = st.validate(a, b)
-        for k in order:
-            got, ref = st.log_terms(p, x, k), st.log_terms(st.validate(a, b), x, k)
-            assert len(got[1]) == k
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        for i in order:
+            assert np.array_equal(readers[i](p), refs[i])
+        log_t, log_n = st.log_terms(p, x)
+        assert np.array_equal(log_t, ref_t) and log_n == ref_n
     assert p == st.validate(a, b) and hash(p) == hash(st.validate(a, b))  # not a field
-    log_t, log_n = st.log_terms(p, x, 2)
-    for arr in (log_t, log_n):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    with pytest.raises(ValueError):
+        log_t[0] = 0.0
 
 
 def test_kept_slice_shared_by_threads_matches_its_point():
     # threads alternating two points on one set each get their own point's
     # slice: the kept tuple is read once and published whole
     xs = (9.0, 30.0)
-    refs = [st.log_terms(st.validate([], [2.0]), x, 3) for x in xs]
+    refs = [st.log_terms(st.validate([], [2.0]), x) for x in xs]
     p, bad = st.validate([], [2.0]), []
 
     def work(i):
         for j in range(300):
             k = (i + j) % 2
-            got = st.log_terms(p, xs[k], 3)
-            if not (np.array_equal(got[0], refs[k][0]) and np.array_equal(got[1], refs[k][1])):
+            got = st.log_terms(p, xs[k])
+            if not (np.array_equal(got[0], refs[k][0]) and got[1] == refs[k][1]):
                 bad.append((i, j))
 
     switch = sys.getswitchinterval()

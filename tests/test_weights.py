@@ -64,7 +64,7 @@ def test_density_forms_agree_beyond_x_700(family, params, xs):
     # e^-700, and stays weight / normalization down to the least normal double
     for x in xs:
         ln, sign = wt.log_weight_tilde(family, params, x)
-        ref = wt.weight(family, params, x) * math.exp(-st.log_terms(params, x)[1][0])
+        ref = wt.weight(family, params, x) * math.exp(-st.log_terms(params, x)[1])
         for v in (wt.weight_tilde(family, params, x), sign * math.exp(ln)):
             assert v > 0.0 and v == pytest.approx(ref, rel=1e-12)
 
