@@ -18,17 +18,13 @@ from .errors import (
 )
 from .ladder import (
     apply_lowering,
-    apply_raising,
-    commutator_diagonal,
     eigenvalue_residual,
     f_coeff,
-    hermitian_matrices,
 )
 from .photstat import (
     DistributionSeries,
     PhotonStats,
     closed_form_stats,
-    factorial_moment,
     mean_and_mandel,
     pn_distribution,
 )
@@ -38,21 +34,18 @@ from .phase import (
     default_theta_grid,
     g_coefficients,
     gh_husimi,
-    husimi_q,
     phase_distribution,
     radial_phase_check,
     self_dual_husimi,
 )
 from .analytic import (
-    AnalyticSample,
     analytic_rep,
-    ghcs_wavefunction,
     inner_product_via_measure,
 )
 from .specfun import (
     SeriesResult,
-    bessel_k,
     gauss_2f1,
+    ln_bessel_k,
     ln_gamma,
     pfq,
     pochhammer,
@@ -65,7 +58,6 @@ from .states import (
     ParameterSet,
     StateSpec,
     classify,
-    coalesce,
     fock_basis_vector,
     fock_from_coeffs,
     fock_vector,
@@ -78,7 +70,6 @@ from .weights import (
     MomentReport,
     circle_weight_attempt,
     moment_check,
-    positivity_scan,
     weight,
     weight_tilde,
 )
@@ -86,18 +77,16 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSample", "CircleNoGoError", "ConvergenceError", "DistributionSeries",
+    "CircleNoGoError", "ConvergenceError", "DistributionSeries",
     "DivergenceError", "DomainClass", "DomainKind", "FockVector",
     "GCoefficientTable", "GHSError", "MomentReport",
     "ParameterError", "ParameterSet", "PhaseDistribution", "PhotonStats",
     "PoleError", "RangeError", "SeriesResult", "StateSpec", "analytic_rep", "apply_lowering",
-    "apply_raising", "bessel_k", "circle_weight_attempt", "classify",
-    "closed_form_stats", "coalesce", "commutator_diagonal", "default_theta_grid",
-    "eigenvalue_residual", "f_coeff", "factorial_moment", "fock_basis_vector",
+    "circle_weight_attempt", "classify", "closed_form_stats", "default_theta_grid",
+    "eigenvalue_residual", "f_coeff", "fock_basis_vector",
     "fock_from_coeffs", "fock_vector", "g_coefficients", "gauss_2f1",
-    "gh_husimi", "ghcs_wavefunction", "hermitian_matrices", "husimi_q",
-    "inner_product_via_measure", "ln_gamma", "mean_and_mandel",
+    "gh_husimi", "inner_product_via_measure", "ln_bessel_k", "ln_gamma", "mean_and_mandel",
     "moment_check", "normalization", "overlap", "pfq", "phase_distribution",
-    "pn_distribution", "pochhammer", "positivity_scan", "radial_phase_check",
+    "pn_distribution", "pochhammer", "radial_phase_check",
     "rho", "self_dual_husimi", "tricomi_u", "validate", "weight", "weight_tilde",
 ]

@@ -7,30 +7,25 @@ families) or unit-disk (p = q+1 families) analytic function
 
 the generalized analytic representation; for the empty parameter set this
 is the Bargmann function, for the phase-state family the Hardy-space
-representation.  The family wave function sqrt(w) <p;q;z|psi> and the
-measure d mu = d^2 zeta / pi * w/N turn scalar products into integrals,
-which this module verifies by radial-angular quadrature: an exact angular
-rule inside weights.density_integral, the package's one radial integral.
+representation.  The family wave function sqrt(w) <p;q;z|psi> =
+sqrt(wt) A(z*) (wavefunction_rows) and the measure d mu = d^2 zeta / pi * w/N
+turn scalar products into integrals, which this module verifies by
+radial-angular quadrature: an exact angular rule inside
+weights.density_integral, the package's one radial integral.  `ghcs verify
+measure` holds both against their second pipelines: the Fock inner product
+and analytic_rep.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, RangeError
 from .states import FockVector, ParameterSet, rho_steps
-from .weights import density_integral, family_params, log_weight_tilde, support_radius
-
-
-@dataclass(frozen=True)
-class AnalyticSample:
-    zeta: complex
-    value: complex
-    params: ParameterSet
+from .weights import density_integral
 
 
 def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> complex:
@@ -63,28 +58,6 @@ def wavefunction_rows(params: ParameterSet, psi: FockVector, thetas):
         np.log(x)[:, None] * n + np.reshape(log_wt, (-1, 1))) - half_log_rho)) @ rotations
 
 
-def analytic_sample(params: ParameterSet, psi: FockVector, zeta: complex) -> AnalyticSample:
-    return AnalyticSample(complex(zeta), analytic_rep(params, psi, zeta), params)
-
-
-def ghcs_wavefunction(family: str, params: ParameterSet, psi: FockVector,
-                      z: complex) -> complex:
-    """sqrt(w(|z|^2)) <p;q;z|psi> = sqrt(wt(|z|^2)) A(z*), a wavefunction_rows
-    row: finite where wt or a term of A leaves double range."""
-    family_params(family, params)
-    z = complex(z)
-    x = abs(z) ** 2
-    r = support_radius(family)
-    if x >= r:
-        raise DivergenceError(f"|z|^2 = {x:g} outside the family domain [0, {r})")
-    log_wt, sign = log_weight_tilde(family, params, x)
-    if sign < 0:
-        raise DivergenceError("weight density is negative here; no wave function")
-    if x == 0.0:
-        return math.exp(0.5 * log_wt) * complex(psi.coeffs[0])
-    return complex(wavefunction_rows(params, psi, [cmath.phase(z)])(np.array([x]), log_wt)[0, 0])
-
-
 def inner_product_via_measure(family: str, params: ParameterSet,
                               phi: FockVector, psi: FockVector,
                               quad_tol: float = 1e-9) -> complex:
@@ -105,13 +78,3 @@ def inner_product_via_measure(family: str, params: ParameterSet,
         rel_tol=quad_tol, abs_tol=1e-12,
         n_peak=int(np.argmax(np.abs(phi.coeffs[:k] * psi.coeffs[:k]))))
     return complex(val)
-
-
-def cauchy_riemann_residual(params: ParameterSet, psi: FockVector,
-                            zeta: complex, h: float = 1e-5) -> float:
-    """Finite-difference Cauchy-Riemann residual of the analytic
-    representation on a plus-stencil around zeta (analyticity probe)."""
-    f = lambda w: analytic_rep(params, psi, w)
-    du_dx = (f(zeta + h) - f(zeta - h)) / (2.0 * h)
-    du_dy = (f(zeta + 1j * h) - f(zeta - 1j * h)) / (2.0 * h)
-    return abs(du_dx + 1j * du_dy) / 2.0

@@ -6,6 +6,15 @@ JSON documents carry schema_version, a verbatim echo of the parsed
 configuration, and per-series metadata, so identical invocations produce
 byte-identical files (written atomically via temp file + rename).
 
+verify runs one suite, or all nine in this order: moments (weight moments
+against rho(n)), eigen (lowering-operator eigenstates), phase-norm (phase
+distributions integrate to 1), coalesce (matched parameter pairs drop out),
+stats (generic photon statistics against the closed forms), measure (inner
+products through the measure, the analytic representation against the
+wave function rows), radial (radially integrated Husimi phase against the
+G table), husimi (self-dual Husimi closed form) and circle (the circle
+moment problem is refused).
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid parameters,
 64 usage error, 65 numeric failure.  GHCS_MAX_TERMS overrides the series
 term cap; --tol sets the series tolerance and the unit-circle Fock cut.
@@ -25,8 +34,8 @@ import tempfile
 
 import numpy as np
 
-from . import ladder, phase, photstat, specfun, states, weights
-from .errors import GHSError, ParameterError
+from . import analytic, ladder, phase, photstat, specfun, states, weights
+from .errors import CircleNoGoError, GHSError, ParameterError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -222,10 +231,11 @@ def cmd_stats(args) -> int:
     params = _get_params(args)
     if args.absz_max is not None:
         grid = np.linspace(0.0, args.absz_max, args.points)
-        x = grid**2
     else:  # one point: the scalar call
         grid = np.array([abs(_get_z(args))])
-        x = float(grid[0]) ** 2
+    if grid.size:  # the largest |z| is classified before |z|^2 is formed
+        states.StateSpec(params, float(np.abs(grid).max())).domain_kind()
+    x = grid**2 if args.absz_max is not None else float(grid[0]) ** 2
     means, qs = np.atleast_1d(*photstat.mean_and_mandel(params, x, tol=args.tol))
     emit(args, [
         _series("mean", grid, means, params=params.label()),
@@ -454,11 +464,117 @@ def _verify_coalesce(checks: list) -> None:
     checks += [_check(f"coalesce {name}", measured, 1e-12) for name, measured in pairs]
 
 
+def _verify_stats(checks: list) -> None:
+    """Generic P(n), mean and Q against the closed forms over the figure sets
+    (criterion 4), and Q against |Q| where it is small beside the mean."""
+    cases = [("CS", states.validate([], []), az) for az in (0.75, 3.0)]
+    cases += [("F01", states.validate([], [b]), az)
+              for b in FIG_B_SWEEP for az in (0.25, 0.75, 3.0)]
+    cases += [("F11", states.validate([a], [b]), az)
+              for a, b in FIG_AB_SWEEP for az in (0.25, 0.75, 3.0)]
+    cases += [("F10", states.validate([a], []), az) for a in FIG_A_SWEEP for az in (0.25, 0.75)]
+    cases += [("F21", states.validate([3.0, 3.0], [2.0]), az) for az in (0.25, 0.75)]
+    for fam, p, az in cases:
+        ref = photstat.closed_form_stats(fam, p, az * az)
+        mean, q = photstat.mean_and_mandel(p, az * az, tol=1e-14)
+        pn = photstat.pn_distribution(states.StateSpec(p, az), tol=1e-14).values
+        k = min(len(pn), len(ref.pn.values))
+        dev = max(abs(ref.mean - mean) / mean, abs(ref.mandel_q - q) / max(1.0, abs(q), mean),
+                  float(np.max(np.abs(pn[:k] - ref.pn.values[:k])
+                               / np.maximum(ref.pn.values[:k], 1e-300))))
+        checks.append(_check(f"stats {fam} {p.label()} |z|={az:g}", dev, 1e-8))
+    for a, b, az in ((2.0, 3.0, 100.0), (2.0, 3.0, 240.0), (0.5, 4.0, 150.0)):
+        p = states.validate([a], [b])
+        q_ref = photstat.closed_form_stats("F11", p, az * az).mandel_q
+        q = photstat.mean_and_mandel(p, az * az)[1]
+        checks.append(_check(f"stats Q/|Q| F11 {p.label()} |z|={az:g}",
+                             abs(q - q_ref) / abs(q_ref), 1e-6))
+
+
+def _weight_families():
+    """(family, parameter set, on the disk) for one set of each family with a
+    weight function."""
+    sets = [("CS", states.validate([], [])), ("F01", states.validate([], [2.0])),
+            ("F11", states.validate([2.0], [4.0])), ("F10", states.validate([3.0], [])),
+            ("F21", states.validate([3.0, 3.0], [2.0]))]
+    return [(fam, p, weights.support_radius(fam) == 1.0) for fam, p in sets]
+
+
+def _verify_measure(checks: list) -> None:
+    """Inner products through the measure against the Fock inner product
+    (criterion 11), and wavefunction_rows against analytic_rep."""
+    rng = np.random.default_rng(11)
+    thetas = np.linspace(-math.pi, math.pi, 7)
+    for fam, p, disk in _weight_families():
+        phi, psi = (states.fock_from_coeffs(rng.normal(size=9) + 1j * rng.normal(size=9))
+                    for _ in range(2))
+        via = analytic.inner_product_via_measure(fam, p, phi, psi)
+        checks.append(_check(f"measure {fam} {p.label()} inner product",
+                             abs(via - phi.inner(psi)), 1e-5))
+        xs = np.array([0.1, 0.5, 0.9] if disk else [0.3, 2.0, 9.0])
+        rows = analytic.wavefunction_rows(p, psi, thetas)(xs, 0.0)
+        ref = np.array([[analytic.analytic_rep(p, psi, math.sqrt(x) * cmath.exp(-1j * t))
+                         for t in thetas] for x in xs.tolist()])
+        checks.append(_check(f"measure {fam} {p.label()} analytic_rep",
+                             float(np.max(np.abs(rows - ref)) / np.max(np.abs(ref))), 1e-12))
+
+
+def _verify_radial(checks: list) -> None:
+    """The phase distribution by radial integration of the generalized Husimi
+    distribution against the G-table phase distribution."""
+    cs = states.validate([], [])
+    for fam, p, disk in _weight_families():
+        absz = 0.5 if disk else 0.75
+        signals = (("coherent", states.fock_vector(
+            states.StateSpec(cs, absz * cmath.exp(0.4j)), tol=1e-14)),
+                   ("fock4", states.fock_basis_vector(4)))
+        for name, sig in signals:
+            checks.append(_check(f"radial {fam} {p.label()} {name}",
+                                 phase.radial_phase_check(sig, fam, p), 1e-6))
+
+
+def _verify_husimi(checks: list) -> None:
+    """The generalized Husimi distribution of a state of the analyzer's own
+    family against its closed form (criterion 12), four draws a family."""
+    rng = np.random.default_rng(22)
+    for fam, p, disk in _weight_families():
+        scale = 0.65 if disk else 1.2
+        dev = 0.0
+        for _ in range(4):
+            zs, z = (scale * complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(2))
+            sig = states.fock_vector(states.StateSpec(p, zs), tol=1e-15)
+            closed = phase.self_dual_husimi(fam, p, zs, z)
+            dev = max(dev, abs(phase.gh_husimi(sig, fam, p, z) - closed) / max(1e-10, closed))
+        checks.append(_check(f"husimi {fam} {p.label()}", dev, 1e-10))
+
+
+def _verify_circle(checks: list) -> None:
+    """The circle moment problem (criterion 13): every circle family is
+    refused (measured 1 if a density comes back) but the phase-state limit
+    a = 1 of (1;0), whose density is 1/(2 pi)."""
+    for p in (states.validate([0.3, 0.4], [1.5]), states.validate([0.5, 0.5], [16.0]),
+              states.validate([1.5], []), states.validate([1.0, 1.5], [0.5])):
+        try:
+            weights.circle_weight_attempt(p)
+            measured = 1.0
+        except CircleNoGoError:
+            measured = 0.0
+        checks.append(_check(f"circle no-go {p.label()} eta={p.eta:g}", measured, 0.0))
+    const = weights.circle_weight_attempt(states.validate([1.0], []))
+    checks.append(_check("circle phase-state density x 2pi", abs(2.0 * math.pi * const - 1.0),
+                         1e-15))
+
+
 VERIFY_SUITES = {
     "moments": _verify_moments,
     "eigen": _verify_eigen,
     "phase-norm": _verify_phase_norm,
     "coalesce": _verify_coalesce,
+    "stats": _verify_stats,
+    "measure": _verify_measure,
+    "radial": _verify_radial,
+    "husimi": _verify_husimi,
+    "circle": _verify_circle,
 }
 
 
@@ -563,7 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_figure)
 
     sp = sub.add_parser("verify", help="run verification suites", parents=[common])
-    sp.add_argument("suite", choices=tuple(VERIFY_SUITES) + ("all",))
+    sp.add_argument("suite", choices=tuple(VERIFY_SUITES) + ("all",),
+                    help="one suite, or all nine in the order listed")
     sp.set_defaults(func=cmd_verify)
 
     return p

@@ -143,18 +143,12 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     )
 
 
-def husimi_q(signal: FockVector, alpha: complex) -> float:
-    """Conventional Husimi value (1/pi) |<alpha|psi>|^2: gh_husimi of the
-    coherent-state family, e^{-|alpha|^2} folded into the overlap's exponent."""
-    return gh_husimi(signal, "CS", _ANALYZER_TAGS["Q"], alpha)
-
-
 def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
               z: complex) -> float:
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
-    weight-supported analyzer family (husimi_q for family 'CS').  log wt
-    enters the overlap's exponent: finite where wt underflows.  F01 and F11
-    refuse z = 0, as their weights do."""
+    weight-supported analyzer family (the conventional Husimi Q for 'CS').
+    log wt enters the overlap's exponent: finite where wt underflows.  F01
+    and F11 refuse z = 0, as their weights do."""
     z = complex(z)
     x = abs(z) ** 2
     if x == 0.0:

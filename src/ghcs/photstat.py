@@ -81,8 +81,8 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     x = abs(complex(spec.z)) ** 2
     if x == 0.0:
         return DistributionSeries(np.array([0]), np.array([1.0]), 0.0, params.label())
-    if kind is DomainKind.CIRCLE_NORMALIZED:
-        ln_n = math.log(normalization(params, x, tol=tol))
+    if kind is DomainKind.CIRCLE_NORMALIZED:  # on the circle: |z| = 1
+        ln_n = math.log(normalization(params, 1.0, tol=tol))
         return _pn_series(lambda n: -rho_steps(params, n - 1)[1] - ln_n, 64, params.label())
     log_p = log_shares(log_terms(params, x)[0])
     return _pn_series(lambda n: log_p, len(log_p), params.label())
@@ -96,44 +96,33 @@ def _checked_x(x: float) -> None:
         raise ValueError("x = |z|^2 must be non-negative")
 
 
-def _moment_ratios(params: ParameterSet, x, k: int, tol: float) -> list:
-    """[r_1..r_k], r_j = m_j/m_(j-1) of the factorial moments (m_0 = 1) at x > 0,
+def _moment_ratios(params: ParameterSet, x, tol: float) -> list:
+    """[r_1, r_2], r_j = m_j/m_(j-1) of the factorial moments (m_0 = 1) at x > 0,
     or arrays of them over a 1-D array x of plane and disk points.  With the
     term ratio g_j = (j+1) t_(j+1)/t_j = x (j+1)/f^2(j), r_j is the mean of
     g_(n+j-1) under the weights t_n g_n...g_(n+j-2), taken against its value
     v_m at the mode m of t_n as v_m + sum w (v - v_m)/sum w: a constant g
     gives x to the bit, and a g_0 far above the mean (F01, small b) cancels
-    nothing.  Circle points take r_j = g_(j-1) N_j/N_(j-1) from the shifted
-    Gauss sums."""
+    nothing.  Circle points, taken at x = 1, have r_j = g_(j-1) N_j/N_(j-1)
+    from the shifted Gauss sums."""
     many = isinstance(x, np.ndarray)
     if not many and StateSpec(params, math.sqrt(x)).domain_kind() not in (
             DomainKind.PLANE, DomainKind.UNIT_DISK):  # circle: terms fall like n^(eta-1)
-        f2 = rho_steps(params, k)[0].tolist()
-        norms = [normalization(params.shifted(j), x, tol=tol) for j in range(k + 1)]
-        return [x * (j / f2[j - 1]) * (norms[j] / norms[j - 1]) for j in range(1, k + 1)]
+        f2 = rho_steps(params, 2)[0].tolist()
+        norms = [normalization(params.shifted(j), 1.0, tol=tol) for j in range(3)]
+        return [(j / f2[j - 1]) * (norms[j] / norms[j - 1]) for j in (1, 2)]
     log_t = log_terms(params, x)[0]
     n = log_t.shape[-1]
-    h = np.arange(1.0, n + k) / rho_steps(params, n + k - 1)[0]  # g_j / x
+    h = np.arange(1.0, n + 2) / rho_steps(params, n + 1)[0]  # g_j / x
     w = np.exp(log_t - log_t.max(axis=-1, keepdims=True))
     mode = log_t.argmax(axis=-1)
     ratios = []
-    for j in range(k):
+    for j in range(2):
         v = h[j: j + n]
         r = x * (v[mode] + (w * (v - v[mode][..., None])).sum(axis=-1) / w.sum(axis=-1))
         ratios.append(r if many else float(r))
         w = w * v
     return ratios
-
-
-def factorial_moment(params: ParameterSet, x: float, k: int,
-                     tol: float = specfun.DEFAULT_TOL) -> float:
-    """k-th factorial moment <n(n-1)...(n-k+1)> at x = |z|^2:
-    x^k [prod (a_i)_k / prod (b_j)_k] pFq(a+k; b+k; x) / pFq(a; b; x),
-    the product of the moment ratios r_1..r_k."""
-    if k < 1:
-        raise ValueError("factorial moment order must be >= 1")
-    _checked_x(x)
-    return math.prod(_moment_ratios(params, x, k, tol)) if x != 0.0 else 0.0
 
 
 def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
@@ -144,16 +133,18 @@ def mean_and_mandel(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     log_terms pass, the rest take scalar calls (circle points, domain errors)."""
     if isinstance(x, np.ndarray) and x.ndim > 0:
         plane = classify(params).kind is DomainKind.PLANE
-        sweep = (x > 0.0) & (x < (math.inf if plane else 1.0 - 3e-14))  # off the circle band
+        az = np.sqrt(np.abs(x))  # |z| for StateSpec's circle test; x < 0 is refused below
+        inside = az < math.inf if plane else (az < 1.0) & ~specfun.on_unit_circle(az)
+        sweep = (x > 0.0) & inside
         out = np.zeros((2, len(x)))
         for i in np.flatnonzero(~sweep & (x != 0.0)):  # first, so bad points raise at once
             out[:, i] = mean_and_mandel(params, float(x[i]), tol)
         if sweep.any():
-            r1, r2 = _moment_ratios(params, x[sweep], 2, tol)
+            r1, r2 = _moment_ratios(params, x[sweep], tol)
             out[:, sweep] = r1, r2 - r1
         return out[0], out[1]
     _checked_x(x)
-    r1, r2 = _moment_ratios(params, x, 2, tol) if x != 0.0 else (0.0, 0.0)
+    r1, r2 = _moment_ratios(params, x, tol) if x != 0.0 else (0.0, 0.0)
     return r1, r2 - r1
 
 

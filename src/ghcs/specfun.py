@@ -26,6 +26,7 @@ from .errors import ConvergenceError, DivergenceError, PoleError, RangeError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 100_000
+UNIT_BAND = 1e-14  # a modulus within this of 1 lies on the unit circle (on_unit_circle)
 
 # Lanczos coefficients, g = 7, n = 9 (used for complex log-gamma only;
 # real arguments go through math.lgamma).
@@ -165,6 +166,13 @@ def pochhammer(a, n: int):
     return acc
 
 
+def on_unit_circle(r):
+    """Whether the modulus r (a float or an array) lies on the unit circle,
+    within UNIT_BAND of 1: the one test of the circle, for the pfq argument
+    here and for the state point |z| (states.StateSpec, normalization)."""
+    return abs(r - 1.0) <= UNIT_BAND
+
+
 def _check_pfq_domain(a, b, x: np.ndarray):
     p, q = len(a), len(b)
     if p <= q or any(_is_nonpositive_integer(ai) for ai in a):
@@ -172,13 +180,13 @@ def _check_pfq_domain(a, b, x: np.ndarray):
     ax = np.abs(x)
     if p > q + 1 and ax.any():
         raise DivergenceError(f"{p}F{q} diverges for any x != 0 (p > q + 1)")
-    if (ax < 1.0 - 1e-14).all():
+    inside = ax < 1.0 - UNIT_BAND
+    if inside.all():
         return
     eta = sum(complex(ai).real for ai in a) - sum(complex(bj).real for bj in b)
     # inside the disk, or on the ring with eta < 0, or 0 <= eta < 1 off x = 1
     # (conditionally convergent ring point)
-    ok = (ax < 1.0 - 1e-14) | (np.abs(ax - 1.0) <= 1e-14) & (
-        (eta < 0) | (eta < 1) & (np.abs(x - 1.0) > 1e-14))
+    ok = inside | on_unit_circle(ax) & ((eta < 0) | (eta < 1) & (np.abs(x - 1.0) > UNIT_BAND))
     if not ok.all():
         raise DivergenceError(
             f"{p}F{q} diverges at |x| = {ax[~ok][0]:g} (unit-disk family)"
@@ -335,12 +343,6 @@ def _bessel_k_integral(nu: float, x: np.ndarray) -> np.ndarray:
     return _log_trapezoid(log_f, -t_max, t_max, 64, x) - math.log(4.0) - x
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0: the
-    exponential of ln_bessel_k (0 where K underflows)."""
-    return math.exp(ln_bessel_k(nu, x))
-
-
 def ln_bessel_k(nu: float, x):
     """log K_nu(x), x > 0, finite where K itself underflows; a float x gives a
     float, an array x an array.
@@ -355,7 +357,7 @@ def ln_bessel_k(nu: float, x):
     if not isinstance(x, np.ndarray):
         return float(ln_bessel_k(nu, np.array([float(x)]))[0])
     if not np.all(x > 0):
-        raise ValueError(f"bessel_k requires x > 0, got {x.min()}")
+        raise ValueError(f"ln_bessel_k requires x > 0, got {x.min()}")
     return _bessel_k_integral(abs(nu), x)
 
 

@@ -208,13 +208,17 @@ class StateSpec:
     z: complex
 
     def domain_kind(self) -> DomainKind:
+        """The point's domain; a |z|^2 past double range, or a point outside
+        the unit disk closure of a p = q + 1 family, raises DivergenceError.
+        |z| within specfun.UNIT_BAND of 1 is on the circle, and the state
+        functions take it at |z| = 1."""
         dom = classify(self.params)
         az = abs(self.z)
+        if not math.isfinite(az * az):
+            raise DivergenceError(f"|z|^2 is not finite at |z| = {az:g}")
         if dom.kind is DomainKind.PLANE:
-            if not math.isfinite(az):
-                raise DivergenceError("plane states need finite z")
             return DomainKind.PLANE
-        on_circle = abs(az - 1.0) <= 1e-14
+        on_circle = specfun.on_unit_circle(az)
         if az < 1.0 and not on_circle:
             return DomainKind.UNIT_DISK
         if on_circle:
@@ -310,23 +314,29 @@ def normalization(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     """Normalization function pFq(a; b; x) at x = |z|^2 >= 0, a float or a
     1-D array (whose result is an array).
 
-    Unit-circle families evaluated at x = 1 require eta < 0; the (2;1)
-    family then uses the closed gamma formula for 2F1 at unit argument
-    (the raw series converges only like n^eta there).
+    A p = q + 1 family takes a point on the unit circle (sqrt(x) within
+    specfun.UNIT_BAND of 1, the test StateSpec applies to |z|) at x = 1,
+    which requires eta < 0; the (2;1) family then uses the closed gamma
+    formula for 2F1 at unit argument (the raw series converges only like
+    n^eta there).
     """
     nodes = isinstance(x, np.ndarray)
     if (x.min(initial=0.0) if nodes else x) < 0:
         raise ValueError("normalization argument is |z|^2 >= 0")
     dom = classify(params)
-    off = abs(x - 1.0) > 1e-14  # off the unit circle: a bool, or one per node
-    if params.p == params.q + 1 and dom.eta >= 0 and not (off.all() if nodes else off):
-        raise DivergenceError(f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
+    if params.p == params.q + 1:
+        on = specfun.on_unit_circle(np.sqrt(x))  # a bool, or one per node
+        if on.any():
+            if dom.eta >= 0:
+                raise DivergenceError(
+                    f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
+            x = np.where(on, 1.0, x) if nodes else 1.0
     if (params.p, params.q) == (2, 1) and not any(isinstance(v, complex)
                                                   for v in params.a + params.b):
         # the Gauss evaluator keeps full accuracy near and at the disk edge,
-        # where the raw series slows to a crawl; w = 0 takes its unit formula
+        # where the raw series slows to a crawl; x = 1 takes its unit formula
         a1, a2, b1 = params.a + params.b
-        value = specfun.gauss_2f1(a1, a2, b1, x, tol=tol, w=(1.0 - x) * off).value
+        value = specfun.gauss_2f1(a1, a2, b1, x, tol=tol).value
     else:
         value = specfun.pfq(params.a, params.b, x, tol=tol).value
     return value.real if nodes else complex(value).real
@@ -449,11 +459,12 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     Plane and disk states are the slice that log_terms settles: |c_n|^2 =
     t_n / N (log_shares) for every n of it, and the certified tail, covering
     sum_{k>=N} |c_k|^2 with c_N included, is its rest SLICE_REST * peak / N;
-    a tol below that rest raises ConvergenceError.  Normalized circle states
-    cut where a power-law comparison bounds the tail by tol (the ratios tend
-    to 1, so no geometric rate exists).  Unnormalizable circle states get the
-    1/sqrt(2 pi) prefactor, tail_bound = inf and a RuntimeWarning (their
-    squared norm diverges), and stop at the first term below tol.
+    a tol below that rest raises ConvergenceError.  Normalized circle states,
+    taken at |z| = 1, cut where a power-law comparison bounds the tail by tol
+    (the ratios tend to 1, so no geometric rate exists).  Unnormalizable
+    circle states get the 1/sqrt(2 pi) prefactor, tail_bound = inf and a
+    RuntimeWarning (their squared norm diverges), and stop at the first term
+    below tol.
     """
     params = spec.params
     z = complex(spec.z)
@@ -477,19 +488,18 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     if abs(z) == 0.0:
         return FockVector(np.array([1.0 + 0.0j]), 0.0, True)
 
-    x = abs(z) ** 2
     if kind is not DomainKind.CIRCLE_NORMALIZED:
-        lc = log_shares(log_terms(params, x)[0])
+        lc = log_shares(log_terms(params, abs(z) ** 2)[0])
         rest = SLICE_REST * math.exp(lc.max())
         if tol < rest:
             raise ConvergenceError(f"tol {tol:g} is below the Fock slice's rest {rest:.3g}")
         return FockVector(build(lc), rest, True)
 
-    ln_n, ln_az = math.log(normalization(params, x)), math.log(abs(z))
-    n = 10  # 2x + 8 at x = 1, so no rounding of |z|^2 moves the cut
+    ln_n = math.log(normalization(params, 1.0))  # on the circle: |z| = 1
+    n = 10
     while n <= MAX_CUTOFF:
         m = n + _RATIO_WINDOW
-        lc = 2.0 * np.arange(m + 1) * ln_az - rho_steps(params, m)[1] - ln_n  # log |c_k|^2
+        lc = -rho_steps(params, m)[1] - ln_n  # log |c_k|^2
         # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
         k = np.arange(n, m)
         s = min(float(np.min(-np.diff(lc[n:]) / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
@@ -511,21 +521,3 @@ def overlap(params: ParameterSet, z: complex, z2: complex,
         * normalization(params, abs(z2) ** 2, tol=tol)
     )
     return complex(num) / den
-
-
-def coalesce(params: ParameterSet, tol: float = 1e-12) -> ParameterSet:
-    """Optional reduction: drop numerator/denominator pairs equal within tol."""
-    a = list(params.a)
-    b = list(params.b)
-    i = 0
-    while i < len(a):
-        hit = next(
-            (j for j, bj in enumerate(b) if abs(complex(a[i]) - complex(bj)) <= tol),
-            None,
-        )
-        if hit is not None:
-            a.pop(i)
-            b.pop(hit)
-        else:
-            i += 1
-    return ParameterSet(a, b)

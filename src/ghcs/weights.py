@@ -15,10 +15,10 @@ This module evaluates the closed-form weights of the five families:
     F21:  w = G(a1)G(a2)/[G(b)G(a1+a2-b-1)] (1-x)^{a1+a2-b-2}
              * 2F1(a1,a2;b;x) 2F1(a2-b,a1-b;a1+a2-b-1;1-x)   (a1+a2-b > 1)
 
-verifies the moment condition by adaptive quadrature, scans positivity
-(which is family-specific and not guaranteed in general), and refuses the
+verifies the moment condition by adaptive quadrature, and refuses the
 circle-state moment problem, whose only solution is the phase-state
-constant 1/(2 pi).
+constant 1/(2 pi).  Positivity of w is family-specific and not guaranteed
+in general.
 
 density_integral is the one radial integral integral_0^R g(x) wt(x) dx of
 the package: the moment checks here, the radially integrated Husimi phase
@@ -50,7 +50,8 @@ def support_radius(family: str) -> float:
 
 def _checked_vals(family: str, params: ParameterSet, x=None) -> tuple:
     """The family's parameters, checked for a weight function and, when given,
-    for the arguments x (an array): in [0, R), and x > 0 for F01 and F11."""
+    for the arguments x (an array): finite and in [0, R), and x > 0 for F01
+    and F11."""
     vals = family_params(family, params)
     if any(isinstance(v, complex) for v in vals):
         raise ParameterError("weight functions take real parameters")
@@ -65,7 +66,7 @@ def _checked_vals(family: str, params: ParameterSet, x=None) -> tuple:
         raise ParameterError("F21 weight needs a1 + a2 - b > 1")
     if x is None:
         return vals
-    bad = x[(x < 0) | (x >= support_radius(family))]
+    bad = x[~((x >= 0) & (x < support_radius(family)))]  # nan too
     if bad.size:
         raise ValueError(f"weight argument {bad[0]} outside [0, {support_radius(family)})")
     if family in ("F01", "F11") and not x.all():
@@ -218,12 +219,6 @@ def _moment_integrals(family: str, params: ParameterSet, ns, quad_tol: float):
     return val * rho, err * rho, rho
 
 
-def moment_integral(family: str, params: ParameterSet, n: int,
-                    quad_tol: float = 1e-10) -> float:
-    """integral_0^R x^n wt(x) dx, integrated as x^n/rho(n) and rescaled."""
-    return float(_moment_integrals(family, params, np.array([n]), quad_tol)[0][0])
-
-
 def moment_check(family: str, params: ParameterSet, n_max: int = 20,
                  quad_tol: float = 1e-10) -> MomentReport:
     """Verify integral_0^R x^n wt(x) dx = rho(n) for n = 0..n_max, all n in
@@ -234,36 +229,6 @@ def moment_check(family: str, params: ParameterSet, n_max: int = 20,
     records = [MomentRecord(n, q, r, abs(q - r) / r, e)
                for n, (q, e, r) in enumerate(zip(quads.tolist(), errs.tolist(), rhos.tolist()))]
     return MomentReport(family, params, tuple(records), max(r.rel_error for r in records))
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    family: str
-    params: ParameterSet
-    min_value: float
-    argmin: float
-    negative: bool
-    grid_size: int
-
-
-def positivity_scan(family: str, params: ParameterSet, grid_size: int = 2000,
-                    x_min: float = 1e-6) -> PositivityReport:
-    """Evaluate the weight on a log-dense grid over (0, R), R capped at 1e4 on
-    the plane, and report the minimum.  Reports only; positivity is asserted
-    by the caller where the family guarantees it."""
-    r = support_radius(family)
-    if math.isinf(r):
-        grid = np.logspace(math.log10(x_min), 4.0, grid_size)
-    else:
-        half = grid_size // 2
-        left = np.logspace(math.log10(x_min), math.log10(0.5), half)
-        right = 1.0 - np.logspace(math.log10(0.5), -8, grid_size - half)
-        grid = np.concatenate([left, right])
-    values = weight(family, params, grid)
-    k = int(np.argmin(values))
-    return PositivityReport(
-        family, params, float(values[k]), float(grid[k]), bool(values[k] < 0.0), grid_size
-    )
 
 
 def circle_weight_attempt(params: ParameterSet):

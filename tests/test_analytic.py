@@ -12,6 +12,15 @@ from ghcs.errors import DivergenceError, RangeError
 CS = st.validate([], [])
 
 
+def wavefunction(family, params, psi, z):
+    """sqrt(w(|z|^2)) <p;q;z|psi> = sqrt(wt) A(z*): the row of
+    wavefunction_rows at x = |z|^2, theta = arg z."""
+    x = abs(z) ** 2
+    log_wt, sign = wt.log_weight_tilde(family, params, x)
+    assert sign > 0
+    return complex(an.wavefunction_rows(params, psi, [cmath.phase(z)])(np.array([x]), log_wt)[0, 0])
+
+
 def test_bargmann_function_of_coherent_state():
     alpha = 0.8 + 0.3j
     sig = st.fock_vector(st.StateSpec(CS, alpha), tol=1e-15)
@@ -56,7 +65,7 @@ def test_wavefunction_coherent_composition():
     z = 0.4 - 0.9j
     sig = st.fock_vector(st.StateSpec(CS, alpha), tol=1e-15)
     ref = cmath.exp(-abs(z) ** 2 / 2.0 + z.conjugate() * alpha - abs(alpha) ** 2 / 2.0)
-    assert an.ghcs_wavefunction("CS", CS, sig, z) == pytest.approx(ref, rel=1e-10)
+    assert wavefunction("CS", CS, sig, z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_wavefunction_at_high_fock_order():
@@ -65,15 +74,15 @@ def test_wavefunction_at_high_fock_order():
     from ghcs import phase as ph
     sig = st.fock_basis_vector(1000)
     z = math.sqrt(1000.0) * cmath.exp(0.3j)
-    v = an.ghcs_wavefunction("CS", CS, sig, z)
-    assert abs(v) == pytest.approx(math.sqrt(math.pi * ph.husimi_q(sig, z)), rel=1e-12)
+    v = wavefunction("CS", CS, sig, z)
+    assert abs(v) == pytest.approx(math.sqrt(math.pi * ph.gh_husimi(sig, "CS", CS, z)), rel=1e-12)
     assert abs(v) == pytest.approx(0.1123, abs=1e-4)
 
 
 def test_wavefunction_vacuum_signal():
     p10 = st.validate([3.0], [])
     z = 0.5
-    v = an.ghcs_wavefunction("F10", p10, st.fock_basis_vector(0), z)
+    v = wavefunction("F10", p10, st.fock_basis_vector(0), z)
     ref = math.sqrt(wt.weight("F10", p10, 0.25) / st.normalization(p10, 0.25))
     assert v == pytest.approx(ref, rel=1e-12)
 
@@ -90,7 +99,7 @@ def test_wavefunction_norm_by_quadrature():
         if x <= 0.0 or x >= 1.0:
             return 0.0
         return sum(
-            abs(an.ghcs_wavefunction("F10", p10, sig, math.sqrt(x) * cmath.exp(1j * a))) ** 2
+            abs(wavefunction("F10", p10, sig, math.sqrt(x) * cmath.exp(1j * a))) ** 2
             for a in angles
         ) / m_ang
 
@@ -133,6 +142,7 @@ def test_inner_product_high_fock_number(family, params):
 
 
 def test_wavefunction_rows_match_pointwise_wavefunction():
+    # each row entry is sqrt(wt(x)) A(sqrt(x) e^{-i theta}), A from analytic_rep
     p = st.validate([2.0], [4.0])
     sig = st.fock_vector(st.StateSpec(p, 0.9 - 0.4j), tol=1e-15)
     xs, thetas = np.array([0.3, 2.0, 9.0]), np.array([-2.0, 0.0, 1.1])
@@ -140,17 +150,18 @@ def test_wavefunction_rows_match_pointwise_wavefunction():
     rows = an.wavefunction_rows(p, sig, thetas)(xs, ln)
     for i, x in enumerate(xs.tolist()):
         for j, th in enumerate(thetas.tolist()):
-            ref = an.ghcs_wavefunction("F11", p, sig, math.sqrt(x) * cmath.exp(1j * th))
+            ref = math.exp(0.5 * ln[i]) * an.analytic_rep(p, sig, math.sqrt(x) * cmath.exp(-1j * th))
             assert rows[i, j] == pytest.approx(ref, rel=1e-12)
 
 
 def test_cauchy_riemann_residual():
+    # analyticity probe: the finite-difference Cauchy-Riemann residual of
+    # analytic_rep on a plus-stencil around zeta
     alpha = 0.8 + 0.3j
     sig = st.fock_vector(st.StateSpec(CS, alpha), tol=1e-14)
+    f, h = lambda w: an.analytic_rep(CS, sig, w), 1e-5
     for zeta in (0.3 + 0.2j, -0.5 + 1.0j):
-        assert an.cauchy_riemann_residual(CS, sig, zeta) <= 1e-6
+        du_dx = (f(zeta + h) - f(zeta - h)) / (2.0 * h)
+        du_dy = (f(zeta + 1j * h) - f(zeta - 1j * h)) / (2.0 * h)
+        assert abs(du_dx + 1j * du_dy) / 2.0 <= 1e-6
 
-
-def test_analytic_sample_container():
-    s = an.analytic_sample(CS, st.fock_basis_vector(1), 0.25)
-    assert s.zeta == 0.25 and s.value == 0.25 and s.params == CS

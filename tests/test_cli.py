@@ -2,11 +2,12 @@ import argparse
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from ghcs import cli
+from ghcs import analytic, cli, phase, photstat, states, weights
 
 
 def run(capsys, *argv):
@@ -75,6 +76,19 @@ def test_numeric_failure_exit(capsys):
     # |z| outside the unit disk for a disk family
     code, _, err = run(capsys, "pn", "--a", "2", "--absz", "1.5")
     assert code == 65 and "numeric failure" in err
+
+
+@pytest.mark.parametrize("argv", [("state",), ("pn",), ("phase",), ("stats",),
+                                  ("stats", "--b", "2"), ("stats", "--absz-max", "1e200")],
+                         ids=" ".join)
+def test_overflowing_absz_squared_is_a_structured_failure(capsys, argv):
+    # |z|^2 past double range: a DivergenceError naming |z|, with no numpy
+    # warning first (it was "(34, 'Numerical result out of range')")
+    extra = () if "--absz-max" in argv else ("--absz", "1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, *extra)
+    assert code == 65 and out == "" and "|z| = 1e+200" in err
 
 
 def test_max_terms_env(capsys, monkeypatch):
@@ -229,11 +243,72 @@ def test_verify_phase_norm(capsys):
     assert code == 0 and doc["passed"]
 
 
+SUITE_CHECKS = {"moments": 11, "eigen": 12, "phase-norm": 13, "coalesce": 5, "stats": 31,
+                "measure": 10, "radial": 10, "husimi": 5, "circle": 5}
+
+
 def test_verify_all_green(capsys):
+    # every suite, in order: the first four (41 checks) as before, then the
+    # paper identities that a second pipeline checks
     code, doc, _ = run_json(capsys, "verify", "all")
     assert code == 0 and doc["passed"]
-    suites = {c["name"].split()[0] for c in doc["checks"]}
-    assert suites == {"moments", "eigen", "phase-norm", "coalesce"}
+    suites = [c["name"].split()[0] for c in doc["checks"]]
+    assert suites == [s for s, n in SUITE_CHECKS.items() for _ in range(n)]
+
+
+@pytest.mark.parametrize("suite", ["stats", "measure", "radial", "husimi", "circle"])
+def test_verify_identity_suites(capsys, suite):
+    code, doc, _ = run_json(capsys, "verify", suite)
+    assert code == 0 and doc["passed"] and len(doc["checks"]) == SUITE_CHECKS[suite]
+    assert all(c["measured"] <= c["tolerance"] for c in doc["checks"])
+
+
+MEAN_AND_MANDEL = photstat.mean_and_mandel
+
+
+def _pre_ratio_mandel_q(params, x, tol=1e-12):
+    """mean_and_mandel with Q formed as x (a+1)/(b+1) exp(log N_2 - log N_1)
+    - mean, N_k = pFq(a+k; b+k; x): each log N carries an ulp of |z|^2."""
+    mean, q = MEAN_AND_MANDEL(params, x, tol)
+    if isinstance(x, float) and x > 0.0 and states.classify(params).kind is states.DomainKind.PLANE:
+        up = math.prod(a + 1.0 for a in params.a) / math.prod(b + 1.0 for b in params.b)
+        ln = lambda k: states.log_terms(params.shifted(k), x)[1]
+        q = x * up * math.exp(ln(2) - ln(1)) - mean
+    return mean, q
+
+
+def _doubled_log_rho_steps(params, n):
+    """rho_steps with log rho doubled: wavefunction_rows divides by rho(n), not sqrt(rho(n))."""
+    f2, log_rho = states.rho_steps(params, n)
+    return f2, 2.0 * log_rho
+
+
+PLANTED = {  # suite: (module, name, defect)
+    "stats": (photstat, "mean_and_mandel", _pre_ratio_mandel_q),
+    "measure": (analytic, "rho_steps", _doubled_log_rho_steps),
+    # the G table of the all-ones (PB) analyzer whatever the analyzer
+    "radial": (phase, "log_rho_half", lambda params, n: np.zeros(2 * n + 1)),
+    # the closed form takes the density w/N for the weight w
+    "husimi": (phase, "weight", weights.weight_tilde),
+    # a density for every circle family, no refusal
+    "circle": (weights, "circle_weight_attempt", lambda params: 0.5 / math.pi),
+}
+
+
+@pytest.mark.parametrize("suite", list(PLANTED))
+def test_verify_identity_suites_catch_a_planted_defect(capsys, monkeypatch, suite):
+    monkeypatch.setattr(*PLANTED[suite])
+    code, doc, _ = run_json(capsys, "verify", suite)
+    assert code == 1 and not doc["passed"]
+
+
+def test_verify_stats_catches_the_mandel_q_of_log_n_differences(capsys, monkeypatch):
+    # F11 (2;3) at |z| = 240: Q from log N differences is 0.9 % off |Q|
+    # against a bound of 1e-6; the moment-ratio Q matches the closed form
+    monkeypatch.setattr(photstat, "mean_and_mandel", _pre_ratio_mandel_q)
+    _, doc, _ = run_json(capsys, "verify", "stats")
+    failed = {c["name"]: c["measured"] for c in doc["checks"] if not c["pass"]}
+    assert failed["stats Q/|Q| F11 (2;3) |z|=240"] > 1e-3
 
 
 @pytest.mark.parametrize("argv", [("verify", "coalesce"), ("validate", "--a", "2", "--b", "3")])

@@ -172,3 +172,42 @@ def test_export_list_resolves():
     # evaluator cannot linger in the export list
     assert len(ghcs.__all__) == len(set(ghcs.__all__))
     assert [n for n in ghcs.__all__ if not hasattr(ghcs, n)] == []
+
+
+def test_every_function_and_class_is_reached_from_the_cli():
+    # cli.main is the one root of the package: walking the names and the
+    # module attributes (states.fock_vector) that each reached function,
+    # class or module-level value refers to reaches every top-level function
+    # and class, so code that no `ghcs` command runs cannot stay
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    defs = {m: {} for m in trees}
+    imported = {m: {} for m in trees}  # local name -> (module, name), module None for a module
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[m][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs[m].update((t.id, node) for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported[m].update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+
+    def refers(m, node):
+        if isinstance(node, ast.Name):
+            if node.id in defs[m]:
+                return m, node.id
+            mod, name = imported[m].get(node.id, (None, None))
+            return (mod, name) if mod else None
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            mod, name = imported[m].get(node.value.id, (None, None))
+            return (name, node.attr) if mod is None and name else None
+
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key not in reached and key[1] in defs.get(key[0], {}):
+            reached.add(key)
+            todo += filter(None, (refers(key[0], n) for n in ast.walk(defs[key[0]][key[1]])))
+    unreached = [f"{m}.{name}" for m, names in defs.items() for name, node in names.items()
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (m, name) not in reached]
+    assert unreached == []

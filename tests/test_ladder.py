@@ -62,32 +62,34 @@ def test_lowering_annihilates_vacuum():
     assert np.all(out.coeffs == 0.0)
 
 
-def test_raising_on_vacuum():
-    out = ld.apply_raising(CS, st.fock_basis_vector(0))
-    assert out.cutoff == 1 and out.coeffs[1] == 1.0
-
-
 def test_adjointness():
+    # <U^dagger u|v> = <u|U v>, with (U^dagger u)_(n+1) = f(n) u_n formed here
     rng = np.random.default_rng(5)
     params = st.validate([2.0], [3.0])
     u = st.fock_from_coeffs(rng.normal(size=9) + 1j * rng.normal(size=9))
     v = st.fock_from_coeffs(rng.normal(size=9) + 1j * rng.normal(size=9))
-    lhs = ld.apply_raising(params, u).inner(v)
+    f = np.array([ld.f_coeff(params, n) for n in range(9)])
+    lhs = np.vdot(np.concatenate(([0.0], f * u.coeffs))[:9], v.coeffs)
     rhs = u.inner(ld.apply_lowering(params, v))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def commutator_diagonal(params, n):
+    """<n| [U, U^dagger] |n> = f(n)^2 - f(n-1)^2 (noncanonical in general)."""
+    return ld.f_coeff(params, n) ** 2 - ld.f_coeff(params, n - 1) ** 2
+
+
 def test_commutator_canonical_limit():
     for n in (0, 1, 7, 40):
-        assert ld.commutator_diagonal(CS, n) == pytest.approx(1.0, rel=1e-14)
+        assert commutator_diagonal(CS, n) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_commutator_phase_operator_limit():
     # (1;0) a=1: f = 1, so the diagonal is 1 at n=0 and 0 beyond
     p = st.validate([1.0], [])
-    assert ld.commutator_diagonal(p, 0) == pytest.approx(1.0)
+    assert commutator_diagonal(p, 0) == pytest.approx(1.0)
     for n in (1, 2, 9):
-        assert ld.commutator_diagonal(p, n) == pytest.approx(0.0, abs=1e-14)
+        assert commutator_diagonal(p, n) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_commutator_matrix_oracle():
@@ -102,7 +104,7 @@ def test_commutator_matrix_oracle():
     lhs = (v.conj() @ comm @ v).real
     # interior diagonal matches f(n)^2 - f(n-1)^2; the last row feels the
     # truncation, so compare on the interior block
-    rhs = sum(ld.commutator_diagonal(params, n) * abs(v[n]) ** 2 for n in range(n_dim - 1))
+    rhs = sum(commutator_diagonal(params, n) * abs(v[n]) ** 2 for n in range(n_dim - 1))
     rhs += (0.0 - ld.f_coeff(params, n_dim - 2) ** 2) * abs(v[n_dim - 1]) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -167,27 +169,12 @@ def test_eigenvalue_circle_beyond_old_cap():
     assert ld.eigenvalue_residual(st.StateSpec(p, 1.0)) <= 1e-6
 
 
-# --------------------------------------------------------------- matrices
-
-def test_hermitian_matrix_entries():
-    q, p, c, s = ld.hermitian_matrices(CS, 2)
-    assert q[0, 1] == pytest.approx(1.0 / math.sqrt(2.0))
-    assert q[1, 0] == pytest.approx(1.0 / math.sqrt(2.0))
-
-
-def test_hermitian_matrices_are_hermitian():
-    for params in (CS, st.validate([2.0], [3.0])):
-        for m in ld.hermitian_matrices(params, 6):
-            assert np.max(np.abs(m - m.conj().T)) == 0.0
-
 
 def test_cosine_sine_square_sum():
-    # C^2 + S^2 diagonal = (f(n-1)^2 + f(n)^2)/2; at (1;0) a=1 the interior
-    # diagonal equals 1 (f = 1)
+    # C = (U^dag + U)/2 and S = i(U^dag - U)/2 give C^2 + S^2 the diagonal
+    # (f(n-1)^2 + f(n)^2)/2; at (1;0) a=1 (f = 1) it is 1 past n = 0
     p = st.validate([1.0], [])
-    _, _, c, s = ld.hermitian_matrices(p, 6)
-    m = c @ c + s @ s
-    diag = np.diag(m).real
+    diag = [(ld.f_coeff(p, n - 1) ** 2 + ld.f_coeff(p, n) ** 2) / 2.0 for n in range(6)]
+    assert diag[0] == pytest.approx(0.5, rel=1e-14)
     for n in range(1, 6):
         assert diag[n] == pytest.approx(1.0, rel=1e-14)
-    assert diag[0] == pytest.approx(0.5, rel=1e-14)

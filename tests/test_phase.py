@@ -275,14 +275,19 @@ def test_circle_state_signal_phase_distribution():
 
 # ---------------------------------------------------------------- husimi q
 
+def husimi_q(signal, alpha):
+    """The conventional Husimi Q: the coherent family's generalized Husimi distribution."""
+    return ph.gh_husimi(signal, "CS", CS, alpha)
+
+
 def test_husimi_self_overlap():
     alpha = 0.75 * cmath.exp(0.7j)
     sig = st.fock_vector(st.StateSpec(CS, alpha), tol=1e-14)
-    assert ph.husimi_q(sig, alpha) == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert husimi_q(sig, alpha) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 def test_husimi_one_photon_at_origin():
-    assert ph.husimi_q(st.fock_basis_vector(1), 0.0) == 0.0
+    assert husimi_q(st.fock_basis_vector(1), 0.0) == 0.0
 
 
 def test_husimi_self_dual_symmetry():
@@ -292,15 +297,15 @@ def test_husimi_self_dual_symmetry():
         zb = complex(rng.normal(), rng.normal())
         siga = st.fock_vector(st.StateSpec(CS, za), tol=1e-14)
         sigb = st.fock_vector(st.StateSpec(CS, zb), tol=1e-14)
-        assert ph.husimi_q(siga, zb) == pytest.approx(ph.husimi_q(sigb, za), rel=1e-10)
+        assert husimi_q(siga, zb) == pytest.approx(husimi_q(sigb, za), rel=1e-10)
 
 
 def test_husimi_high_fock_number():
     # Poisson(400; 400)/pi: n! and |alpha|^{2n} e^{-|alpha|^2} each leave double range
     n = 400
     expected = math.exp(-n + n * math.log(n) - math.lgamma(n + 1.0)) / math.pi
-    assert ph.husimi_q(st.fock_basis_vector(n), 20.0) == pytest.approx(expected, rel=1e-10)
-    assert math.isfinite(ph.husimi_q(st.fock_basis_vector(800), math.sqrt(800.0)))
+    assert husimi_q(st.fock_basis_vector(n), 20.0) == pytest.approx(expected, rel=1e-10)
+    assert math.isfinite(husimi_q(st.fock_basis_vector(800), math.sqrt(800.0)))
 
 
 @pytest.mark.parametrize("n", [700, 1000, 1500])
@@ -309,16 +314,19 @@ def test_husimi_fock_state_at_its_peak(n):
     # past n of about 1420 and e^{-x/2} underflows past about 1490
     alpha = math.sqrt(n) * cmath.exp(0.9j)
     expected = math.exp(-n + n * math.log(n) - math.lgamma(n + 1.0)) / math.pi
-    assert ph.husimi_q(st.fock_basis_vector(n), alpha) == pytest.approx(expected, rel=1e-10)
+    assert husimi_q(st.fock_basis_vector(n), alpha) == pytest.approx(expected, rel=1e-10)
 
 
 # --------------------------------------------------------------- gh husimi
 
 def test_gh_husimi_reduces_to_husimi():
+    # the coherent family's analyzer is the conventional Husimi Q,
+    # |<z|alpha>|^2 / pi = exp(-|z - alpha|^2) / pi
+    alpha = 0.75 * cmath.exp(0.4j)
     sig = coherent_signal(phi=0.4)
     for z in (0.3 + 0.2j, 1.0 - 0.5j):
         assert ph.gh_husimi(sig, "CS", CS, z) == pytest.approx(
-            ph.husimi_q(sig, z), rel=1e-12
+            math.exp(-abs(z - alpha) ** 2) / math.pi, rel=1e-12
         )
 
 
@@ -326,7 +334,7 @@ def test_gh_husimi_refuses_the_origin_for_f01():
     sig = coherent_signal(phi=0.4)
     with pytest.raises(ValueError, match="F01 weight needs x > 0"):
         ph.gh_husimi(sig, "F01", st.validate([], [2.0]), 0.0)
-    assert ph.gh_husimi(sig, "CS", CS, 0.0) == ph.husimi_q(sig, 0.0)
+    assert ph.gh_husimi(sig, "CS", CS, 0.0) == abs(sig.coeffs[0]) ** 2 / math.pi
 
 
 def test_gh_husimi_high_fock_number_plane():

@@ -51,19 +51,21 @@ def test_unnormalizable_circle_has_no_distribution():
 # -------------------------------------------------------- factorial moments
 
 def test_factorial_moment_power_law():
-    for k in (1, 2, 3):
-        assert ps.factorial_moment(CS, 2.7, k) == pytest.approx(2.7**k, rel=1e-12)
+    # <n> = x and <n(n-1)> = mean (Q + mean) = x^2 for the coherent state
+    mean, q = ps.mean_and_mandel(CS, 2.7)
+    assert mean == pytest.approx(2.7, rel=1e-12)
+    assert mean * (q + mean) == pytest.approx(2.7**2, rel=1e-12)
 
 
 def test_factorial_moment_brute_force():
     params = st.validate([], [2.0])
     d = ps.pn_distribution(st.StateSpec(params, 2.0), tol=1e-14)
     brute = float(np.sum(d.grid * d.values))
-    assert ps.factorial_moment(params, 4.0, 1) == pytest.approx(brute, rel=1e-9)
+    assert ps.mean_and_mandel(params, 4.0)[0] == pytest.approx(brute, rel=1e-9)
 
 
 def test_factorial_moment_at_zero():
-    assert ps.factorial_moment(st.validate([2.0], [3.0]), 0.0, 2) == 0.0
+    assert ps.mean_and_mandel(st.validate([2.0], [3.0]), 0.0) == (0.0, 0.0)
 
 
 def test_mean_and_mandel_geometric_family():
@@ -318,25 +320,15 @@ def test_moments_against_mpmath_at_large_amplitude():
     assert abs(q - float(ref_q)) <= 1e-12 * mean
 
 
-def test_higher_factorial_moments_against_mpmath():
-    # orders 3 and 4 on the kept slice, where M(2+k; 3+k; 784) overflows:
-    # within 7e-17 of 40-digit mpmath (4.8e-14 at order 3 from shifted rows)
-    mpmath = pytest.importorskip("mpmath")
-    params, x = st.validate([2.0], [3.0]), 784.0
-    with mpmath.workdps(40):
-        for k in (3, 4):
-            ref = x**k * mpmath.rf(2, k) / mpmath.rf(3, k) * (
-                mpmath.hyp1f1(2 + k, 3 + k, x) / mpmath.hyp1f1(2, 3, x))
-            assert ps.factorial_moment(params, x, k) == pytest.approx(float(ref), rel=1e-14)
-
-
 def test_circle_factorial_moments_from_the_gauss_sums():
     # at |z| = 1, 2F1(a1+k, a2+k; b+k; 1) = G(b+k) G(s-k) / (G(b-a1) G(b-a2)),
-    # s = b - a1 - a2, so <n(n-1)...(n-k+1)> = prod_(i<k) (a1+i)(a2+i)/(s-1-i)
+    # s = b - a1 - a2, so <n(n-1)...(n-k+1)> = prod_(i<k) (a1+i)(a2+i)/(s-1-i);
+    # <n> is the mean and <n(n-1)> = mean (Q + mean)
     params, s = st.validate([0.5, 0.5], [16.0]), 15.0
-    for k in (1, 2, 3):
+    mean, q = ps.mean_and_mandel(params, 1.0)
+    for k, got in ((1, mean), (2, mean * (q + mean))):
         ref = math.prod((0.5 + i) ** 2 / (s - 1.0 - i) for i in range(k))
-        assert ps.factorial_moment(params, 1.0, k) == pytest.approx(ref, rel=1e-13)
+        assert got == pytest.approx(ref, rel=1e-13)
 
 
 def _mpmath_stats(a, b, x):
@@ -381,13 +373,13 @@ def test_mean_and_mandel_band_against_mpmath(band):
 
 REFUSED_X = {
     "negative": (lambda: ps.mean_and_mandel(CS, -1.0), ValueError),
-    "negative moment": (lambda: ps.factorial_moment(CS, -1.0, 2), ValueError),
+    "negative moment": (lambda: ps.closed_form_stats("CS", CS, -1.0), ValueError),
     "negative in array": (lambda: ps.mean_and_mandel(CS, np.array([0.0, 1.0, -1.0])), ValueError),
     "nan closed form": (lambda: ps.closed_form_stats("F11", st.validate([2.0], [3.0]), math.nan),
                         DivergenceError),
     "inf closed form": (lambda: ps.closed_form_stats("CS", CS, math.inf), DivergenceError),
     "nan": (lambda: ps.mean_and_mandel(CS, math.nan), DivergenceError),
-    "inf moment": (lambda: ps.factorial_moment(st.validate([], [2.0]), math.inf, 2),
+    "inf moment": (lambda: ps.mean_and_mandel(st.validate([], [2.0]), math.inf),
                    DivergenceError),
     "inf in array": (lambda: ps.mean_and_mandel(CS, np.array([1.0, math.inf])), DivergenceError),
 }
@@ -487,10 +479,8 @@ JOB_STATES = [(CS, 5.0), (st.validate([], [2.0]), 6.0), (st.validate([4.0], [2.0
 @pytest.mark.parametrize("params,az", JOB_STATES,
                          ids=[f"{p.label()}@{az:g}" for p, az in JOB_STATES])
 def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
-    # the Fock vector, P(n), mean/Q, third factorial moment and eigen
-    # residual of one plane or disk state share the slice kept on the set:
-    # one rho build, one settling pass (the third moment settled a slice of
-    # its own while it read shifted rows)
+    # the Fock vector, P(n), mean/Q and eigen residual of one plane or disk
+    # state share the slice kept on the set: one rho build, one settling pass
     calls = {"rho": 0, "settle": 0}
 
     def counted(name, fn):
@@ -505,7 +495,6 @@ def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
     st.fock_vector(spec)
     ps.pn_distribution(spec)
     ps.mean_and_mandel(spec.params, abs(spec.z) ** 2)
-    ps.factorial_moment(spec.params, abs(spec.z) ** 2, 3)
     ld.eigenvalue_residual(spec)
     assert calls == {"rho": 1, "settle": 1}
 
@@ -534,14 +523,16 @@ def test_mean_and_mandel_array_matches_scalar_calls(family, params, hi):
 
 
 def test_mean_and_mandel_array_cs_q_exactly_zero():
-    # Q = -x + x N_2/N_1 is exactly 0 on the |z| grid of figures 2, 3, 5 and 6,
-    # as for scalar calls; (3;3) is the coherent state again
+    # Q = r_2 - r_1, both moment ratios exactly x for the coherent state, is
+    # exactly 0 on the |z| grid of figures 2, 3, 5 and 6, as for scalar
+    # calls; (3;3) is the coherent state again
     for params in (CS, st.validate([3.0], [3.0])):
         assert np.all(ps.mean_and_mandel(params, np.linspace(0.0, 6.0, 61) ** 2)[1] == 0.0)
 
 
 def test_coherent_mandel_q_is_exactly_zero_off_the_figure_grids():
-    # n2/mean is formed as x N_2/N_1, not as x^2/x, which rounds for some x
+    # Q = r_2 - r_1 with both ratios exactly x, not n2/mean - mean with
+    # n2/mean formed as x^2/x, which rounds for some x
     x = np.random.default_rng(0).uniform(0.0, 30.0, 2000) ** 2
     assert np.all(ps.mean_and_mandel(CS, x)[1] == 0.0)
     assert all(ps.mean_and_mandel(CS, v)[1] == 0.0 for v in x.tolist())

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ghcs import ladder as ld
 from ghcs import photstat as ps
 from ghcs import states as st
 from ghcs.errors import ConvergenceError, DivergenceError, ParameterError
@@ -133,6 +135,40 @@ def test_state_kind_resolution():
         st.StateSpec(disk, 1.2).domain_kind()
 
 
+BAND_SETS = [st.validate([0.3, 0.4], [14.5]), st.validate([0.5, 0.5], [16.0]),
+             st.validate([1.0, 1.0, 2.0], [9.0, 9.0]), st.validate([1 + 2j, 1 - 2j], [8.5])]
+
+
+@pytest.mark.parametrize("params", BAND_SETS, ids=lambda p: p.label())
+def test_circle_band_points_take_the_unit_circle_values(params):
+    # |z| within 1e-14 of 1 is on the circle (StateSpec), and the state
+    # functions take it at |z| = 1: at 1 + 6e-15 they raised DivergenceError
+    # from a band on x = |z|^2 of their own
+    phase = cmath.exp(0.7j)
+    unit = st.StateSpec(params, phase)
+    ref = (st.fock_vector(unit).coeffs, ps.pn_distribution(unit).values,
+           np.array(ps.mean_and_mandel(params, 1.0)), ld.eigenvalue_residual(unit))
+    for r in (1.0 - 6e-15, 1.0 + 6e-15):
+        spec = st.StateSpec(params, r * phase)
+        assert spec.domain_kind() is st.DomainKind.CIRCLE_NORMALIZED
+        got = (st.fock_vector(spec).coeffs, ps.pn_distribution(spec).values,
+               np.array(ps.mean_and_mandel(params, r * r)), ld.eigenvalue_residual(spec))
+        for g, f in zip(got, ref):
+            assert np.shape(g) == np.shape(f) and np.max(np.abs(g - f)) <= 1e-12, (r, g, f)
+
+
+@pytest.mark.parametrize("az", [1.4e154, 1e200, math.inf])
+@pytest.mark.parametrize("params", [CS, st.validate([], [2.0])], ids=lambda p: p.label())
+def test_overflowing_absz_squared_is_refused(params, az):
+    # |z|^2 past double range is refused where the point is classified, with
+    # |z| named, not a bare OverflowError from abs(z) ** 2
+    spec = st.StateSpec(params, az)
+    for call in (spec.domain_kind, lambda: st.fock_vector(spec),
+                 lambda: ps.pn_distribution(spec), lambda: ld.eigenvalue_residual(spec)):
+        with pytest.raises(DivergenceError, match=re.escape(f"|z| = {az:g}")):
+            call()
+
+
 # --------------------------------------------------------------------- rho
 
 def test_rho_factorial():
@@ -239,11 +275,6 @@ def test_coalescence_invariance(params):
     v2 = st.fock_vector(st.StateSpec(ext, 0.5), tol=1e-13)
     k = min(len(v1.coeffs), len(v2.coeffs))
     assert np.max(np.abs(v1.coeffs[:k] - v2.coeffs[:k])) < 1e-12
-
-
-def test_coalesce_reduction_helper():
-    p = st.coalesce(st.validate([2.0, 0.7], [0.7]))
-    assert (p.p, p.q) == (1, 0) and p.a == (2.0,)
 
 
 # ----------------------------------------------------------- normalization
@@ -491,12 +522,12 @@ KEPT_SLICE_CASES = [([], [], 9.0), ([], [2.0], 36.0), ([2.0], [3.0], 25.0),
                          ids=[f"({a};{b})@{x:g}" for a, b, x in KEPT_SLICE_CASES])
 def test_kept_slice_is_order_independent_and_read_only(a, b, x):
     # every order of the slice's readers on one set (the Fock vector, mean
-    # and Q, the third factorial moment, an array call at the same x) gives
+    # and Q, P(n), an array call at the same x) gives
     # the bits of a fresh set, and leaves the kept slice as a fresh set
     # settles it
     readers = (lambda p: st.fock_vector(st.StateSpec(p, math.sqrt(x))).coeffs,
                lambda p: np.array(ps.mean_and_mandel(p, x)),
-               lambda p: ps.factorial_moment(p, x, 3),
+               lambda p: ps.pn_distribution(st.StateSpec(p, math.sqrt(x))).values,
                lambda p: st.log_terms(p, np.array([x]))[0][0])
     refs = [read(st.validate(a, b)) for read in readers]
     ref_t, ref_n = st.log_terms(st.validate(a, b), x)
