@@ -26,10 +26,15 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .analytic import wavefunction_rows
 from .errors import ParameterError, RangeError
-from .states import FockVector, ParameterSet, log_rho_half, overlap
+from .states import FockVector, ParameterSet, checked_abs, log_rho_half, overlap
 from .weights import density_integral, log_weight_tilde, weight, weight_tilde
 
 G_TABLE_CAP = 2048
+# multiply-adds per matrix product in phase_distribution's theta sum.  OpenBLAS,
+# numpy's BLAS, hands a complex product of 2^16 to all cores; waking its threads
+# cost 4-18 ms a product on a 2-vCPU VM, against 0.05-0.5 ms on the calling
+# thread, so the product is taken in column blocks of at most 2^15.
+_PRODUCT_MACS = 2**15
 
 _ANALYZER_TAGS = {"Q": ParameterSet((), ()), "PB": ParameterSet((1.0,), ())}
 
@@ -95,11 +100,15 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
 
     P(theta) = (1/2pi) [C_0 + 2 Re sum_m C_m e^{-im theta}] with the lower
     diagonal sums C_m = sum_n rho_{n+m,n} G(n+m,n), taken as the row sums of a
-    skewed view of one zero-padded (2w, w) buffer and summed over theta by
-    Horner's rule in e^{-i theta}.  A pure signal enters on the window of n
-    with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2) is discretely convex
-    (then G <= 1, and the dropped terms are below 1e-17 ||psi||_1 max|psi|);
-    otherwise, and for density matrices, the window is the whole matrix.
+    skewed view of one zero-padded (2w, w) buffer and summed over any theta
+    grid by baby-step giant-step in u = e^{-i theta} (Paterson & Stockmeyer,
+    SIAM J. Comput. 2 (1973) 60): k = isqrt(w) + 1 powers of u, one matrix
+    product for the inner sums over m mod k and Horner's rule in u^k over
+    the ceil(w/k) rows, about 2 sqrt(w) array steps.  A pure signal enters
+    on the window of n with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2)
+    is discretely convex (then G <= 1, and the dropped terms are below
+    1e-17 ||psi||_1 max|psi|); otherwise, and for density matrices, the
+    window is the whole matrix.
     Cut at a Fock slice's certified rest (|psi_n| >= 1e-9 max|psi|), the window would
     move P(theta) by up to 9e-10 of its peak (PB analyzer), past a brute-force sum's 1e-12.
     A window, not a signal, above G_TABLE_CAP + 1 orders raises RangeError.
@@ -130,11 +139,25 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     buf[:w] *= _g_block(t, lo, w)
     # row m of the skewed view runs down the m-th lower diagonal into the padding
     c = as_strided(buf, (w, w), (buf.strides[0], sum(buf.strides))).sum(axis=1)
-    u = np.exp(-1j * thetas)
-    acc = np.zeros_like(u)
-    for cm in c[:0:-1]:  # Horner: acc = sum_{m >= 1} C_m u^m
-        acc += cm
-        acc *= u
+    # acc = sum_{m >= 1} C_m u^m, u = e^{-i theta}, baby-step giant-step: with
+    # m = jk + r, the inner sums over r for every j are one product with the
+    # powers u^0..u^(k-1), then Horner's rule in u^k runs over the rows j
+    k = math.isqrt(w) + 1
+    pows = np.empty((k + 1, len(thetas)), dtype=complex)
+    pows[0] = 1.0
+    pows[1] = np.exp(-1j * thetas)
+    for r in range(2, k + 1):  # a third of np.multiply.accumulate's time down axis 0
+        np.multiply(pows[r - 1], pows[1], out=pows[r])
+    coef = np.zeros((-(-w // k), k), dtype=complex)
+    coef.flat[1:w] = c[1:]
+    inner = np.empty((len(coef), len(thetas)), dtype=complex)
+    step = max(1, _PRODUCT_MACS // coef.size)
+    for s in range(0, len(thetas), step):
+        np.matmul(coef, pows[:k, s: s + step], out=inner[:, s: s + step])
+    acc = inner[-1]
+    for row in inner[-2::-1]:
+        acc *= pows[k]
+        acc += row
     values = (c[0].real + 2.0 * acc.real) / (2.0 * math.pi)
     residual = abs(float(np.trapezoid(values, thetas)) - 1.0)
     return PhaseDistribution(
@@ -148,9 +171,10 @@ def gh_husimi(signal: FockVector, family: str, params: ParameterSet,
     """Generalized Husimi distribution (1/pi) w(|z|^2) |<p;q;z|psi>|^2 for a
     weight-supported analyzer family (the conventional Husimi Q for 'CS').
     log wt enters the overlap's exponent: finite where wt underflows.  F01
-    and F11 refuse z = 0, as their weights do."""
+    and F11 refuse z = 0, as their weights do; a |z|^2 past double range
+    raises DivergenceError, as it does for a state point."""
     z = complex(z)
-    x = abs(z) ** 2
+    x = checked_abs(z) ** 2
     if x == 0.0:
         return float(weight_tilde(family, params, x) * abs(signal.coeffs[0]) ** 2 / math.pi)
     log_w, sign = log_weight_tilde(family, params, x)
@@ -162,7 +186,7 @@ def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,
                      z: complex) -> float:
     """Closed form of the generalized Husimi distribution of a state of the
     analyzer's own family: (1/pi) w(|z|^2) |<z|zs>|^2, with states.overlap."""
-    return weight(family, params, abs(complex(z)) ** 2) * abs(
+    return weight(family, params, checked_abs(z) ** 2) * abs(
         overlap(params, z, z_signal, tol=1e-14)) ** 2 / math.pi
 
 

@@ -57,7 +57,8 @@ def _pn_series(log_p, n: int, label: str) -> DistributionSeries:
     """P(n) cut at the first length whose cumulative sum reaches
     PN_CUMULATIVE and whose last term is below PN_FLOOR of the running peak.
     log_p(n) returns log P(0..n-1); n doubles up to MAX_CUTOFF until the rule
-    is met (ConvergenceError otherwise)."""
+    is met (ConvergenceError otherwise).  A longer slice cuts at the same
+    length, so P(n) does not depend on the first n."""
     while True:
         lp = log_p(n)
         ok = (np.cumsum(np.exp(lp)) >= PN_CUMULATIVE) & (
@@ -264,9 +265,14 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
             "for conjugate-pair parameter sets"
         )
 
-    # per family: mean, Q and log P(n), from the step ratio P(n+1)/P(n)
+    # per family: mean, Q and log P(n), from the step ratio P(n+1)/P(n); the
+    # stepped families take a first slice of n_first terms whose P(n) falls by
+    # `fall` e-folds below its peak, so _pn_series cuts in one pass
+    fall, n_first = 1.0 - math.log(PN_FLOOR), 64
     if family == "CS":
         mean, q, log_p = x, 0.0, _stepped(-x, lambda n: x / (n + 1.0))
+        # Bennett: log P(x + k)/P(x) <= -k^2/(2 (x + k/3)), past the mode
+        n_first = x + 2.0 + fall / 3.0 + math.sqrt(fall * fall / 9.0 + 2.0 * fall * x)
     elif family == "F01":
         (b,) = vals
         log_p = _summed(lambda n: x / ((n + 1.0) * (b + n)))
@@ -289,6 +295,9 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
         (a,) = vals
         mean, q = a * x / (1.0 - x), x / (1.0 - x)
         log_p = _stepped(a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0))
+        # the ratio is at most x^t past n = (a-1)/((1-t) (-log x)), and P(n)
+        # falls by `fall` in fall/(t (-log x)) more terms; the best t sums to
+        n_first = 2.0 + (math.sqrt(max(a - 1.0, 0.0)) + math.sqrt(fall)) ** 2 / -math.log(x)
     else:  # F21
         a2, a1, b = vals  # a1 >= a2: the larger numerator parameter is shifted
         log_p = _summed(lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0)), x)
@@ -303,4 +312,4 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
         mean = gauss_mean(a1, a2, b)
         q = gauss_mean(a1 + 1.0, a2 + 1.0, b + 1.0) - mean
 
-    return PhotonStats(_pn_series(log_p, 64, label), mean, q, x)
+    return PhotonStats(_pn_series(log_p, min(int(n_first), MAX_CUTOFF), label), mean, q, x)

@@ -200,6 +200,15 @@ def family_params(family: str, params: ParameterSet) -> tuple:
     return tuple(params.a) + tuple(params.b)
 
 
+def checked_abs(z) -> float:
+    """|z| of a point whose |z|^2 is finite; past double range DivergenceError
+    names |z|."""
+    az = abs(complex(z))
+    if not math.isfinite(az * az):
+        raise DivergenceError(f"|z|^2 is not finite at |z| = {az:g}")
+    return az
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """A parameter set together with a complex point z in its domain."""
@@ -213,9 +222,7 @@ class StateSpec:
         |z| within specfun.UNIT_BAND of 1 is on the circle, and the state
         functions take it at |z| = 1."""
         dom = classify(self.params)
-        az = abs(self.z)
-        if not math.isfinite(az * az):
-            raise DivergenceError(f"|z|^2 is not finite at |z| = {az:g}")
+        az = checked_abs(self.z)
         if dom.kind is DomainKind.PLANE:
             return DomainKind.PLANE
         on_circle = specfun.on_unit_circle(az)
@@ -512,10 +519,16 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
 
 def overlap(params: ParameterSet, z: complex, z2: complex,
             tol: float = specfun.DEFAULT_TOL) -> complex:
-    """<p;q;z | p;q;z2> = N(z* z2) / sqrt(N(|z|^2) N(|z2|^2))."""
-    for point in (z, z2):
-        StateSpec(params, complex(point)).domain_kind()  # domain check
-    num = specfun.pfq(params.a, params.b, complex(z).conjugate() * complex(z2), tol=tol).value
+    """<p;q;z | p;q;z2> = N(z* z2) / sqrt(N(|z|^2) N(|z2|^2)).  A point on the
+    circle (|z| within specfun.UNIT_BAND of 1) enters at z/|z|, as it does in
+    normalization."""
+    points = []
+    for point in (complex(z), complex(z2)):
+        kind = StateSpec(params, point).domain_kind()
+        on_circle = kind in (DomainKind.CIRCLE_NORMALIZED, DomainKind.CIRCLE_UNNORMALIZABLE)
+        points.append(point / abs(point) if on_circle else point)
+    z, z2 = points
+    num = specfun.pfq(params.a, params.b, z.conjugate() * z2, tol=tol).value
     den = math.sqrt(
         normalization(params, abs(z) ** 2, tol=tol)
         * normalization(params, abs(z2) ** 2, tol=tol)

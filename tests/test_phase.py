@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from ghcs import phase as ph
 from ghcs import specfun as sf
 from ghcs import states as st
 from ghcs import weights as wt
-from ghcs.errors import ParameterError, RangeError
+from ghcs.errors import DivergenceError, ParameterError, RangeError
 
 CS = st.validate([], [])
 TWO_PI = 2.0 * math.pi
@@ -226,6 +227,79 @@ def test_phase_distribution_against_brute_force(signal, analyzer):
         assert np.max(np.abs(got - ref)) <= 1e-12 * peak
 
 
+def _window(psi):
+    """lo, hi of the orders with |psi_n| >= 1e-17 max|psi|, the support window."""
+    keep = np.flatnonzero(np.abs(psi) >= 1e-17 * np.max(np.abs(psi)))
+    return keep[0], keep[-1] + 1
+
+
+def _assert_brute_force(signal, analyzer, thetas, brute):
+    got = ph.phase_distribution(signal, _ORACLE_ANALYZERS[analyzer][0], thetas).values
+    ref = brute(_lgamma_log_rho(*_ORACLE_ANALYZERS[analyzer][1:]))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_phase_sum_over_many_giant_steps():
+    # CS |z| = 45: a support window of 970 orders, 31 giant steps of 32; the
+    # brute force runs on the window, its G from the lgamma rho shifted by lo.
+    # PB's G is exactly 1: Q's G at orders near 2400 carries an ulp of
+    # log rho ~ 1.7e4 (3.6e-12) on both sides, past the 1e-12 asked of the sum
+    sig = coherent_signal(absz=45.0, phi=0.3)
+    lo, hi = _window(sig.coeffs)
+    assert hi - lo >= 900
+    thetas = np.sort(np.random.default_rng(5).uniform(-math.pi, math.pi, 181))
+    _assert_brute_force(sig, "PB", thetas, lambda log_rho: _brute_force_phase(
+        sig.coeffs[lo:hi], lambda nu: log_rho(nu + lo), thetas))
+
+
+@pytest.mark.parametrize("analyzer", ["Q", "PB"])
+def test_phase_sum_at_the_window_cap(analyzer):
+    # G_TABLE_CAP + 1 = 2049 orders, none below the window's floor
+    rng = np.random.default_rng(8)
+    n = ph.G_TABLE_CAP + 1
+    sig = st.fock_from_coeffs((0.5 + rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+                              * np.exp(-np.arange(n) / 700.0))
+    assert _window(sig.coeffs) == (0, n)
+    thetas = np.linspace(-math.pi, math.pi, 97)
+    _assert_brute_force(sig, analyzer, thetas,
+                        lambda log_rho: _brute_force_phase(sig.coeffs, log_rho, thetas))
+
+
+@pytest.mark.parametrize("analyzer", ["Q", "PB", "(3;)"])
+@pytest.mark.parametrize("coeffs", [[0, 0, 0, 1.0], [0, 0.6, 0.8j], [0.6, -0.8]],
+                         ids=["w1", "w2 at 1", "w2 at 0"])
+def test_phase_sum_over_one_and_two_orders(analyzer, coeffs):
+    sig = st.fock_from_coeffs(coeffs)
+    thetas = ph.default_theta_grid()
+    _assert_brute_force(sig, analyzer, thetas,
+                        lambda log_rho: _brute_force_phase(sig.coeffs, log_rho, thetas))
+
+
+@pytest.mark.parametrize("analyzer", sorted(_ORACLE_ANALYZERS))
+def test_phase_sum_on_an_unsorted_grid_past_one_turn(analyzer):
+    # u^k is a power of e^{-i theta} on any grid: repeated, unsorted and |theta| > pi
+    sig = _ORACLE_SIGNALS["F11 (2;3)"]()
+    rng = np.random.default_rng(13)
+    thetas = np.concatenate([rng.uniform(-12.0, 12.0, 60), [0.0, 0.0, 2 * math.pi, -7.5]])
+    _assert_brute_force(sig, analyzer, thetas,
+                        lambda log_rho: _brute_force_phase(sig.coeffs, log_rho, thetas))
+
+
+@pytest.mark.parametrize("analyzer", sorted(_ORACLE_ANALYZERS))
+def test_phase_sum_of_a_density_matrix(analyzer):
+    # P(theta) is linear in rho: a mixture of three signals is the mixture of
+    # their brute-force distributions
+    sigs = [coherent_signal(absz=r, phi=phi).coeffs
+            for r, phi in ((3.0, 0.4), (2.0, -2.0), (4.0, 1.5))]
+    n = max(len(s) for s in sigs)
+    sigs = [np.pad(s, (0, n - len(s))) for s in sigs]
+    weights = (0.5, 0.3, 0.2)
+    rho = sum(p * np.outer(s, s.conj()) for p, s in zip(weights, sigs))
+    thetas = np.sort(np.random.default_rng(21).uniform(-math.pi, math.pi, 97))
+    _assert_brute_force(rho, analyzer, thetas, lambda log_rho: sum(
+        p * _brute_force_phase(s, log_rho, thetas) for p, s in zip(weights, sigs)))
+
+
 def test_g_above_one_analyzer_has_concave_half_sequence():
     # (1;0) at a = 0.5 has G > 1 off the diagonal, so the support window's
     # bound does not hold and phase_distribution must sum the whole support
@@ -335,6 +409,15 @@ def test_gh_husimi_refuses_the_origin_for_f01():
     with pytest.raises(ValueError, match="F01 weight needs x > 0"):
         ph.gh_husimi(sig, "F01", st.validate([], [2.0]), 0.0)
     assert ph.gh_husimi(sig, "CS", CS, 0.0) == abs(sig.coeffs[0]) ** 2 / math.pi
+
+
+@pytest.mark.parametrize("az", [1.4e154, 1e200, math.inf])
+def test_husimi_refuses_an_overflowing_absz_squared(az):
+    # |z|^2 past double range names |z|, as a state point does, not a bare OverflowError
+    for call in (lambda: ph.gh_husimi(st.fock_basis_vector(2), "CS", CS, az * cmath.exp(0.3j)),
+                 lambda: ph.self_dual_husimi("CS", CS, 0.5, az)):
+        with pytest.raises(DivergenceError, match=re.escape(f"|z| = {az:g}")):
+            call()
 
 
 def test_gh_husimi_high_fock_number_plane():

@@ -457,6 +457,32 @@ def test_closed_form_pn_matches_scalar_scan(family, vals, x):
     assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
+_STEPPED = {  # family: (vals, x grid, log P(0), step ratio P(n+1)/P(n))
+    "CS": ([()], np.geomspace(1e-8, 2e3, 41),
+           lambda a, x: -x, lambda a, x: lambda n: x / (n + 1.0)),
+    "F10": ([(0.3,), (1.0,), (2.5,), (6.0,)], np.geomspace(1e-8, 0.99, 21),
+            lambda a, x: a * math.log1p(-x), lambda a, x: lambda n: x * (a + n) / (n + 1.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_STEPPED))
+def test_stepped_closed_form_pn_in_one_pass(family, monkeypatch):
+    # CS and F10 size their first slice so that P(n) is cut in one _log_ratios
+    # pass, and the P(n) is bit for bit the one doubling from 64 terms gives
+    passes = []
+    log_ratios = ps._log_ratios
+    monkeypatch.setattr(ps, "_log_ratios", lambda ratio, n: passes.append(n) or log_ratios(ratio, n))
+    vals_list, xs, log_p0, ratio = _STEPPED[family]
+    for vals in vals_list:
+        for x in xs:
+            passes.clear()
+            got = ps.closed_form_stats(family, st.validate(list(vals), []), float(x)).pn.values
+            assert len(passes) == 1, (vals, x, passes)
+            a = vals[0] if vals else None
+            ref = ps._pn_series(ps._stepped(log_p0(a, x), ratio(a, x)), 64, "").values
+            assert got.shape == ref.shape and np.array_equal(got, ref), (vals, x)
+
+
 def test_closed_form_f11_overflow_fails_at_once():
     # M(2; 3; 784) leaves the double range, but the closed form takes only
     # ratios of contiguous functions and a log-scaled anchor: it returns the

@@ -634,3 +634,16 @@ def test_overlap_cauchy_schwarz():
         z1 = scale * (rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
         z2 = scale * (rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
         assert abs(st.overlap(params, z1, z2)) <= 1.0 + 1e-12
+
+
+def test_overlap_takes_circle_band_points_at_the_unit_circle():
+    # a point within UNIT_BAND of the circle enters the pfq argument at z/|z|,
+    # as in normalization: at |z| = 1 + 6e-15, z* z raised DivergenceError
+    params = st.validate([0.3, 0.4], [14.5])
+    unit, inner = cmath.exp(0.7j), 0.5 * cmath.exp(-1.1j)
+    self_ref, cross_ref = st.overlap(params, unit, unit), st.overlap(params, unit, inner)
+    assert abs(self_ref - 1.0) <= 1e-9
+    for r in (1.0 - 6e-15, 1.0 + 6e-15):
+        assert abs(st.overlap(params, r * unit, r * unit) - self_ref) <= 1e-15
+        assert abs(st.overlap(params, r * unit, inner) - cross_ref) <= 1e-15
+        assert abs(st.overlap(params, inner, r * unit) - cross_ref.conjugate()) <= 1e-15
