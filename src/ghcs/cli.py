@@ -82,6 +82,13 @@ class UsageError(Exception):
     pass
 
 
+def _sweep_end(value: float, flag: str) -> float:
+    """The end of a |z| sweep from 0; a finite negative one is a usage error."""
+    if -math.inf < value < 0.0:
+        raise UsageError(f"{flag} ends a |z| sweep from 0 and must be >= 0, got {value:g}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -230,7 +237,7 @@ def cmd_pn(args) -> int:
 def cmd_stats(args) -> int:
     params = _get_params(args)
     if args.absz_max is not None:
-        grid = np.linspace(0.0, args.absz_max, args.points)
+        grid = np.linspace(0.0, _sweep_end(args.absz_max, "--absz-max"), args.points)
     else:  # one point: the scalar call
         grid = np.array([abs(_get_z(args))])
     if grid.size:  # the largest |z| is classified before |z|^2 is formed
@@ -353,7 +360,7 @@ def cmd_figure(args) -> int:
             vals[: len(pn)] = pn
             series.append(_series(lab, grid, vals, params=params.label()))
     elif fig in (2, 3, 5, 6):
-        hi = args.absz if args.absz is not None else 6.0
+        hi = _sweep_end(args.absz, "--absz") if args.absz is not None else 6.0
         grid = np.linspace(0.0, hi, args.points)
         which = 0 if fig in (2, 5) else 1
         for params, lab in sweep:

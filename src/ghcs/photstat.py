@@ -11,11 +11,11 @@ Mean and Mandel Q are r_1 and r_2 - r_1, r_k = m_k/m_(k-1).  Every P(n)
 is cut by one rule (_pn_series).
 
 Closed-form path: the five standard families from their own formulas, with
-P(n) from the family's term ratio; it shares none of the sums above and
-serves as their oracle.  The mean and Q of F01, F11 and F21 come from
-continued fractions for contiguous ratios (closed_form_stats), so no whole
-Bessel, Kummer or Gauss value is formed, nothing overflows and no specfun
-series is summed.
+P(n) = t_n/N for terms stepped by the family's ratio (_summed); it shares
+none of the sums above and serves as their oracle.  The mean and Q of F01,
+F11 and F21 come from continued fractions for contiguous ratios
+(closed_form_stats), so no whole Bessel, Kummer or Gauss value is formed,
+nothing overflows and no specfun series is summed.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ def _pn_series(log_p, n: int, label: str) -> DistributionSeries:
     length, so P(n) does not depend on the first n."""
     while True:
         lp = log_p(n)
-        ok = (np.cumsum(np.exp(lp)) >= PN_CUMULATIVE) & (
-            lp < np.maximum.accumulate(lp) + math.log(PN_FLOOR))
-        if ok.any():
-            values = np.exp(lp[: int(np.argmax(ok)) + 1])
-            return DistributionSeries(
-                np.arange(len(values)), values, float(abs(values.sum() - 1.0)), label)
+        p = np.exp(lp)
+        ok = (np.cumsum(p) >= PN_CUMULATIVE) & (lp < np.maximum.accumulate(lp) + math.log(PN_FLOOR))
+        k = int(np.argmax(ok)) + 1
+        if ok[k - 1]:
+            return DistributionSeries(np.arange(k), p[:k], float(abs(p[:k].sum() - 1.0)), label)
         if n >= MAX_CUTOFF:
             raise ConvergenceError(f"P(n) did not accumulate to 1 within {MAX_CUTOFF} terms")
         n = min(2 * n, MAX_CUTOFF)
@@ -174,40 +173,37 @@ def _lentz(b0: float, term) -> float:
         f"continued fraction did not settle within {specfun.DEFAULT_MAX_TERMS} steps")
 
 
-def _log_ratios(ratio, n: int) -> np.ndarray:
-    """log of the term ratios ratio(0..n-2); their positivity is the validity rule."""
-    r = ratio(np.arange(n - 1.0))
-    if not np.all(r > 0):
-        raise ParameterError(f"P(n+1)/P(n) turned non-positive at n={np.argmin(r > 0)}")
-    return np.log(r)
-
-
-def _stepped(lp0: float, ratio):
-    """log_p for _pn_series: log P(n) summed term by term from the anchor
-    log P(0) = lp0, as a scalar loop would."""
-    return lambda n: np.add.accumulate(np.concatenate(([lp0], _log_ratios(ratio, n))))
-
-
-def _summed(ratio, limit: float = 0.0):
-    """log_p for _pn_series: log P(n) = log t_n - log N for the positive terms
-    t_0 = 1, t_(n+1) = ratio(n) t_n, as log_shares, so P(n) sums to 1 however
-    far log t_n runs from 0.  The slice doubles from 64 terms until r, its
-    last ratio joined with the n -> inf limit of the ratios (0 for F01 and
-    F11, x for F21), is below 1 and its last term times r/(1 - r) below 1e-17
-    of the largest.  From there on the ratios of F01 and F11 only fall (F11:
-    once n^2 >= b) and those of F21 fall towards x (eta > 1) or rise towards
-    it (eta < 1), as ratio(n)/x - 1 ~ (eta - 1)/n, so r bounds the terms left
-    out, below 1e-17 of N, and the P(n) rule is met inside the slice."""
+def _summed(ratio, limit: float = 0.0) -> np.ndarray:
+    """log P(n) = log t_n - log N for the positive terms t_0 = 1, t_(n+1) =
+    ratio(n) t_n, on a slice that holds the cut of _pn_series.  The log
+    ratios are summed outward from m, the first ratio below 1, by one
+    reversed and one forward accumulate, so the partial sums stay small
+    where P(n) is large (summed up from n = 0 they reach about x and carry
+    about n u x of rounding); log_shares normalizes the row.  With r the
+    ratio joined with its n -> inf limit (0 for CS, F01 and F11, x for F10
+    and F21), the slice doubles from 64 terms until r(n/2 - 1)^(n/2 - 1) <=
+    1e-17, and then until r(n - 2) < 1 and the last term times r/(1 - r) is
+    below 1e-17 of the largest.  Each ratio = 1 is at most a quadratic in n,
+    so past the first few terms the ratios of CS, F01 and F11 only fall once
+    below 1 and those of F10 and F21 fall towards x or rise towards it: r
+    bounds the terms left out, below 1e-17 of N, and the P(n) rule is met
+    inside the slice."""
     ln_lim = math.log(limit) if limit > 0.0 else -math.inf
     n = 64
+    while n < MAX_CUTOFF and min(max(ratio(n / 2 - 1.0), limit), 1.0) ** (n / 2 - 1) > 1e-17:
+        n = min(2 * n, MAX_CUTOFF)
     while True:
-        log_r = _log_ratios(ratio, n)
-        log_t = np.concatenate(([0.0], np.add.accumulate(log_r)))
+        r = ratio(np.arange(n - 1.0))  # ratio(0..n-2); positive for valid parameters
+        if not r.min() > 0.0:
+            raise ParameterError(f"P(n+1)/P(n) turned non-positive at n={np.argmin(r > 0)}")
+        log_r = np.log(r)
         ln_r = max(log_r[-1], ln_lim)
+        m = int(np.argmax(log_r < 0.0))
+        log_t = np.concatenate((-np.add.accumulate(log_r[:m][::-1])[::-1], [0.0],
+                                np.add.accumulate(log_r[m:])))
         if ln_r < 0.0 and (log_t[-1] + ln_r - math.log1p(-math.exp(ln_r))
                            < log_t.max() + math.log(1e-17)):
-            log_p = log_shares(log_t)
-            return lambda m: log_p[:m]
+            return log_shares(log_t)
         if n >= MAX_CUTOFF:
             raise ConvergenceError(f"the normalization sum did not settle within {MAX_CUTOFF} terms")
         n = min(2 * n, MAX_CUTOFF)
@@ -244,10 +240,10 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
     [0.3, 5] and |z| <= 0.97 (x <= 0.9409), s = b - a1 - a2 near an integer
     included (worst measured 1.9e-14); from x = 0.9409 to 0.99 the
     subtraction costs digits (4.5e-13 measured, no bound claimed).  P(n) of
-    F01, F11 and F21 is t_n/N with N the positive-term sum of _summed,
-    stepped by the family's ratio (for F11 about x + 9 sqrt(x) terms, so
-    past x of about 6.3e4 it raises ConvergenceError); CS and F10 step P(n)
-    from their closed-form P(0).
+    every family is t_n/N, the positive-term sum of _summed: within 2e-13 of
+    40-digit mpmath wherever P(n) >= 1e-16 of its peak; for CS and F11 it
+    takes about x + 9 sqrt(x) terms, so past x of about 6.3e4 it raises
+    ConvergenceError.
 
     Entirely independent of the generic pfq/rho path (log_terms, rho_steps),
     so the two can be cross-checked against each other.
@@ -265,14 +261,9 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
             "for conjugate-pair parameter sets"
         )
 
-    # per family: mean, Q and log P(n), from the step ratio P(n+1)/P(n); the
-    # stepped families take a first slice of n_first terms whose P(n) falls by
-    # `fall` e-folds below its peak, so _pn_series cuts in one pass
-    fall, n_first = 1.0 - math.log(PN_FLOOR), 64
+    # per family: mean, Q and log P(n), from the step ratio P(n+1)/P(n)
     if family == "CS":
-        mean, q, log_p = x, 0.0, _stepped(-x, lambda n: x / (n + 1.0))
-        # Bennett: log P(x + k)/P(x) <= -k^2/(2 (x + k/3)), past the mode
-        n_first = x + 2.0 + fall / 3.0 + math.sqrt(fall * fall / 9.0 + 2.0 * fall * x)
+        mean, q, log_p = x, 0.0, _summed(lambda n: x / (n + 1.0))
     elif family == "F01":
         (b,) = vals
         log_p = _summed(lambda n: x / ((n + 1.0) * (b + n)))
@@ -294,10 +285,7 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
     elif family == "F10":
         (a,) = vals
         mean, q = a * x / (1.0 - x), x / (1.0 - x)
-        log_p = _stepped(a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0))
-        # the ratio is at most x^t past n = (a-1)/((1-t) (-log x)), and P(n)
-        # falls by `fall` in fall/(t (-log x)) more terms; the best t sums to
-        n_first = 2.0 + (math.sqrt(max(a - 1.0, 0.0)) + math.sqrt(fall)) ** 2 / -math.log(x)
+        log_p = _summed(lambda n: x * (a + n) / (n + 1.0), x)
     else:  # F21
         a2, a1, b = vals  # a1 >= a2: the larger numerator parameter is shifted
         log_p = _summed(lambda n: x * (a1 + n) * (a2 + n) / ((b + n) * (n + 1.0)), x)
@@ -312,4 +300,4 @@ def closed_form_stats(family: str, params: ParameterSet, x: float) -> PhotonStat
         mean = gauss_mean(a1, a2, b)
         q = gauss_mean(a1 + 1.0, a2 + 1.0, b + 1.0) - mean
 
-    return PhotonStats(_pn_series(log_p, min(int(n_first), MAX_CUTOFF), label), mean, q, x)
+    return PhotonStats(_pn_series(lambda n: log_p, len(log_p), label), mean, q, x)

@@ -502,7 +502,7 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
             raise ConvergenceError(f"tol {tol:g} is below the Fock slice's rest {rest:.3g}")
         return FockVector(build(lc), rest, True)
 
-    ln_n = math.log(normalization(params, 1.0))  # on the circle: |z| = 1
+    ln_n = math.log(normalization(params, 1.0, tol=tol))  # on the circle: |z| = 1
     n = 10
     while n <= MAX_CUTOFF:
         m = n + _RATIO_WINDOW

@@ -72,6 +72,15 @@ def test_usage_errors(capsys):
         assert run(capsys, *argv)[0] == 64, argv
 
 
+@pytest.mark.parametrize("argv", [("stats", "--absz-max", "-2")] + [
+    ("figure", str(fig), "--absz", "-2") for fig in (2, 3, 5, 6)], ids=" ".join)
+def test_negative_sweep_end_is_a_usage_error(capsys, argv):
+    # a sweep runs |z| from 0 to its end: a negative end emitted a |z| column
+    # of 0, -1/30, ..., -2 and exited 0
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == "" and "must be >= 0" in err
+
+
 def test_numeric_failure_exit(capsys):
     # |z| outside the unit disk for a disk family
     code, _, err = run(capsys, "pn", "--a", "2", "--absz", "1.5")

@@ -428,59 +428,75 @@ def test_circle_pn_from_the_gauss_sum():
     assert mean == pytest.approx(1.0 / 3.0, rel=1e-8)  # a1 a2 / (s - 1), s = 4
 
 
-def _scalar_pn(log_p0, ratio):
-    """The term-by-term scan: log P stepped from its anchor, cut at the first n
-    with cumulative >= 1 - 1e-12 and P(n) below 1e-16 of the running peak."""
-    logs, total, peak = [log_p0], 0.0, -math.inf
-    while True:
-        lp = logs[-1]
-        peak = max(peak, lp)
-        total += math.exp(lp)
-        if total >= ps.PN_CUMULATIVE and lp < peak + math.log(ps.PN_FLOOR):
-            return np.exp(logs)
-        logs.append(lp + math.log(ratio(len(logs) - 1)))
+@pytest.mark.parametrize("xs", [[2573.89, 2840.05, 4209.90], np.geomspace(1e-8, 6e4, 303)],
+                         ids=["found", "log-spaced"])
+def test_closed_form_cs_pn_sums_to_one_at_large_x(xs):
+    # stepped from its anchor log P(0) = -x, whose rounding scaled the whole
+    # row, the CS P(n) summed to 0.99999999999638 at x = 2573.89 and raised
+    # ConvergenceError there and at 13 of the 303 points; the shares of the
+    # positive-term sum reach 1 at every x
+    for x in xs:
+        pn = ps.closed_form_stats("CS", CS, float(x)).pn
+        assert abs(pn.values.sum() - 1.0) <= 1e-10, x
 
 
-@pytest.mark.parametrize("family,vals,x", [
-    ("CS", (), 9.0), ("CS", (), 400.0), ("F10", (2.5,), 0.81), ("F10", (0.4,), 0.3),
-])
-def test_closed_form_pn_matches_scalar_scan(family, vals, x):
-    params = st.validate(list(vals), [])
-    if family == "CS":
-        ref = _scalar_pn(-x, lambda n: x / (n + 1.0))
-    else:
-        (a,) = vals
-        ref = _scalar_pn(a * math.log1p(-x), lambda n: x * (a + n) / (n + 1.0))
-    got = ps.closed_form_stats(family, params, x).pn.values
-    assert len(got) == len(ref)
-    # same additions in the same order; numpy's log may differ from libm's by an ulp
-    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+def _mpmath_pn(family, vals, x, n):
+    """P(0..n-1) at 40 digits: the family's closed-form P(0) (1/N from mpmath's
+    own functions) stepped by its term ratio in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        v = [mpmath.mpf(u) for u in vals]
+        p, ratio = {
+            "CS": lambda: (mpmath.exp(-x), lambda k: x / (k + 1)),
+            "F01": lambda: (1 / mpmath.hyp0f1(v[0], x), lambda k: x / ((k + 1) * (v[0] + k))),
+            "F11": lambda: (1 / mpmath.hyp1f1(v[0], v[1], x),
+                            lambda k: x * (v[0] + k) / ((v[1] + k) * (k + 1))),
+            "F10": lambda: ((1 - x) ** v[0], lambda k: x * (v[0] + k) / (k + 1)),
+            "F21": lambda: (1 / mpmath.hyp2f1(v[0], v[1], v[2], x),
+                            lambda k: x * (v[0] + k) * (v[1] + k) / ((v[2] + k) * (k + 1))),
+        }[family]()
+        out = []
+        for k in range(n):
+            out.append(p)
+            p *= ratio(k)
+        return out
 
 
-_STEPPED = {  # family: (vals, x grid, log P(0), step ratio P(n+1)/P(n))
-    "CS": ([()], np.geomspace(1e-8, 2e3, 41),
-           lambda a, x: -x, lambda a, x: lambda n: x / (n + 1.0)),
-    "F10": ([(0.3,), (1.0,), (2.5,), (6.0,)], np.geomspace(1e-8, 0.99, 21),
-            lambda a, x: a * math.log1p(-x), lambda a, x: lambda n: x * (a + n) / (n + 1.0)),
-}
+def _pn_draws(family, rng):
+    """(parameter values, x): 30 seeded draws of the family's band."""
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    return [{"CS": lambda: ((), log_uniform(1e-8, 6e4)),
+             "F01": lambda: ((rng.uniform(0.2, 6.0),), log_uniform(1e-8, 3e3)),
+             "F11": lambda: (tuple(rng.uniform(0.2, 6.0, 2)), log_uniform(1e-8, 3e3)),
+             "F10": lambda: ((rng.uniform(0.3, 6.0),), rng.uniform(0.0, 0.97)),
+             "F21": lambda: (tuple(rng.uniform(0.3, 5.0, 3)), rng.uniform(0.0, 0.94)),
+             }[family]() for _ in range(30)]
 
 
-@pytest.mark.parametrize("family", sorted(_STEPPED))
-def test_stepped_closed_form_pn_in_one_pass(family, monkeypatch):
-    # CS and F10 size their first slice so that P(n) is cut in one _log_ratios
-    # pass, and the P(n) is bit for bit the one doubling from 64 terms gives
-    passes = []
-    log_ratios = ps._log_ratios
-    monkeypatch.setattr(ps, "_log_ratios", lambda ratio, n: passes.append(n) or log_ratios(ratio, n))
-    vals_list, xs, log_p0, ratio = _STEPPED[family]
-    for vals in vals_list:
-        for x in xs:
-            passes.clear()
-            got = ps.closed_form_stats(family, st.validate(list(vals), []), float(x)).pn.values
-            assert len(passes) == 1, (vals, x, passes)
-            a = vals[0] if vals else None
-            ref = ps._pn_series(ps._stepped(log_p0(a, x), ratio(a, x)), 64, "").values
-            assert got.shape == ref.shape and np.array_equal(got, ref), (vals, x)
+@pytest.mark.parametrize("family", ["CS", "F01", "F11", "F10", "F21"])
+def test_closed_form_pn_band_against_mpmath(family):
+    # every closed-form P(n) at least 1e-16 of its peak is within 2e-13 of
+    # 40-digit mpmath (worst CS 4.2e-14, F01 1.1e-14, F11 1.9e-14, F10
+    # 7.5e-14, F21 4.2e-14): the logs are summed outward from the first
+    # ratio below 1, so the partial sums stay small where P(n) is large.
+    # Summed up from n = 0 they grow to about x, and F11 was 5.9e-13 off
+    # here; CS, stepped from log P(0) = -x, was 8.7e-13 off and raised
+    # ConvergenceError at 2 of its 30 x.  F11 (0.3;6) at x = 15 and 400,
+    # where the ratio is not monotone: at x = 15 it starts at 0.75, below 1,
+    # and rises past 1 before it falls
+    draws = _pn_draws(family, np.random.default_rng(5))
+    if family == "F11":
+        draws += [((0.3, 6.0), 15.0), ((0.3, 6.0), 400.0)]
+    worst = 0.0
+    for vals, x in draws:
+        a, b = (vals[:-1], vals[-1:]) if family in ("F01", "F11", "F21") else (vals, ())
+        got = ps.closed_form_stats(family, st.validate(list(a), list(b)), x).pn.values
+        ref = _mpmath_pn(family, vals, x, len(got))
+        for p, r in zip(got, ref):
+            if p >= 1e-16 * got.max():
+                worst = max(worst, float(abs(p / r - 1)))
+    assert worst <= 2e-13
 
 
 def test_closed_form_f11_overflow_fails_at_once():

@@ -344,6 +344,15 @@ def test_fock_circle_normalized():
     assert abs(v.norm_sq() - 1.0) <= 2.0 * v.tail_bound + 1e-13
 
 
+@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+def test_fock_circle_normalizes_at_its_tol(tol):
+    # N(1) is summed at the Fock tol, not at pfq's default 1e-12: taken at
+    # 1e-12 it was 3.5e-13 below mpmath's 3F2, so 1 - ||c||^2 read -3.5e-13
+    # against a tail_bound of 6.1e-18 at tol 1e-15
+    v = st.fock_vector(st.StateSpec(st.validate([1.0, 1.0, 2.0], [9.0, 9.0]), 1.0), tol=tol)
+    assert abs(1.0 - v.norm_sq()) <= v.tail_bound + 10.0 * tol
+
+
 def test_fock_circle_cut_ignores_the_last_bit_of_x():
     # |z|^2 rounds to 1.0 at e^{0.7i} and to 1 - 2^-53 at e^{0.36i}; the
     # circle search starts from one constant, so both cut at 27 (25 and 27
