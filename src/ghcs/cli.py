@@ -83,9 +83,12 @@ class UsageError(Exception):
 
 
 def _sweep_end(value: float, flag: str) -> float:
-    """The end of a |z| sweep from 0; a finite negative one is a usage error."""
+    """The end of a |z| sweep from 0; a finite negative one is a usage error,
+    and one whose |z|^2 is not finite (+-inf, nan, past 1.3e154) raises
+    DivergenceError before the grid is formed."""
     if -math.inf < value < 0.0:
         raise UsageError(f"{flag} ends a |z| sweep from 0 and must be >= 0, got {value:g}")
+    states.checked_abs(value)
     return value
 
 

@@ -35,6 +35,11 @@ G_TABLE_CAP = 2048
 # cost 4-18 ms a product on a 2-vCPU VM, against 0.05-0.5 ms on the calling
 # thread, so the product is taken in column blocks of at most 2^15.
 _PRODUCT_MACS = 2**15
+# rows m of the lower triangle taken per block in phase_distribution's C_m
+# stage.  A block's row sums are np.vecdot, one BLAS dot a row on the calling
+# thread: as one matrix-vector product, OpenBLAS handed (64, 212) blocks to its
+# threads, and in 3 of 6 processes a call at w = 212 took 22-26 ms, not 1.4 ms.
+_CM_ROWS = 64
 
 _ANALYZER_TAGS = {"Q": ParameterSet((), ()), "PB": ParameterSet((1.0,), ())}
 
@@ -55,14 +60,14 @@ class GCoefficientTable:
     table: np.ndarray
 
 
-def _g_block(t: np.ndarray, lo: int, w: int) -> np.ndarray:
-    """G(n, n') for n, n' = lo..lo+w-1 from T[k] = log rho(k/2), as one w x w
-    array: exp(T[n+n'] - (T[2n] + T[2n'])/2) formed in place on a Hankel view
-    of T.  The view minus the symmetric sum is exactly 0 on the diagonal and
-    bitwise symmetric, so G is too."""
-    half = 0.5 * t[2 * lo: 2 * (lo + w): 2]
+def _g_block(t: np.ndarray, w: int) -> np.ndarray:
+    """G(n, n') for n, n' < w from T[k] = log rho(k/2), as one w x w array:
+    exp(T[n+n'] - (T[2n] + T[2n'])/2) formed in place on a Hankel view of T.
+    The view minus the symmetric sum is exactly 0 on the diagonal and bitwise
+    symmetric, so G is too."""
+    half = 0.5 * t[: 2 * w: 2]
     g = np.add.outer(half, half)
-    np.subtract(sliding_window_view(t[2 * lo: 2 * (lo + w) - 1], w), g, out=g)
+    np.subtract(sliding_window_view(t[: 2 * w - 1], w), g, out=g)
     return np.exp(g, out=g)
 
 
@@ -76,7 +81,7 @@ def g_coefficients(analyzer, n_cutoff: int) -> GCoefficientTable:
     if n_cutoff > G_TABLE_CAP:
         raise RangeError(f"G table cutoff {n_cutoff} exceeds cap {G_TABLE_CAP}")
     params = analyzer_params(analyzer)
-    return GCoefficientTable(params, _g_block(log_rho_half(params, n_cutoff), 0, n_cutoff + 1))
+    return GCoefficientTable(params, _g_block(log_rho_half(params, n_cutoff), n_cutoff + 1))
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,11 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     """Phase distribution of a pure signal (FockVector) or density matrix.
 
     P(theta) = (1/2pi) [C_0 + 2 Re sum_m C_m e^{-im theta}] with the lower
-    diagonal sums C_m = sum_n rho_{n+m,n} G(n+m,n), taken as the row sums of a
-    skewed view of one zero-padded (2w, w) buffer and summed over any theta
-    grid by baby-step giant-step in u = e^{-i theta} (Paterson & Stockmeyer,
-    SIAM J. Comput. 2 (1973) 60): k = isqrt(w) + 1 powers of u, one matrix
+    diagonal sums C_m = sum_{n < w-m} rho_{n+m,n} G(n+m,n), taken over the
+    triangle n + m < w only, in blocks of _CM_ROWS rows m on strided views of
+    the signal and of T (one exp and one product a block), and summed over
+    any theta grid by baby-step giant-step in u = e^{-i theta} (Paterson &
+    Stockmeyer, SIAM J. Comput. 2 (1973) 60): k = isqrt(w) + 1 powers of u, one matrix
     product for the inner sums over m mod k and Horner's rule in u^k over
     the ceil(w/k) rows, about 2 sqrt(w) array steps.  A pure signal enters
     on the window of n with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2)
@@ -131,14 +137,40 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
         lo, w = int(keep[0]), int(keep[-1] - keep[0]) + 1
     if w > G_TABLE_CAP + 1:
         raise RangeError(f"phase window of {w} orders exceeds the G table cap {G_TABLE_CAP}")
-    buf = np.zeros((2 * w, w), dtype=complex)
+    # C_m over the triangle n + m < w in blocks of rows m, from strided views
+    # only: past the window the signal reads 0, T[2n+m] reads 0 and
+    # T[2(n+m)]/2 reads +inf, so a cell with n + m >= w is exp(-inf) * 0 = 0.
+    # G is T[2n+m] - (T[2(n+m)]/2 + T[2n]/2), the operands of _g_block
+    tw = t[2 * lo: 2 * (lo + w) - 1]
+    t_pad = np.zeros(3 * w)
+    t_pad[:2 * w - 1] = tw
+    h_pad = np.full(2 * w, np.inf)
+    h_pad[:w] = 0.5 * tw[::2]
+    s = t_pad.strides[0]  # each view ends inside its buffer: at 3w - 3, 2w - 2
+    t_mid = as_strided(t_pad, (w, w), (s, 2 * s))  # T[2n+m]
+    h_sum = as_strided(h_pad, (w, w), (s, s))  # T[2(n+m)]/2; the row h_pad[:w] is T[2n]/2
+    rows = min(_CM_ROWS, w)
+    # the signal, zero-padded by one block, and the (row, column) steps that
+    # read rho_{n+m,n} from it: psi_{n+m} (times conj psi_n, the conjugated
+    # left factor of vecdot) or the matrix (times ones); a block's view ends
+    # before w + rows - 1, or (w + rows - 1) w
     if pure:
-        np.multiply.outer(psi[lo: lo + w], psi[lo: lo + w].conj(), out=buf[:w])
+        amp = np.zeros(w + rows, dtype=complex)
+        amp[:w] = psi[lo: lo + w]
+        left, step = amp[:w], (1, 1)
     else:
-        buf[:w] = psi
-    buf[:w] *= _g_block(t, lo, w)
-    # row m of the skewed view runs down the m-th lower diagonal into the padding
-    c = as_strided(buf, (w, w), (buf.strides[0], sum(buf.strides))).sum(axis=1)
+        amp = np.zeros((w + rows) * w, dtype=complex)
+        amp[: w * w] = psi.ravel()
+        left, step = np.ones(w), (w, w + 1)
+    strides = tuple(amp.strides[0] * k for k in step)
+    c = np.empty(w, dtype=complex)
+    for m0 in range(0, w, rows):
+        m1, cols = min(m0 + rows, w), w - m0
+        g = np.add(h_sum[m0:m1, :cols], h_pad[:cols])
+        np.subtract(t_mid[m0:m1, :cols], g, out=g)
+        np.exp(g, out=g)
+        cells = as_strided(amp[m0 * step[0]:], (m1 - m0, cols), strides) * g
+        np.vecdot(left[:cols], cells, out=c[m0:m1])
     # acc = sum_{m >= 1} C_m u^m, u = e^{-i theta}, baby-step giant-step: with
     # m = jk + r, the inner sums over r for every j are one product with the
     # powers u^0..u^(k-1), then Horner's rule in u^k runs over the rows j

@@ -100,6 +100,20 @@ def test_overflowing_absz_squared_is_a_structured_failure(capsys, argv):
     assert code == 65 and out == "" and "|z| = 1e+200" in err
 
 
+@pytest.mark.parametrize("end", ["-inf", "inf", "nan", "1e200"])
+@pytest.mark.parametrize("command", [("stats", "--absz-max"), ("figure", "2", "--absz")],
+                         ids=" ".join)
+def test_non_finite_sweep_end_is_refused_before_the_grid(capsys, command, end):
+    # np.linspace(0, -inf, n) warned "invalid value encountered in multiply"
+    # before the exit-65 message, and figure 2 squared 1e200 with an overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *command[:-1], f"{command[-1]}={end}")
+    assert code == 65 and out == "" and "|z|^2 is not finite at |z| = " in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+
+
 def test_max_terms_env(capsys, monkeypatch):
     monkeypatch.setenv("GHCS_MAX_TERMS", "5")
     code, _, _ = run(capsys, "pn", "--b", "1", "--absz", "3")

@@ -300,6 +300,26 @@ def test_phase_sum_of_a_density_matrix(analyzer):
         p * _brute_force_phase(s, log_rho, thetas) for p, s in zip(weights, sigs)))
 
 
+@pytest.mark.parametrize("analyzer", ["Q", "PB", "(3;)"])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["1", "block-1", "block", "block+1", "2block+1"])
+@pytest.mark.parametrize("weights", [(1.0,), (0.7, 0.3)], ids=["pure", "mixed"])
+def test_phase_sum_at_row_block_edges(analyzer, blocks, extra, weights):
+    # C_m runs over the triangle n + m < w in blocks of ph._CM_ROWS rows m:
+    # windows of one order, one block either side of its edge and two blocks
+    # and one row, each a pure signal and a two-signal density matrix
+    w = blocks * ph._CM_ROWS + extra
+    rng = np.random.default_rng(w)
+    sigs = [st.fock_from_coeffs((0.5 + rng.random(w)) * np.exp(2j * math.pi * rng.random(w)))
+            for _ in weights]
+    assert _window(sigs[0].coeffs) == (0, w)
+    signal = sigs[0] if len(sigs) == 1 else sum(
+        p * np.outer(s.coeffs, s.coeffs.conj()) for p, s in zip(weights, sigs))
+    thetas = np.sort(rng.uniform(-math.pi, math.pi, 97))
+    _assert_brute_force(signal, analyzer, thetas, lambda log_rho: sum(
+        p * _brute_force_phase(s.coeffs, log_rho, thetas) for p, s in zip(weights, sigs)))
+
+
 def test_g_above_one_analyzer_has_concave_half_sequence():
     # (1;0) at a = 0.5 has G > 1 off the diagonal, so the support window's
     # bound does not hold and phase_distribution must sum the whole support
@@ -334,6 +354,18 @@ def test_phase_distribution_memory_scales_with_support_window():
     assert w < 0.6 * len(mag)
     _, peak = _tracemalloc_peak(lambda: ph.phase_distribution(sig, "Q"))
     assert peak <= 3 * w * w * 16
+
+
+def test_phase_distribution_memory_holds_row_blocks_not_the_square():
+    # the C_m stage holds row blocks of the lower triangle, about 0.21 w^2 16
+    # bytes at w = 861; the full outer product in a (2w, w) buffer took 2.5
+    sig = coherent_signal(absz=40.0, phi=0.3)
+    ph.phase_distribution(sig, "Q")  # warm the rho sequences
+    lo, hi = _window(sig.coeffs)
+    w = hi - lo
+    assert w >= 800
+    _, peak = _tracemalloc_peak(lambda: ph.phase_distribution(sig, "Q"))
+    assert peak <= 0.5 * w * w * 16
 
 
 def test_circle_state_signal_phase_distribution():
