@@ -5,8 +5,9 @@ N(x) = pFq(a; b; x): for plane and disk states P(n) = t_n / N(x) and the
 factorial moments m_k = sum_n t_n g_n...g_(n+k-1) / sum_n t_n, with the term
 ratio g_j = x (j+1)/f^2(j), all from one slice of the rho sequence
 (states.log_terms): no pFq series is summed and no log N enters a moment.
-Normalized circle states, whose terms fall only like n^(eta-1), take N and
-the shifted N_k from the Gauss sum at unit argument (states.normalization).
+Normalized circle states, whose terms fall only like n^(eta-1), take N from
+the row kept on the set (states.circle_row) and the shifted N_k from the Gauss
+sum at unit argument (states.normalization).
 Mean and Mandel Q are r_1 and r_2 - r_1, r_k = m_k/m_(k-1).  Every P(n)
 is cut by one rule (_pn_series).
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DivergenceError, ParameterError
-from .states import (MAX_CUTOFF, DomainKind, ParameterSet, StateSpec, classify, family_params,
-                     log_shares, log_terms, normalization, rho_steps)
+from .states import (MAX_CUTOFF, DomainKind, ParameterSet, StateSpec, circle_row, classify,
+                     family_params, log_shares, log_terms, normalization, rho_steps)
 
 PN_CUMULATIVE = 1.0 - 1e-12
 PN_FLOOR = 1e-16
@@ -73,7 +74,9 @@ def _pn_series(log_p, n: int, label: str) -> DistributionSeries:
 
 def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> DistributionSeries:
     """Photon number distribution P(n) = x^n / (rho(n) N(x)), the log_shares
-    of the slice on the plane and disk; tol applies to the circle's Gauss sum."""
+    of the slice on the plane and disk.  A normalized circle state reads N(1),
+    summed at tol, from its kept row (states.circle_row) and cuts from the
+    row's length, so the job's Fock vector and P(n) share one rho build."""
     kind = spec.domain_kind()
     if kind is DomainKind.CIRCLE_UNNORMALIZABLE:
         raise DivergenceError("unnormalizable circle states have no photon distribution")
@@ -82,8 +85,10 @@ def pn_distribution(spec: StateSpec, tol: float = specfun.DEFAULT_TOL) -> Distri
     if x == 0.0:
         return DistributionSeries(np.array([0]), np.array([1.0]), 0.0, params.label())
     if kind is DomainKind.CIRCLE_NORMALIZED:  # on the circle: |z| = 1
-        ln_n = math.log(normalization(params, 1.0, tol=tol))
-        return _pn_series(lambda n: -rho_steps(params, n - 1)[1] - ln_n, 64, params.label())
+        _, n1, lc, _, _ = circle_row(params, tol)
+        ln_n = math.log(n1)
+        return _pn_series(lambda n: -rho_steps(params, n - 1)[1] - ln_n,
+                          min(len(lc), MAX_CUTOFF), params.label())
     log_p = log_shares(log_terms(params, x)[0])
     return _pn_series(lambda n: log_p, len(log_p), params.label())
 
@@ -109,7 +114,8 @@ def _moment_ratios(params: ParameterSet, x, tol: float) -> list:
     if not many and StateSpec(params, math.sqrt(x)).domain_kind() not in (
             DomainKind.PLANE, DomainKind.UNIT_DISK):  # circle: terms fall like n^(eta-1)
         f2 = rho_steps(params, 2)[0].tolist()
-        norms = [normalization(params.shifted(j), 1.0, tol=tol) for j in range(3)]
+        norms = [circle_row(params, tol)[1]] + [normalization(params.shifted(j), 1.0, tol=tol)
+                                                for j in (1, 2)]
         return [(j / f2[j - 1]) * (norms[j] / norms[j - 1]) for j in (1, 2)]
     log_t = log_terms(params, x)[0]
     n = log_t.shape[-1]

@@ -15,6 +15,7 @@ eta < 0, otherwise only as 1/sqrt(2 pi)-prefactored unnormalizable states).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,8 +52,8 @@ class ParameterSet:
     inputs produce bit-identical downstream results.  Construct through
     validate(); the constructor itself only normalizes.  The instance also
     carries its rho sequence (see rho_steps), built on first use and grown
-    by doubling, and its last settled log_terms slice at one x; neither is a
-    field, so equality and hashing ignore them.
+    by doubling, its last settled log_terms slice at one x and its circle_row;
+    none is a field, so equality and hashing ignore them.
     """
 
     a: tuple
@@ -317,6 +318,13 @@ def log_rho_gamma(params: ParameterSet, nu: float):
     return total.real
 
 
+def _real_gauss(params: ParameterSet) -> bool:
+    """Whether normalization sums params with gauss_2f1: a real (2;1) set,
+    whose N(1) is the gamma formula, the same at every tol."""
+    return (params.p, params.q) == (2, 1) and not any(isinstance(v, complex)
+                                                      for v in params.a + params.b)
+
+
 def normalization(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     """Normalization function pFq(a; b; x) at x = |z|^2 >= 0, a float or a
     1-D array (whose result is an array).
@@ -338,8 +346,7 @@ def normalization(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
                 raise DivergenceError(
                     f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
             x = np.where(on, 1.0, x) if nodes else 1.0
-    if (params.p, params.q) == (2, 1) and not any(isinstance(v, complex)
-                                                  for v in params.a + params.b):
+    if _real_gauss(params):
         # the Gauss evaluator keeps full accuracy near and at the disk edge,
         # where the raw series slows to a crawl; x = 1 takes its unit formula
         a1, a2, b1 = params.a + params.b
@@ -389,6 +396,10 @@ def fock_from_coeffs(coeffs) -> FockVector:
 
 _RATIO_WINDOW = 16
 SLICE_REST = 1e-18  # log_terms settles its slice to this fraction of the peak term
+# the cut lengths a normalized circle state tries, 10, 18, 27, ..., n -> max(n + 8,
+# int(1.5 n)), up to MAX_CUTOFF: 22 lengths, the last 58,839
+_CIRCLE_CUTS = np.array([n for n in itertools.accumulate(
+    range(24), lambda n, _: max(n + 8, int(1.5 * n)), initial=10) if n <= MAX_CUTOFF])
 
 
 def log_terms(params: ParameterSet, x):
@@ -433,7 +444,10 @@ def _settled_slice(params: ParameterSet, x, cap: int):
     lnx, fall = math.log(x_max), -math.log(SLICE_REST)
     d, eta = params.q + 1 - params.p, params.eta  # f^2 ~ (n + (1 - eta)/d)^d or 1 + (1 - eta)/n
     m = max(0.0, x_max ** (1 / d) - (1 - eta) / d if d else (eta - 1) * x_max / (1 - x_max))
-    n = min(cap, int(m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)) + _RATIO_WINDOW)
+    end = m + (math.sqrt(2.0 * fall * m / d) if d else fall / -lnx)
+    if not end < math.inf:
+        raise ConvergenceError(f"normalization series at x = {x_max:g} peaks past its {cap}-term cap")
+    n = min(cap, int(end) + _RATIO_WINDOW)
     rho_steps(params, min(2 * n, cap) + 2)  # one build: n at most doubles, moments read 2 past it
     while True:
         lr = rho_steps(params, n)[1][:n]
@@ -460,6 +474,38 @@ def log_shares(log_t: np.ndarray) -> np.ndarray:
     return lp - math.log(np.exp(lp).sum())
 
 
+def circle_row(params: ParameterSet, tol: float):
+    """(key, N(1), lc, cuts, tails) of a normalized circle state, kept on
+    params: lc[k] = log |c_k|^2 at |z| = 1, and tails[i] fock_vector's
+    certificate at cuts[i], a prefix of _CIRCLE_CUTS that holds a cut with
+    tail <= tol, or all of them.  It is sized where the tail, about n^eta
+    exp(-g) / (-eta N(1)) with g = sum ln Gamma(a) - sum ln Gamma(b), is
+    tol/100, with half again the terms, so a job's tighter second tol reads
+    it too.  key is the tol of N(1)'s sum, None for the gamma formula."""
+    key = None if _real_gauss(params) else tol
+    row = params.__dict__.get("_circle")
+    kept = row is not None and row[0] == key
+    if kept and (min(row[4]) <= tol or len(row[3]) == len(_CIRCLE_CUTS)):
+        return row
+    n1 = row[1] if kept else normalization(params, 1.0, tol=tol)
+    ln_n, eta = math.log(n1), params.eta
+    g = sum(specfun.ln_gamma(v).real for v in params.a) - sum(
+        specfun.ln_gamma(v).real for v in params.b)
+    size = 1.5 * math.exp(min((math.log(tol / 100.0) + g + ln_n + math.log(-eta)) / eta, 12.0))
+    grown = 2 * row[3][-1] if kept else 0  # a tol that the kept row does not serve
+    cuts = _CIRCLE_CUTS[: np.searchsorted(_CIRCLE_CUTS, max(size, grown)) + 1]
+    m = int(cuts[-1]) + _RATIO_WINDOW
+    lc = -rho_steps(params, m)[1] - ln_n
+    k = np.arange(m)
+    s = -np.diff(lc) / np.log((k + 2.0) / (k + 1.0))  # the local power of each step
+    s = np.minimum(s[cuts[:, None] + np.arange(_RATIO_WINDOW)].min(axis=1), 1.0 - eta)
+    tails = tuple(math.exp(lc[n]) * (1.0 + (n + 1.0) / (s_n - 1.0)) if s_n > 1.0 else math.inf
+                  for n, s_n in zip(cuts.tolist(), s.tolist()))
+    lc.flags.writeable = False
+    object.__setattr__(params, "_circle", (key, n1, lc, cuts, tails))  # one assignment publishes
+    return circle_row(params, tol)
+
+
 def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     """Truncated Fock representation c_n = z^n / sqrt(rho(n) N(|z|^2)).
 
@@ -467,11 +513,14 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
     t_n / N (log_shares) for every n of it, and the certified tail, covering
     sum_{k>=N} |c_k|^2 with c_N included, is its rest SLICE_REST * peak / N;
     a tol below that rest raises ConvergenceError.  Normalized circle states,
-    taken at |z| = 1, cut where a power-law comparison bounds the tail by tol
-    (the ratios tend to 1, so no geometric rate exists).  Unnormalizable
-    circle states get the 1/sqrt(2 pi) prefactor, tail_bound = inf and a
-    RuntimeWarning (their squared norm diverges), and stop at the first term
-    below tol.
+    taken at |z| = 1, have no geometric rate (the ratios tend to 1): they cut
+    at the first n of _CIRCLE_CUTS whose tail bound |c_n|^2 (1 + (n+1)/(s-1))
+    is <= tol, s the least power of the steps |c_(k+1)|^2/|c_k|^2 =
+    ((k+1)/(k+2))^s over _RATIO_WINDOW past n, at most 1 - eta; every tol
+    reads these bounds from the row kept on the set (circle_row).
+    Unnormalizable circle states get the 1/sqrt(2 pi) prefactor, tail_bound =
+    inf and a RuntimeWarning (their squared norm diverges), and stop at the
+    first term below tol.
     """
     params = spec.params
     z = complex(spec.z)
@@ -502,18 +551,10 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
             raise ConvergenceError(f"tol {tol:g} is below the Fock slice's rest {rest:.3g}")
         return FockVector(build(lc), rest, True)
 
-    ln_n = math.log(normalization(params, 1.0, tol=tol))  # on the circle: |z| = 1
-    n = 10
-    while n <= MAX_CUTOFF:
-        m = n + _RATIO_WINDOW
-        lc = -rho_steps(params, m)[1] - ln_n  # log |c_k|^2
-        # power-law bound: |c_{k+1}|^2/|c_k|^2 <= ((k+1)/(k+2))^s for k >= n
-        k = np.arange(n, m)
-        s = min(float(np.min(-np.diff(lc[n:]) / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
-        tail = math.exp(lc[n]) * (1.0 + (n + 1.0) / (s - 1.0)) if s > 1.0 else math.inf
+    _, _, lc, cuts, tails = circle_row(params, tol)  # on the circle: |z| = 1
+    for n, tail in zip(cuts.tolist(), tails):
         if tail <= tol:
             return FockVector(build(lc[: n + 1]), tail, True)
-        n = max(n + 8, int(1.5 * n))
     raise ConvergenceError(f"fock_vector cutoff cap {MAX_CUTOFF} reached before tail <= {tol:g}")
 
 

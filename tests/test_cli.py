@@ -114,6 +114,15 @@ def test_non_finite_sweep_end_is_refused_before_the_grid(capsys, command, end):
     assert "RuntimeWarning" not in err
 
 
+def test_sweep_past_the_term_cap_names_x_and_the_cap(capsys):
+    # |z| = 1e154 squares to the finite x = 1e308, but the first slice length
+    # m + sqrt(2 fall m) overflowed: 'cannot convert float infinity to integer'
+    code, out, err = run(capsys, "stats", "--absz-max=1e154")
+    assert code == 65 and out == ""
+    assert "x = 1e+308" in err and f"{states.MAX_CUTOFF}-term cap" in err
+    assert "infinity" not in err
+
+
 def test_max_terms_env(capsys, monkeypatch):
     monkeypatch.setenv("GHCS_MAX_TERMS", "5")
     code, _, _ = run(capsys, "pn", "--b", "1", "--absz", "3")

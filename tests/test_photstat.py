@@ -541,6 +541,56 @@ def test_state_job_builds_rho_once_and_settles_once(monkeypatch, params, az):
     assert calls == {"rho": 1, "settle": 1}
 
 
+def test_circle_job_builds_rho_once_and_sums_its_n1_once(monkeypatch):
+    # a normalized circle job reads one kept row: one integer-grid rho build
+    # and one N(1) of its own set (the moment ratios add the two shifted sets)
+    params = st.validate([0.5, 0.5], [16.0])
+    calls = {"rho": 0, "n1": 0}
+    lrs, norm = st._log_ratio_sum, st.normalization
+
+    def counted_lrs(p, k):
+        calls["rho"] += int(p is params and k[0] == 0.0)
+        return lrs(p, k)
+
+    def counted_norm(p, x, tol=sf.DEFAULT_TOL):
+        calls["n1"] += int(p is params)
+        return norm(p, x, tol)
+
+    monkeypatch.setattr(st, "_log_ratio_sum", counted_lrs)
+    monkeypatch.setattr(st, "normalization", counted_norm)
+    monkeypatch.setattr(ps, "normalization", counted_norm)
+    spec = st.StateSpec(params, cmath.exp(0.7j))
+    st.fock_vector(spec)
+    ps.pn_distribution(spec)
+    ps.mean_and_mandel(params, abs(spec.z) ** 2)
+    ld.eigenvalue_residual(spec)
+    assert calls == {"rho": 1, "n1": 1}
+
+
+def test_kept_circle_n1_serves_only_its_tol():
+    # (1, 1, 2; 9, 9) sums N(1) with pfq at the caller's tol, and the sums at
+    # 1e-12 and 1e-14 differ: every call on one set, in either order, equals
+    # the call on a fresh set at its own tol
+    def fresh():
+        return st.validate([1.0, 1.0, 2.0], [9.0, 9.0])
+
+    z = cmath.exp(3.0j)
+    assert st.normalization(fresh(), 1.0, tol=1e-12) != st.normalization(fresh(), 1.0, tol=1e-14)
+
+    def job(params, tol):
+        spec = st.StateSpec(params, z)
+        v, pn = st.fock_vector(spec, tol=tol), ps.pn_distribution(spec, tol=tol)
+        stats = ps.mean_and_mandel(params, 1.0, tol)
+        return v.coeffs.tolist(), v.tail_bound, pn.values.tolist(), stats
+
+    ref = {tol: job(fresh(), tol) for tol in (1e-12, 1e-14)}
+    assert ref[1e-12] != ref[1e-14]
+    for tols in ((1e-12, 1e-14), (1e-14, 1e-12)):
+        params = fresh()
+        for tol in tols + tols:
+            assert job(params, tol) == ref[tol]
+
+
 # the array form of mean_and_mandel (one log_terms pass per |z| grid)
 # against one scalar call per point
 ARRAY_SETS = [

@@ -365,10 +365,85 @@ def test_fock_circle_cut_ignores_the_last_bit_of_x():
 
 
 def test_fock_circle_cap_for_shallow_eta():
-    # eta = -0.8 decays like n^{-1.8}: a 1e-14 tail needs n far beyond the cap
+    # eta = -0.8 decays like n^{-1.8}: a 1e-14 tail needs n far beyond the cap.
+    # The row of that failed call reaches the cap, and later calls on the set
+    # still cut where the growing loop cut (1e-12 also needs more than the
+    # cap, 1e-4 cuts at 11,623)
     p = st.validate([0.3, 0.4], [1.5])
-    with pytest.raises(ConvergenceError):
-        st.fock_vector(st.StateSpec(p, cmath.exp(0.3j)), tol=1e-14)
+    spec = st.StateSpec(p, cmath.exp(0.3j))
+    for tol in (1e-14, 1e-12):
+        with pytest.raises(ConvergenceError):
+            st.fock_vector(spec, tol=tol)
+        assert _growing_loop(st.validate([0.3, 0.4], [1.5]), spec.z, tol) is None
+    coeffs, tail = _growing_loop(st.validate([0.3, 0.4], [1.5]), spec.z, 1e-4)
+    v = st.fock_vector(spec, tol=1e-4)
+    assert v.cutoff == 11623 and np.array_equal(v.coeffs, coeffs) and v.tail_bound == tail
+
+
+def _growing_loop(params, z, tol):
+    """The normalized circle cut as the growing loop made it, one pass per
+    candidate length: (coefficients, tail bound), or None past the cap."""
+    ln_n = math.log(st.normalization(params, 1.0, tol=tol))
+    n = 10
+    while n <= st.MAX_CUTOFF:
+        m = n + 16
+        lc = -st.rho_steps(params, m)[1] - ln_n
+        k = np.arange(n, m)
+        s = min(float(np.min(-np.diff(lc[n:]) / np.log((k + 2.0) / (k + 1.0)))), 1.0 - params.eta)
+        tail = math.exp(lc[n]) * (1.0 + (n + 1.0) / (s - 1.0)) if s > 1.0 else math.inf
+        if tail <= tol:
+            return np.exp(0.5 * lc[: n + 1]) * np.exp(1j * cmath.phase(z) * np.arange(n + 1)), tail
+        n = max(n + 8, int(1.5 * n))
+    return None
+
+
+def _growing_loop_pn(params, tol):
+    """P(n) of a normalized circle state as it was: N(1) summed at tol and
+    the cut rule of _pn_series from 64 terms; None where that raised."""
+    ln_n = math.log(st.normalization(params, 1.0, tol=tol))
+    try:
+        return ps._pn_series(lambda n: -st.rho_steps(params, n - 1)[1] - ln_n, 64, params.label())
+    except ConvergenceError:
+        return None
+
+
+def _circle_band(count, seed):
+    rng = np.random.default_rng(seed)
+    etas = -16.0 + 15.1 * (np.arange(count) + rng.random(count)) / count  # one per stratum
+    return [([a1, a2], [a1 + a2 - eta], cmath.exp(1j * t)) for eta, a1, a2, t in
+            zip(etas, rng.uniform(0.3, 3.0, count), rng.uniform(0.3, 3.0, count),
+                rng.uniform(-math.pi, math.pi, count))]
+
+
+CIRCLE_BAND = _circle_band(16, 28)
+
+
+@pytest.mark.parametrize("a,b,z", CIRCLE_BAND,
+                         ids=[f"eta={sum(a) - b[0]:.2f}" for a, b, _ in CIRCLE_BAND])
+def test_circle_row_cuts_as_the_growing_loop(a, b, z):
+    # eta in [-16, -0.9]: the cuts, coefficients and P(n) read from the kept
+    # row equal, bit for bit, those of the loop that grew the cut pass by
+    # pass, with both tols called in both orders on one set.  The row takes
+    # each tail with the loop's scalar math.exp, so the tail bound is held to
+    # 0 ulp as well
+    for tols in ((1e-12, 1e-14), (1e-14, 1e-12)):
+        spec = st.StateSpec(st.validate(a, b), z)
+        for tol in tols:
+            ref = _growing_loop(st.validate(a, b), z, tol)
+            if ref is None:
+                with pytest.raises(ConvergenceError):
+                    st.fock_vector(spec, tol=tol)
+            else:
+                v = st.fock_vector(spec, tol=tol)
+                assert np.array_equal(v.coeffs, ref[0]) and v.tail_bound == ref[1]
+            ref_pn = _growing_loop_pn(st.validate(a, b), tol)
+            if ref_pn is None:
+                with pytest.raises(ConvergenceError):
+                    ps.pn_distribution(spec, tol=tol)
+            else:
+                pn = ps.pn_distribution(spec, tol=tol)
+                assert np.array_equal(pn.values, ref_pn.values)
+                assert pn.norm_residual == ref_pn.norm_residual
 
 
 def test_fock_unnormalizable_circle_warns():
@@ -569,6 +644,34 @@ def test_kept_slice_shared_by_threads_matches_its_point():
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and bad == []
+
+
+def test_kept_circle_row_shared_by_threads_matches_its_tol():
+    # threads alternating two tols on one (3;2) circle set, whose N(1) is a
+    # pfq sum at each tol, each get the Fock vector of their own tol
+    tols, z = (1e-12, 1e-14), cmath.exp(3.0j)
+    refs = [st.fock_vector(st.StateSpec(st.validate([1.0, 1.0, 2.0], [9.0, 9.0]), z), tol=tol)
+            for tol in tols]
+    spec, bad = st.StateSpec(st.validate([1.0, 1.0, 2.0], [9.0, 9.0]), z), []
+
+    def work(i):
+        for j in range(100):
+            k = (i + j) % 2
+            got, ref = st.fock_vector(spec, tol=tols[k]), refs[k]
+            if not (np.array_equal(got.coeffs, ref.coeffs) and got.tail_bound == ref.tail_bound):
+                bad.append((i, j))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
