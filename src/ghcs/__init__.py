@@ -47,8 +47,8 @@ from .specfun import (
     gauss_2f1,
     ln_bessel_k,
     ln_gamma,
+    ln_gamma_ratio,
     pfq,
-    pochhammer,
     tricomi_u,
 )
 from .states import (
@@ -85,8 +85,8 @@ __all__ = [
     "circle_weight_attempt", "classify", "closed_form_stats", "default_theta_grid",
     "eigenvalue_residual", "f_coeff", "fock_basis_vector",
     "fock_from_coeffs", "fock_vector", "g_coefficients", "gauss_2f1",
-    "gh_husimi", "inner_product_via_measure", "ln_bessel_k", "ln_gamma", "mean_and_mandel",
-    "moment_check", "normalization", "overlap", "pfq", "phase_distribution",
-    "pn_distribution", "pochhammer", "radial_phase_check",
+    "gh_husimi", "inner_product_via_measure", "ln_bessel_k", "ln_gamma", "ln_gamma_ratio",
+    "mean_and_mandel", "moment_check", "normalization", "overlap", "pfq", "phase_distribution",
+    "pn_distribution", "radial_phase_check",
     "rho", "self_dual_husimi", "tricomi_u", "validate", "weight", "weight_tilde",
 ]

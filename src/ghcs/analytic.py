@@ -27,6 +27,8 @@ from .errors import DivergenceError, RangeError
 from .states import FockVector, ParameterSet, rho_steps
 from .weights import density_integral
 
+QUAD_TOL = 1e-9  # relative tolerance of the radial passes here and in phase
+
 
 def analytic_rep(params: ParameterSet, psi: FockVector, zeta: complex) -> complex:
     """A(zeta) = sum_n zeta^n psi_n / sqrt(rho(n)) over the truncated signal, with
@@ -59,8 +61,7 @@ def wavefunction_rows(params: ParameterSet, psi: FockVector, thetas):
 
 
 def inner_product_via_measure(family: str, params: ParameterSet,
-                              phi: FockVector, psi: FockVector,
-                              quad_tol: float = 1e-9) -> complex:
+                              phi: FockVector, psi: FockVector) -> complex:
     """<phi|psi> reconstructed as integral d mu(zeta) A_phi*(zeta) A_psi(zeta).
 
     Angular integration uses a uniform M-point rule with M > combined
@@ -75,6 +76,6 @@ def inner_product_via_measure(family: str, params: ParameterSet,
     k = min(phi.cutoff, psi.cutoff) + 1
     val, _ = density_integral(
         family, params, lambda x, ln: np.mean(rows_phi(x, ln).conj() * rows_psi(x, ln), axis=1),
-        rel_tol=quad_tol, abs_tol=1e-12,
+        rel_tol=QUAD_TOL, abs_tol=1e-12,
         n_peak=int(np.argmax(np.abs(phi.coeffs[:k] * psi.coeffs[:k]))))
     return complex(val)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .analytic import wavefunction_rows
+from .analytic import QUAD_TOL, wavefunction_rows
 from .errors import ParameterError, RangeError
 from .states import FockVector, ParameterSet, checked_abs, log_rho_half, overlap
 from .weights import density_integral, log_weight_tilde, weight, weight_tilde
@@ -223,24 +223,24 @@ def self_dual_husimi(family: str, params: ParameterSet, z_signal: complex,
 
 
 def gh_phase_from_husimi(signal: FockVector, family: str, params: ParameterSet,
-                         thetas, quad_tol: float = 1e-9) -> np.ndarray:
+                         thetas) -> np.ndarray:
     """Phase distribution by direct radial integration of the generalized
     Husimi distribution: P(theta) = (1/2) int_0^R Q(sqrt(x) e^{i theta}) dx,
     one weights.density_integral pass over all angles of the squared
     analytic.wavefunction_rows, split at the Fock order of the largest |psi_n|."""
     rows = wavefunction_rows(params, signal, thetas)
     val, _ = density_integral(family, params, lambda x, ln: np.abs(rows(x, ln)) ** 2,
-                              rel_tol=quad_tol, abs_tol=1e-13,
+                              rel_tol=QUAD_TOL, abs_tol=1e-13,
                               n_peak=int(np.argmax(np.abs(signal.coeffs))))
     return 0.5 * val / math.pi
 
 
 def radial_phase_check(signal: FockVector, family: str, params: ParameterSet,
-                       thetas=None, quad_tol: float = 1e-9) -> float:
+                       thetas=None) -> float:
     """Max absolute deviation between the radially-integrated generalized
     Husimi distribution and the G-table phase distribution (two independent
     pipelines for the same quantity)."""
     thetas = np.linspace(-math.pi, math.pi, 25) if thetas is None else np.asarray(thetas, float)
-    direct = gh_phase_from_husimi(signal, family, params, thetas, quad_tol=quad_tol)
+    direct = gh_phase_from_husimi(signal, family, params, thetas)
     series = phase_distribution(signal, params, thetas).values
     return float(np.max(np.abs(direct - series)))

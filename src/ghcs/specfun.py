@@ -2,7 +2,7 @@
 
 Everything downstream (state construction, photon statistics, weight
 functions, phase distributions) is built on the evaluators in this module:
-log-gamma, Pochhammer symbols, the generalized hypergeometric series pFq,
+log-gamma and its ratios, the generalized hypergeometric series pFq,
 the modified Bessel function K, the Tricomi confluent hypergeometric
 function U, and the Gauss function 2F1 including its unit argument and
 near-unit-argument connection formulas.  The Bessel I and Kummer M ratios
@@ -114,18 +114,26 @@ def _ln_gamma_complex(z: complex) -> complex:
     return _LN_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for real non-pole x."""
-    if x > 0:
-        return 1.0
-    return -1.0 if math.ceil(-x) % 2 == 1 else 1.0
-
-
-def rgamma(x) -> float:
-    """1/Gamma(x) for real x; exactly 0.0 at the poles."""
-    if _is_nonpositive_integer(x):
-        return 0.0
-    return gamma_sign(x) * math.exp(-math.lgamma(x))
+def ln_gamma_ratio(up, down) -> tuple:
+    """(log |prod Gamma(up) / prod Gamma(down)|, sign of the ratio), the log
+    terms summed in the order given, for real arguments and complex ones in
+    conjugate pairs (each pair's |Gamma|^2 is positive).  A pole in down gives
+    the ratio's zero, (-inf, 0.0); a pole in up raises PoleError.  exp of the
+    log carries a relative error of about u sum |ln Gamma|."""
+    ln, sign = 0.0, 1.0
+    for k, v in enumerate((*up, *down)):  # every up is tested before a down pole returns
+        if _is_nonpositive_integer(v):
+            if k < len(up):
+                raise PoleError(f"Gamma ratio pole at {v} in the numerator")
+            return -math.inf, 0.0
+        if isinstance(v, complex):
+            term = ln_gamma(v).real
+        else:
+            term = math.lgamma(v)
+            if v < 0 and math.ceil(-v) % 2 == 1:
+                sign = -sign
+        ln = ln + term if k < len(up) else ln - term
+    return ln, sign
 
 
 def digamma(x: float) -> float:
@@ -150,20 +158,6 @@ def digamma(x: float) -> float:
     tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
         1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def pochhammer(a, n: int):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), empty product for n = 0.
-
-    Computed by explicit product (never a gamma ratio), so negative and
-    complex arguments are exact up to rounding.
-    """
-    if n < 0:
-        raise ValueError("pochhammer order must be non-negative")
-    acc = 1.0
-    for k in range(n):
-        acc = acc * (a + k)
-    return acc
 
 
 def on_unit_circle(r):
@@ -365,7 +359,7 @@ def _tricomi_polynomial(m: int, b, x):
     # U(-m, b, x) terminates: (-1)^m sum_k (-1)^k C(m,k) (b+k)_{m-k} x^k
     s = 0.0
     for k in range(m + 1):
-        s += (-1.0) ** k * math.comb(m, k) * pochhammer(b + k, m - k) * x**k
+        s += (-1.0) ** k * math.comb(m, k) * math.prod(b + k + j for j in range(m - k)) * x**k
     return (-1.0) ** m * s
 
 
@@ -436,29 +430,14 @@ def _tricomi_a_recurrence(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return u_lo
 
 
-def _gamma_ratio(up, down) -> float:
-    """Signed prod Gamma(up) / prod Gamma(down) for real non-pole arguments,
-    formed as exp(sum log|Gamma|) times the product of gamma_sign."""
-    ln = 0.0
-    sign = 1.0
-    for v in up:
-        ln += math.lgamma(v)
-        sign *= gamma_sign(v)
-    for v in down:
-        ln -= math.lgamma(v)
-        sign *= gamma_sign(v)
-    return sign * math.exp(ln)
-
-
 def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
     """2F1(a1, a2; b; 1) = Gamma(b) Gamma(b-a1-a2) / (Gamma(b-a1) Gamma(b-a2)),
     valid for b - a1 - a2 > 0."""
     s = b - a1 - a2
     if s <= 0:
         raise DivergenceError("2F1 at unit argument requires b - a1 - a2 > 0")
-    if rgamma(b - a1) == 0.0 or rgamma(b - a2) == 0.0:
-        return 0.0
-    return _gamma_ratio((b, s), (b - a1, b - a2))
+    ln, sign = ln_gamma_ratio((b, s), (b - a1, b - a2))
+    return sign * math.exp(ln)
 
 
 def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> SeriesResult:
@@ -470,7 +449,8 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
     total, used = np.zeros_like(w), m * len(w)
     if m > 0:
         # finite part: Gamma(m) Gamma(b) / (Gamma(a1+m) Gamma(a2+m)) * sum_{n<m}
-        coeff = _gamma_ratio((float(m), b), (a1 + m, a2 + m))
+        ln, sign = ln_gamma_ratio((float(m), b), (a1 + m, a2 + m))
+        coeff = sign * math.exp(ln)
         t = np.ones_like(w)
         s_fin = 0.0
         for n in range(m):
@@ -479,10 +459,11 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
                 t = t * (a1 + n) * (a2 + n) * w / ((n + 1.0) * (n + 1.0 - m))
         total = total + coeff * s_fin
     # log part: -(-1)^m Gamma(b)/(Gamma(a1)Gamma(a2)) w^m sum_n c_n w^n [...]
-    if rgamma(a1) == 0.0 or rgamma(a2) == 0.0:
-        # 2F1 is a polynomial through the finite part only
+    ln, sign = ln_gamma_ratio((b,), (a1, a2))
+    if sign == 0.0:
+        # 1/Gamma(a1) or 1/Gamma(a2) is zero: 2F1 is a polynomial through the finite part only
         return SeriesResult(total, max(used, 1), np.zeros_like(w), True)
-    coeff = -((-1.0) ** m) * _gamma_ratio((b,), (a1, a2)) * w**m
+    coeff = -((-1.0) ** m) * sign * math.exp(ln) * w**m
     s_log, tail = np.empty_like(w), np.empty_like(w)
     # d1 = psi(a1+m+n) - psi(n+1), d2 = psi(a2+m+n) - psi(n+m+1), stepped by
     # psi(z+1) = psi(z) + 1/z; the differences stay small, so does their rounding
@@ -527,11 +508,13 @@ def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> Se
     (kappa > 1000 |s - m|) and x <= 0.9 takes the direct series at tol
     1e-14 instead (a few hundred terms there)."""
     s = b - a1 - a2
-    c2 = _gamma_ratio((b, -s), (a1, a2)) * w**s
+    ln2, sign2 = ln_gamma_ratio((b, -s), (a1, a2))
+    c2 = sign2 * math.exp(ln2) * w**s
     r2 = pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
-    if rgamma(b - a1) == 0.0 or rgamma(b - a2) == 0.0:
+    ln1, sign1 = ln_gamma_ratio((b, s), (b - a1, b - a2))
+    if sign1 == 0.0:  # 1/Gamma(b - a1) or 1/Gamma(b - a2) is zero
         return SeriesResult(c2 * r2.value, r2.terms_used, np.abs(c2) * r2.tail_estimate, True)
-    c1 = _gamma_ratio((b, s), (b - a1, b - a2))
+    c1 = sign1 * math.exp(ln1)
     r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
     one, two = c1 * r1.value, c2 * r2.value
     value, used = one + two, r1.terms_used + r2.terms_used

@@ -489,8 +489,7 @@ def circle_row(params: ParameterSet, tol: float):
         return row
     n1 = row[1] if kept else normalization(params, 1.0, tol=tol)
     ln_n, eta = math.log(n1), params.eta
-    g = sum(specfun.ln_gamma(v).real for v in params.a) - sum(
-        specfun.ln_gamma(v).real for v in params.b)
+    g = specfun.ln_gamma_ratio(params.a, params.b)[0]
     size = 1.5 * math.exp(min((math.log(tol / 100.0) + g + ln_n + math.log(-eta)) / eta, 12.0))
     grown = 2 * row[3][-1] if kept else 0  # a tol that the kept row does not serve
     cuts = _CIRCLE_CUTS[: np.searchsorted(_CIRCLE_CUTS, max(size, grown)) + 1]

@@ -133,23 +133,24 @@ def _ln_density(family: str, vals: tuple, x: np.ndarray, om=None) -> tuple:
         return -x, np.ones_like(x)
     if family == "F01":
         b = vals[0]
-        return (math.log(2.0) + 0.5 * (b - 1.0) * np.log(x) - math.lgamma(b)
+        return (math.log(2.0) + 0.5 * (b - 1.0) * np.log(x) + specfun.ln_gamma_ratio((), (b,))[0]
                 + specfun.ln_bessel_k(b - 1.0, 2.0 * np.sqrt(x))), np.ones_like(x)
     if family == "F11":
         a, b = vals
-        ln_pref, y = math.lgamma(a) - math.lgamma(b) - x, specfun.tricomi_u(a - b, 2.0 - b, x)
+        ln_pref, sign = specfun.ln_gamma_ratio((a,), (b,))
+        ln_pref, y = ln_pref - x, specfun.tricomi_u(a - b, 2.0 - b, x)
     else:
         om = 1.0 - x if om is None else om
         if family == "F10":
             return math.log(vals[0] - 1.0) + (vals[0] - 2.0) * np.log(om), np.ones_like(x)
         a1, a2, b = vals
         s = a1 + a2 - b
-        ln_pref = (math.lgamma(a1) + math.lgamma(a2) - math.lgamma(b) - math.lgamma(s - 1.0)
-                   + (s - 2.0) * np.log(om))
+        ln_pref, sign = specfun.ln_gamma_ratio((a1, a2), (b, s - 1.0))
+        ln_pref = ln_pref + (s - 2.0) * np.log(om)
         # x is the exact distance of the 2F1 argument om to 1
         y = specfun.gauss_2f1(a2 - b, a1 - b, s - 1.0, om, w=x, tol=1e-14).value
     with np.errstate(divide="ignore"):
-        return ln_pref + np.log(np.abs(y)), np.sign(y)
+        return ln_pref + np.log(np.abs(y)), sign * np.sign(y)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,25 @@ def test_stats_single_point(capsys):
     assert mean == pytest.approx(2.0 * 0.25 / 0.75, rel=1e-10)
 
 
+@pytest.mark.parametrize("command", ["state", "pn", "stats"])
+def test_circle_state_of_a_large_b_set(capsys, command):
+    # (0.5,0.5;200) at |z| = 1: N(1) = Gamma(200) Gamma(199) / Gamma(199.5)^2
+    # is a log Gamma ratio; read through 1/Gamma(199.5), which underflows, it
+    # was 0 and each command exited 65 with a bare "math domain error"
+    mpmath = pytest.importorskip("mpmath")
+    code, doc, err = run_json(capsys, command, "--a", "0.5,0.5", "--b", "200", "--absz", "1")
+    assert code == 0, err
+    first = doc["series"][0]["points"][0][1]
+    with mpmath.workdps(40):
+        n1 = float(mpmath.hyp2f1(0.5, 0.5, 200, 1))
+    if command == "state":  # c_0 = 1/sqrt(N(1))
+        assert 1.0 / first**2 == pytest.approx(n1, rel=1e-12, abs=0.0)
+    elif command == "pn":  # P(0) = 1/N(1)
+        assert 1.0 / first == pytest.approx(n1, rel=1e-12, abs=0.0)
+    else:  # the mean N'(1)/N(1) = a1 a2 / (s - 1), s = b - a1 - a2 = 199
+        assert first == pytest.approx(0.25 / 198.0, rel=1e-12, abs=0.0)
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, "stats", "--a", "2", "--absz", "0.5", "--format", "csv")
     assert code == 0

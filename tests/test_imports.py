@@ -66,6 +66,20 @@ def test_one_density_path():
                 assert not ids & {"np", "math"}, (name, node.lineno)
 
 
+def test_one_gamma_ratio():
+    # Gamma ratios are specfun.ln_gamma_ratio: no other module calls lgamma,
+    # and in specfun only ln_gamma, ln_gamma_ratio and the Laplace integral's
+    # 1/Gamma(a) call math.lgamma, so a second hand-written ratio cannot return
+    callers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "lgamma" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    callers.setdefault(path.name, set()).add(getattr(top, "name", "<module>"))
+    assert callers == {"specfun.py": {"ln_gamma", "ln_gamma_ratio", "_tricomi_laplace"}}
+
+
 def test_one_density_formula():
     # every weight density is written once, as (log|wt|, sign): each special
     # function a density needs is called from one top-level function of

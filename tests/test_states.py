@@ -737,6 +737,20 @@ def test_overlap_coherent_formula():
     assert st.overlap(CS, a1, a2) == pytest.approx(ref, rel=1e-12)
 
 
+def test_overlap_of_a_large_b_disk_set_against_mpmath():
+    # N(0.9409) of (1,1.5;180.3) takes the two-term connection formula, whose
+    # coefficient Gamma(180.3) Gamma(177.8) / (Gamma(179.3) Gamma(178.8)) is a
+    # log Gamma ratio: read through 1/Gamma, which underflows past 178.5, it
+    # was dropped, N came out 7e-224 and the overlap divided by zero
+    mpmath = pytest.importorskip("mpmath")
+    z, z2 = 0.97, 0.97j
+    with mpmath.workdps(40):
+        n = lambda x: mpmath.hyp2f1(1, 1.5, 180.3, x)
+        ref = complex(n(z * z2) / mpmath.sqrt(n(abs(z) ** 2) * n(abs(z2) ** 2)))
+    got = st.overlap(st.validate([1.0, 1.5], [180.3]), z, z2)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_overlap_cauchy_schwarz():
     rng = np.random.default_rng(3)
     families = [CS, st.validate([], [1.5]), st.validate([2.0], [])]
