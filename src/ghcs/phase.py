@@ -1,7 +1,7 @@
 """Husimi distributions and phase distributions.
 
-The phase distribution of a signal with Fock coefficients psi_n (or a
-density matrix rho_{n,n'}) under an analyzing family is
+The phase distribution of a pure signal with Fock coefficients psi_n
+under an analyzing family is
 
     P(theta) = (1/2pi) sum_{n,n'} psi_n psi*_{n'} G(n,n') e^{-i(n-n') theta},
 
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .analytic import QUAD_TOL, wavefunction_rows
-from .errors import ParameterError, RangeError
+from .errors import RangeError
 from .states import FockVector, ParameterSet, checked_abs, log_rho_half, overlap
 from .weights import density_integral, log_weight_tilde, weight, weight_tilde
 
@@ -100,38 +100,32 @@ def default_theta_grid(points: int = 721) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, points)
 
 
-def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
-    """Phase distribution of a pure signal (FockVector) or density matrix.
+def phase_distribution(signal: FockVector, analyzer="Q", thetas=None) -> PhaseDistribution:
+    """Phase distribution of a pure signal, a FockVector; anything else raises TypeError.
 
     P(theta) = (1/2pi) [C_0 + 2 Re sum_m C_m e^{-im theta}] with the lower
-    diagonal sums C_m = sum_{n < w-m} rho_{n+m,n} G(n+m,n), taken over the
+    diagonal sums C_m = sum_{n < w-m} psi_{n+m} psi*_n G(n+m,n), taken over the
     triangle n + m < w only, in blocks of _CM_ROWS rows m on strided views of
     the signal and of T (one exp and one product a block), and summed over
     any theta grid by baby-step giant-step in u = e^{-i theta} (Paterson &
     Stockmeyer, SIAM J. Comput. 2 (1973) 60): k = isqrt(w) + 1 powers of u, one matrix
     product for the inner sums over m mod k and Horner's rule in u^k over
-    the ceil(w/k) rows, about 2 sqrt(w) array steps.  A pure signal enters
-    on the window of n with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2)
-    is discretely convex (then G <= 1, and the dropped terms are below
-    1e-17 ||psi||_1 max|psi|); otherwise, and for density matrices, the
-    window is the whole matrix.
+    the ceil(w/k) rows, about 2 sqrt(w) array steps.  The signal enters on
+    the window of n with |psi_n| >= 1e-17 max|psi| when T = log rho(k/2) is
+    discretely convex (then G <= 1, and the dropped terms are below 1e-17
+    ||psi||_1 max|psi|); otherwise the window is the whole signal.
     Cut at a Fock slice's certified rest (|psi_n| >= 1e-9 max|psi|), the window would
     move P(theta) by up to 9e-10 of its peak (PB analyzer), past a brute-force sum's 1e-12.
     A window, not a signal, above G_TABLE_CAP + 1 orders raises RangeError.
     The normalization residual is the trapezoid integral's deviation from 1.
     """
+    if not isinstance(signal, FockVector):
+        raise TypeError(f"phase_distribution takes a FockVector, got {type(signal).__name__}")
     thetas = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
-    pure = isinstance(signal, FockVector)
-    psi = signal.coeffs if pure else np.asarray(signal, dtype=complex)
-    if not pure:
-        if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
-            raise ValueError("density matrix must be square")
-        herm = np.max(np.abs(psi - psi.conj().T))
-        if herm > 1e-12:
-            raise ParameterError(f"density matrix hermiticity residual {herm:g} > 1e-12")
+    psi = signal.coeffs
     t = log_rho_half(analyzer_params(analyzer), len(psi) - 1)
     lo, w = 0, len(psi)
-    if pure and np.all(np.diff(t, 2) >= 0.0):
+    if np.all(np.diff(t, 2) >= 0.0):
         mag = np.abs(psi)
         keep = np.flatnonzero(~(mag < 1e-17 * mag.max()))  # a nan or 0 max keeps all
         lo, w = int(keep[0]), int(keep[-1] - keep[0]) + 1
@@ -150,27 +144,19 @@ def phase_distribution(signal, analyzer="Q", thetas=None) -> PhaseDistribution:
     t_mid = as_strided(t_pad, (w, w), (s, 2 * s))  # T[2n+m]
     h_sum = as_strided(h_pad, (w, w), (s, s))  # T[2(n+m)]/2; the row h_pad[:w] is T[2n]/2
     rows = min(_CM_ROWS, w)
-    # the signal, zero-padded by one block, and the (row, column) steps that
-    # read rho_{n+m,n} from it: psi_{n+m} (times conj psi_n, the conjugated
-    # left factor of vecdot) or the matrix (times ones); a block's view ends
-    # before w + rows - 1, or (w + rows - 1) w
-    if pure:
-        amp = np.zeros(w + rows, dtype=complex)
-        amp[:w] = psi[lo: lo + w]
-        left, step = amp[:w], (1, 1)
-    else:
-        amp = np.zeros((w + rows) * w, dtype=complex)
-        amp[: w * w] = psi.ravel()
-        left, step = np.ones(w), (w, w + 1)
-    strides = tuple(amp.strides[0] * k for k in step)
+    # the signal, zero-padded by one block, read as psi_{n+m} (times conj
+    # psi_n, the conjugated left factor of vecdot); a block's view ends
+    # before w + rows - 1
+    amp = np.zeros(w + rows, dtype=complex)
+    amp[:w] = psi[lo: lo + w]
     c = np.empty(w, dtype=complex)
     for m0 in range(0, w, rows):
         m1, cols = min(m0 + rows, w), w - m0
         g = np.add(h_sum[m0:m1, :cols], h_pad[:cols])
         np.subtract(t_mid[m0:m1, :cols], g, out=g)
         np.exp(g, out=g)
-        cells = as_strided(amp[m0 * step[0]:], (m1 - m0, cols), strides) * g
-        np.vecdot(left[:cols], cells, out=c[m0:m1])
+        cells = as_strided(amp[m0:], (m1 - m0, cols), amp.strides * 2) * g
+        np.vecdot(amp[:cols], cells, out=c[m0:m1])
     # acc = sum_{m >= 1} C_m u^m, u = e^{-i theta}, baby-step giant-step: with
     # m = jk + r, the inner sums over r for every j are one product with the
     # powers u^0..u^(k-1), then Horner's rule in u^k runs over the rows j

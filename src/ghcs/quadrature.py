@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+MAX_INTERVALS = 2000  # live panels a pass may reach before integrate gives up
+
 # rows (node, Gauss weight, Kronrod weight); Gauss weight 0 marks Kronrod-only nodes
 _NODES, _WG, _WK = np.array((
     (+0.991455371120813, 0.0, 0.022935322010529),
@@ -63,7 +65,7 @@ def _gk_panels(f, lo, hi):
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
-              abs_tol: float = 1e-14, max_intervals: int = 2000, points=()):
+              abs_tol: float = 1e-14, points=()):
     """Adaptive bisection integral of f over [a, b] in refinement rounds.
 
     f maps an array of m nodes to shape (m,) or (m, k), real or complex, and
@@ -73,7 +75,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
     i, the fewest worst panels whose errors cover err_i - max(abs_tol,
     rel_tol*|I_i|), and the union of these over the components.  Returns
     (value, error_estimate), componentwise; raises ConvergenceError when a
-    round would pass max_intervals live panels before every component meets
+    round would pass MAX_INTERVALS live panels before every component meets
     its tolerance.
     """
     edges = np.array([a, *sorted({p for p in points if a < p < b}), b], dtype=float)
@@ -88,9 +90,9 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10,
         order = np.argsort(-e, axis=0)  # panels by error, worst first, per component
         need = (np.cumsum(np.take_along_axis(e, order, 0), axis=0) < short).sum(axis=0)
         split = (np.argsort(order, axis=0) < need + ~(short <= 0.0)).any(axis=1)  # NaN splits too
-        if len(lo) + split.sum() > max_intervals:
+        if len(lo) + split.sum() > MAX_INTERVALS:
             raise ConvergenceError(f"quadrature stalled: a round would pass the budget of "
-                                   f"{max_intervals} intervals, worst component error "
+                                   f"{MAX_INTERVALS} intervals, worst component error "
                                    f"{short.max():.3g} above its target")
         mid = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])

@@ -49,15 +49,14 @@ _LN_SQRT_2PI = 0.9189385332046727
 class SeriesResult:
     """Outcome of a truncated series evaluation.
 
-    tail_estimate bounds the truncation error; when converged is True it is
-    at most tol * max(1, |value|) for the tol the series was run at.  A sum
-    over an array of arguments holds arrays of values and tail estimates.
+    tail_estimate bounds the truncation error, at most tol * max(1, |value|)
+    for the tol the series was run at (an evaluator that misses it raises).
+    A sum over an array of arguments holds arrays of values and tail estimates.
     """
 
     value: complex
     terms_used: int
     tail_estimate: float
-    converged: bool
 
 
 def _is_nonpositive_integer(v) -> bool:
@@ -136,6 +135,14 @@ def ln_gamma_ratio(up, down) -> tuple:
     return ln, sign
 
 
+def _exp_ratio(ln: float) -> float:
+    """exp of a ln_gamma_ratio log; past the double range RangeError names the log."""
+    try:
+        return math.exp(ln)
+    except OverflowError:
+        raise RangeError(f"Gamma ratio exp({ln:.6g}) exceeds double range") from None
+
+
 def digamma(x: float) -> float:
     """Digamma function for real x (poles excluded).
 
@@ -163,7 +170,7 @@ def digamma(x: float) -> float:
 def on_unit_circle(r):
     """Whether the modulus r (a float or an array) lies on the unit circle,
     within UNIT_BAND of 1: the one test of the circle, for the pfq argument
-    here and for the state point |z| (states.StateSpec, normalization)."""
+    here and for the state point |z| (states.StateSpec)."""
     return abs(r - 1.0) <= UNIT_BAND
 
 
@@ -178,9 +185,7 @@ def _check_pfq_domain(a, b, x: np.ndarray):
     if inside.all():
         return
     eta = sum(complex(ai).real for ai in a) - sum(complex(bj).real for bj in b)
-    # inside the disk, or on the ring with eta < 0, or 0 <= eta < 1 off x = 1
-    # (conditionally convergent ring point)
-    ok = inside | on_unit_circle(ax) & ((eta < 0) | (eta < 1) & (np.abs(x - 1.0) > UNIT_BAND))
+    ok = inside | on_unit_circle(ax) & (eta < 0)  # inside the disk, or on the ring with eta < 0
     if not ok.all():
         raise DivergenceError(
             f"{p}F{q} diverges at |x| = {ax[~ok][0]:g} (unit-disk family)"
@@ -195,8 +200,8 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
     a, b : sequences of real or complex parameters; no b_j may be a
         non-positive integer.
     x : real or complex argument, or a 1-D array of them, inside the
-        convergence domain (any x for p <= q, |x| < 1 for p = q+1, |x| = 1
-        with eta < 0, or |x| = 1, x != 1 with 0 <= eta < 1).
+        convergence domain (any x for p <= q, |x| < 1 for p = q+1, or
+        |x| = 1 with eta < 0).
     tol : requested relative truncation error.
 
     All nodes are summed at once, in blocks of terms formed by
@@ -282,8 +287,8 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
             term, s, prev_abs, prev_small = t[:, -1], sums[:, -1], at[:, -2:], small[:, -2:]
             n0, k = n0 + len(n), min(2 * k, 1024)
     if np.ndim(x):
-        return SeriesResult(value, used, tail, True)
-    return SeriesResult(_as_real_if_possible(value[0].item()), used, float(tail[0]), True)
+        return SeriesResult(value, used, tail)
+    return SeriesResult(_as_real_if_possible(value[0].item()), used, float(tail[0]))
 
 
 def _log_trapezoid(log_f, lo, hi, n: int, *cols) -> np.ndarray:
@@ -437,7 +442,7 @@ def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
     if s <= 0:
         raise DivergenceError("2F1 at unit argument requires b - a1 - a2 > 0")
     ln, sign = ln_gamma_ratio((b, s), (b - a1, b - a2))
-    return sign * math.exp(ln)
+    return sign * _exp_ratio(ln)
 
 
 def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> SeriesResult:
@@ -450,7 +455,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
     if m > 0:
         # finite part: Gamma(m) Gamma(b) / (Gamma(a1+m) Gamma(a2+m)) * sum_{n<m}
         ln, sign = ln_gamma_ratio((float(m), b), (a1 + m, a2 + m))
-        coeff = sign * math.exp(ln)
+        coeff = sign * _exp_ratio(ln)
         t = np.ones_like(w)
         s_fin = 0.0
         for n in range(m):
@@ -462,8 +467,8 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
     ln, sign = ln_gamma_ratio((b,), (a1, a2))
     if sign == 0.0:
         # 1/Gamma(a1) or 1/Gamma(a2) is zero: 2F1 is a polynomial through the finite part only
-        return SeriesResult(total, max(used, 1), np.zeros_like(w), True)
-    coeff = -((-1.0) ** m) * sign * math.exp(ln) * w**m
+        return SeriesResult(total, max(used, 1), np.zeros_like(w))
+    coeff = -((-1.0) ** m) * sign * _exp_ratio(ln) * w**m
     s_log, tail = np.empty_like(w), np.empty_like(w)
     # d1 = psi(a1+m+n) - psi(n+1), d2 = psi(a2+m+n) - psi(n+m+1), stepped by
     # psi(z+1) = psi(z) + 1/z; the differences stay small, so does their rounding
@@ -496,7 +501,7 @@ def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> Serie
         rows, t, s, prev_small = rows[keep], terms[keep, -1] * ratio[keep, -1], sums[keep, -1], small[keep, -2:]
         d1, d2 = psi1[-1] + inc1[-1], psi2[-1] + inc2[-1]
         n0, k = n0 + len(n), min(2 * k, 1024)
-    return SeriesResult(total + coeff * s_log, used, tail, True)
+    return SeriesResult(total + coeff * s_log, used, tail)
 
 
 def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> SeriesResult:
@@ -509,12 +514,12 @@ def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> Se
     1e-14 instead (a few hundred terms there)."""
     s = b - a1 - a2
     ln2, sign2 = ln_gamma_ratio((b, -s), (a1, a2))
-    c2 = sign2 * math.exp(ln2) * w**s
+    c2 = sign2 * _exp_ratio(ln2) * w**s
     r2 = pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
     ln1, sign1 = ln_gamma_ratio((b, s), (b - a1, b - a2))
     if sign1 == 0.0:  # 1/Gamma(b - a1) or 1/Gamma(b - a2) is zero
-        return SeriesResult(c2 * r2.value, r2.terms_used, np.abs(c2) * r2.tail_estimate, True)
-    c1 = sign1 * math.exp(ln1)
+        return SeriesResult(c2 * r2.value, r2.terms_used, np.abs(c2) * r2.tail_estimate)
+    c1 = sign1 * _exp_ratio(ln1)
     r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
     one, two = c1 * r1.value, c2 * r2.value
     value, used = one + two, r1.terms_used + r2.terms_used
@@ -523,24 +528,19 @@ def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> Se
     if direct.any():
         r = pfq((a1, a2), (b,), x[direct], tol=1e-14)
         value[direct], tail[direct], used = r.value, r.tail_estimate, used + r.terms_used
-    return SeriesResult(value, used, tail, True)
+    return SeriesResult(value, used, tail)
 
 
 def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
     """2F1 at nodes x with exact distances w = 1 - x, floats or arrays, that
-    all lie on branch k = (x >= 0) + (x > 0.8) + (w == 0) of gauss_2f1."""
+    all lie on branch k = (x > 0.8) + (w == 0) of gauss_2f1."""
     if k == 0:
-        # Pfaff: (1-x)^{-a1} 2F1(a1, b-a2; b; x/(x-1)) (DLMF 15.8.1), x/(x-1) =
-        # -x/w in (0, 1/2), its tail of one sign; the direct series loses 4.6e-8
-        f, inner = w**-a1, pfq((a1, b - a2), (b,), -x / w, tol=tol)
-        return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate, True)
-    if k == 1:
         return pfq((a1, a2), (b,), x, tol=tol)
-    if k == 3:
-        return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0, True)
+    if k == 2:
+        return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0)
     if not isinstance(w, np.ndarray):  # the connection formulas sum arrays
-        r = _gauss_branch(2, a1, a2, b, np.array([x]), np.array([w]), tol)
-        return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]), True)
+        r = _gauss_branch(1, a1, a2, b, np.array([x]), np.array([w]), tol)
+        return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]))
     s = b - a1 - a2
     if abs(s - round(s)) >= 1e-10:
         return _gauss_nonint_connection(a1, a2, b, x, w, tol)
@@ -548,33 +548,34 @@ def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
         return _gauss_log_case(a1, a2, b, w, tol)
     # Euler: 2F1(a1, a2; b; x) = w^s 2F1(b - a1, b - a2; b; x), exponent -s > 0
     f, inner = w**s, _gauss_log_case(b - a1, b - a2, b, w, tol)
-    return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate, True)
+    return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate)
 
 
 def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
               w=None) -> SeriesResult:
     """Gauss function 2F1(a1, a2; b; x) for real parameters and real x in
-    (-1, 1], a float or a 1-D array (whose result holds arrays, as pfq's).
+    [0, 1], the |z|^2 of the states, a float or a 1-D array (whose result
+    holds arrays, as pfq's).
 
     w is the distance 1 - x, formed as 1 - x unless given (exact for
     x >= 0.5): the F21 density passes it and stays accurate where x rounds
-    to 1.  Each branch takes all its nodes in one call: x < 0 the Pfaff
-    transformation; 0 <= x <= 0.8 the direct series (the connection formulas
-    can lose ~8 digits just past 0.5); 0.8 < x < 1 the connection formulas
-    in w (logarithmic case at integer b - a1 - a2, after the Euler
-    transformation if negative; two terms otherwise, the direct series
-    where they cancel at x <= 0.9); w = 0 the gamma formula, b - a1 - a2 > 0.
-    A terminating series (a1 or a2 a non-positive integer) is summed directly.
+    to 1.  Each branch takes all its nodes in one call: x <= 0.8 the direct
+    series (the connection formulas can lose ~8 digits just past 0.5);
+    0.8 < x < 1 the connection formulas in w (logarithmic case at integer
+    b - a1 - a2, after the Euler transformation if negative; two terms
+    otherwise, the direct series where they cancel at x <= 0.9); w = 0 the
+    gamma formula, b - a1 - a2 > 0.  A terminating series (a1 or a2 a
+    non-positive integer) is summed directly.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"gauss_2f1 pole: b = {b}")
+    nodes, w = isinstance(x, np.ndarray), 1.0 - x if w is None else w
+    inside = (x >= 0.0) & (w >= 0.0)  # a bool, or one per node
+    if not (inside.all() if nodes else inside):
+        raise DivergenceError(f"gauss_2f1 requires 0 <= x <= 1, got {x}")
     if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
         return pfq((a1, a2), (b,), x, tol=tol)  # terminating
-    nodes, w = isinstance(x, np.ndarray), 1.0 - x if w is None else w
-    inside = (x > -1.0) & (w >= 0.0)  # a bool, or one per node
-    if not (inside.all() if nodes else inside):
-        raise DivergenceError(f"gauss_2f1 requires -1 < x < 1 or x = 1, got {x}")
-    branch = 1 * (x >= 0.0) + (x > 0.8) + (w == 0.0)  # numpy adds bools as or
+    branch = 1 * (x > 0.8) + (w == 0.0)  # numpy adds bools as or
     if not nodes:
         return _gauss_branch(branch, a1, a2, b, x, w, tol)
     value, tail, used = np.empty_like(x), np.empty_like(x), 0
@@ -582,4 +583,4 @@ def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
         on = branch == k
         r = _gauss_branch(k, a1, a2, b, x[on], w[on], tol)
         value[on], tail[on], used = r.value, r.tail_estimate, used + r.terms_used
-    return SeriesResult(value, used, tail, True)
+    return SeriesResult(value, used, tail)

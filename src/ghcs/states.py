@@ -282,10 +282,16 @@ def rho_steps(params: ParameterSet, n: int):
 
 def log_rho_half(params: ParameterSet, n: int) -> np.ndarray:
     """T[k] = log rho(k/2) for k = 0..2n.  Even k read rho_steps; odd k are
-    anchored by one gamma-form value log rho(1/2) and stepped by f(j+1/2)^2."""
+    anchored by the gamma form rho(1/2) = Gamma(3/2) prod Gamma(b+1/2) Gamma(a)
+    / (prod Gamma(b) Gamma(a+1/2)) and stepped by f(j+1/2)^2.  A negative
+    rho(1/2) has no log and raises ParameterError."""
+    a, b = params.a, params.b
+    ln, sign = specfun.ln_gamma_ratio((1.5, *(v + 0.5 for v in b), *a), (*b, *(v + 0.5 for v in a)))
+    if sign < 0:
+        raise ParameterError(f"rho(1/2) = -exp({ln:.6g}) is negative")
     t = np.empty(2 * n + 1)
     t[0::2] = rho_steps(params, n)[1]
-    t[1::2] = log_rho_gamma(params, 0.5) + _log_ratio_sum(params, np.arange(n - 1) + 0.5)[1][:n]
+    t[1::2] = ln + _log_ratio_sum(params, np.arange(n - 1) + 0.5)[1][:n]
     return t
 
 
@@ -305,19 +311,6 @@ def rho(params: ParameterSet, n: int) -> float:
     return math.exp(lr)
 
 
-def log_rho_gamma(params: ParameterSet, nu: float):
-    """log rho at arbitrary (e.g. half-integer) order via the gamma form
-    log Gamma(nu+1) + sum[lnG(b+nu) - lnG(b)] - sum[lnG(a+nu) - lnG(a)]."""
-    total = complex(specfun.ln_gamma(nu + 1.0))
-    for bj in params.b:
-        total += complex(specfun.ln_gamma(bj + nu)) - complex(specfun.ln_gamma(bj))
-    for ai in params.a:
-        total -= complex(specfun.ln_gamma(ai + nu)) - complex(specfun.ln_gamma(ai))
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise ParameterError(f"log rho({nu}) has imaginary residue {total.imag:g}")
-    return total.real
-
-
 def _real_gauss(params: ParameterSet) -> bool:
     """Whether normalization sums params with gauss_2f1: a real (2;1) set,
     whose N(1) is the gamma formula, the same at every tol."""
@@ -327,25 +320,19 @@ def _real_gauss(params: ParameterSet) -> bool:
 
 def normalization(params: ParameterSet, x, tol: float = specfun.DEFAULT_TOL):
     """Normalization function pFq(a; b; x) at x = |z|^2 >= 0, a float or a
-    1-D array (whose result is an array).
+    1-D array (whose result is an array), taken as given: a point of
+    StateSpec's circle band comes in at x = 1.
 
-    A p = q + 1 family takes a point on the unit circle (sqrt(x) within
-    specfun.UNIT_BAND of 1, the test StateSpec applies to |z|) at x = 1,
-    which requires eta < 0; the (2;1) family then uses the closed gamma
-    formula for 2F1 at unit argument (the raw series converges only like
-    n^eta there).
+    A p = q + 1 family takes x = 1 only for eta < 0; the (2;1) family then
+    uses the closed gamma formula for 2F1 at unit argument (the raw series
+    converges only like n^eta there).
     """
     nodes = isinstance(x, np.ndarray)
     if (x.min(initial=0.0) if nodes else x) < 0:
         raise ValueError("normalization argument is |z|^2 >= 0")
     dom = classify(params)
-    if params.p == params.q + 1:
-        on = specfun.on_unit_circle(np.sqrt(x))  # a bool, or one per node
-        if on.any():
-            if dom.eta >= 0:
-                raise DivergenceError(
-                    f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
-            x = np.where(on, 1.0, x) if nodes else 1.0
+    if params.p == params.q + 1 and dom.eta >= 0 and np.any(x == 1.0):
+        raise DivergenceError(f"normalization diverges at |z| = 1 for eta = {dom.eta:g} >= 0")
     if _real_gauss(params):
         # the Gauss evaluator keeps full accuracy near and at the disk edge,
         # where the raw series slows to a crawl; x = 1 takes its unit formula
@@ -560,17 +547,15 @@ def fock_vector(spec: StateSpec, tol: float = DEFAULT_FOCK_TOL) -> FockVector:
 def overlap(params: ParameterSet, z: complex, z2: complex,
             tol: float = specfun.DEFAULT_TOL) -> complex:
     """<p;q;z | p;q;z2> = N(z* z2) / sqrt(N(|z|^2) N(|z2|^2)).  A point on the
-    circle (|z| within specfun.UNIT_BAND of 1) enters at z/|z|, as it does in
-    normalization."""
-    points = []
+    circle (|z| within specfun.UNIT_BAND of 1) enters at z/|z|, and its
+    |z|^2 at 1.0."""
+    points, xs = [], []
     for point in (complex(z), complex(z2)):
         kind = StateSpec(params, point).domain_kind()
         on_circle = kind in (DomainKind.CIRCLE_NORMALIZED, DomainKind.CIRCLE_UNNORMALIZABLE)
         points.append(point / abs(point) if on_circle else point)
-    z, z2 = points
-    num = specfun.pfq(params.a, params.b, z.conjugate() * z2, tol=tol).value
-    den = math.sqrt(
-        normalization(params, abs(z) ** 2, tol=tol)
-        * normalization(params, abs(z2) ** 2, tol=tol)
-    )
+        xs.append(1.0 if on_circle else abs(point) ** 2)
+    # N(|z|^2) first: a circle point with eta >= 0 gets normalization's refusal, not pfq's
+    den = math.sqrt(normalization(params, xs[0], tol=tol) * normalization(params, xs[1], tol=tol))
+    num = specfun.pfq(params.a, params.b, points[0].conjugate() * points[1], tol=tol).value
     return complex(num) / den

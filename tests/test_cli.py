@@ -123,6 +123,28 @@ def test_sweep_past_the_term_cap_names_x_and_the_cap(capsys):
     assert "infinity" not in err
 
 
+def test_gamma_ratio_past_double_range_names_the_log(capsys):
+    # N(1) = Gamma(1) Gamma(1202) / Gamma(601.5)^2 of a valid negative pair
+    # (eta = -1202) is past the double range: the message names its log
+    code, out, err = run(capsys, "state", "--a=-600.5,-600.5", "--b", "1", "--absz", "1")
+    assert code == 65 and out == ""
+    assert "Gamma ratio exp(828.698) exceeds double range" in err
+
+
+def test_f21_weight_inside_the_circle_band(capsys):
+    # x = 1 - 1e-14 lies in the weight's support [0, 1), within the circle
+    # band of StateSpec: normalization takes it as given, so eta = 4 >= 0 is fine
+    mpmath = pytest.importorskip("mpmath")
+    code, doc, _ = run_json(capsys, "weight", "--family", "F21", "--a", "3,3", "--b", "2",
+                            "--x-min", "0.5", "--x-max", "0.99999999999999", "--points", "3")
+    assert code == 0
+    x, w = doc["series"][0]["points"][-1]
+    with mpmath.workdps(40):
+        om = 1 - mpmath.mpf(x)
+        ref = 2 * om**2 * mpmath.hyp2f1(1, 1, 3, om) * mpmath.hyp2f1(3, 3, 2, x)
+    assert w == pytest.approx(float(ref), rel=1e-10)
+
+
 def test_max_terms_env(capsys, monkeypatch):
     monkeypatch.setenv("GHCS_MAX_TERMS", "5")
     code, _, _ = run(capsys, "pn", "--b", "1", "--absz", "3")

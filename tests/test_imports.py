@@ -67,15 +67,16 @@ def test_one_density_path():
 
 
 def test_one_gamma_ratio():
-    # Gamma ratios are specfun.ln_gamma_ratio: no other module calls lgamma,
+    # Gamma ratios are specfun.ln_gamma_ratio, the half-order anchor log rho(1/2)
+    # of states.log_rho_half included: no other module calls lgamma or ln_gamma,
     # and in specfun only ln_gamma, ln_gamma_ratio and the Laplace integral's
     # 1/Gamma(a) call math.lgamma, so a second hand-written ratio cannot return
     callers = {}
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "lgamma" in (
-                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                if isinstance(node, ast.Call) and {"lgamma", "ln_gamma"} & {
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)}:
                     callers.setdefault(path.name, set()).add(getattr(top, "name", "<module>"))
     assert callers == {"specfun.py": {"ln_gamma", "ln_gamma_ratio", "_tricomi_laplace"}}
 

@@ -163,25 +163,18 @@ def test_theta_shift_covariance():
     assert np.max(np.abs(d1.values[:-1] - rolled)) <= 1e-12
 
 
-def test_density_matrix_input_matches_pure_state():
-    sig = coherent_signal()
-    rho = np.outer(sig.coeffs, sig.coeffs.conj())
-    d1 = ph.phase_distribution(sig, "Q")
-    d2 = ph.phase_distribution(rho, "Q")
-    assert np.max(np.abs(d1.values - d2.values)) <= 1e-14
-
-
-def test_density_matrix_hermiticity_validated():
-    bad = np.array([[1.0, 0.5], [0.2, 0.0]], dtype=complex)
-    with pytest.raises(ParameterError):
-        ph.phase_distribution(bad, "Q")
+def test_phase_distribution_refuses_a_density_matrix():
+    # pure signals only: a matrix, or bare coefficients, is a TypeError
+    for signal in (np.eye(2), np.eye(2, dtype=complex), coherent_signal().coeffs):
+        with pytest.raises(TypeError, match="FockVector"):
+            ph.phase_distribution(signal, "Q")
 
 
 def test_mixed_state_phase_distribution():
-    # an equal mixture of |0> and |1> has no coherences: uniform phase
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    d = ph.phase_distribution(rho, "Q")
-    assert np.max(np.abs(d.values - 1.0 / TWO_PI)) <= 1e-14
+    # an equal mixture of |0> and |1> has no coherences: uniform phase, the
+    # mean of its components' distributions
+    d = [ph.phase_distribution(st.fock_basis_vector(n), "Q") for n in (0, 1)]
+    assert np.max(np.abs(0.5 * (d[0].values + d[1].values) - 1.0 / TWO_PI)) <= 1e-14
 
 
 def _brute_force_phase(psi, log_rho, thetas):
@@ -234,7 +227,11 @@ def _window(psi):
 
 
 def _assert_brute_force(signal, analyzer, thetas, brute):
-    got = ph.phase_distribution(signal, _ORACLE_ANALYZERS[analyzer][0], thetas).values
+    # a mixed state is a list of (weight, FockVector): P(theta) is linear in
+    # psi psi*, so it is the weighted sum of its components' distributions
+    mixture = [(1.0, signal)] if isinstance(signal, st.FockVector) else signal
+    got = sum(p * ph.phase_distribution(s, _ORACLE_ANALYZERS[analyzer][0], thetas).values
+              for p, s in mixture)
     ref = brute(_lgamma_log_rho(*_ORACLE_ANALYZERS[analyzer][1:]))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -287,17 +284,14 @@ def test_phase_sum_on_an_unsorted_grid_past_one_turn(analyzer):
 
 @pytest.mark.parametrize("analyzer", sorted(_ORACLE_ANALYZERS))
 def test_phase_sum_of_a_density_matrix(analyzer):
-    # P(theta) is linear in rho: a mixture of three signals is the mixture of
-    # their brute-force distributions
-    sigs = [coherent_signal(absz=r, phi=phi).coeffs
+    # a mixture of three signals of different lengths, taken as the weighted
+    # sum of their distributions, is the mixture of their brute-force ones
+    sigs = [coherent_signal(absz=r, phi=phi)
             for r, phi in ((3.0, 0.4), (2.0, -2.0), (4.0, 1.5))]
-    n = max(len(s) for s in sigs)
-    sigs = [np.pad(s, (0, n - len(s))) for s in sigs]
     weights = (0.5, 0.3, 0.2)
-    rho = sum(p * np.outer(s, s.conj()) for p, s in zip(weights, sigs))
     thetas = np.sort(np.random.default_rng(21).uniform(-math.pi, math.pi, 97))
-    _assert_brute_force(rho, analyzer, thetas, lambda log_rho: sum(
-        p * _brute_force_phase(s, log_rho, thetas) for p, s in zip(weights, sigs)))
+    _assert_brute_force(list(zip(weights, sigs)), analyzer, thetas, lambda log_rho: sum(
+        p * _brute_force_phase(s.coeffs, log_rho, thetas) for p, s in zip(weights, sigs)))
 
 
 @pytest.mark.parametrize("analyzer", ["Q", "PB", "(3;)"])
@@ -307,14 +301,13 @@ def test_phase_sum_of_a_density_matrix(analyzer):
 def test_phase_sum_at_row_block_edges(analyzer, blocks, extra, weights):
     # C_m runs over the triangle n + m < w in blocks of ph._CM_ROWS rows m:
     # windows of one order, one block either side of its edge and two blocks
-    # and one row, each a pure signal and a two-signal density matrix
+    # and one row, each a pure signal and a two-signal mixture
     w = blocks * ph._CM_ROWS + extra
     rng = np.random.default_rng(w)
     sigs = [st.fock_from_coeffs((0.5 + rng.random(w)) * np.exp(2j * math.pi * rng.random(w)))
             for _ in weights]
     assert _window(sigs[0].coeffs) == (0, w)
-    signal = sigs[0] if len(sigs) == 1 else sum(
-        p * np.outer(s.coeffs, s.coeffs.conj()) for p, s in zip(weights, sigs))
+    signal = sigs[0] if len(sigs) == 1 else list(zip(weights, sigs))
     thetas = np.sort(rng.uniform(-math.pi, math.pi, 97))
     _assert_brute_force(signal, analyzer, thetas, lambda log_rho: sum(
         p * _brute_force_phase(s.coeffs, log_rho, thetas) for p, s in zip(weights, sigs)))

@@ -66,28 +66,31 @@ def test_scalar_zero_broadcasts_against_arrays():
     assert val == pytest.approx([1.0, 1.0], rel=1e-10)
 
 
-def test_interval_budget_raises_for_any_component():
+def test_interval_budget_raises_for_any_component(monkeypatch):
+    monkeypatch.setattr(qd, "MAX_INTERVALS", 10)
     f = columns(np.ones_like, lambda x: np.abs(x - 1.0 / 3.0) ** -0.5)
     with pytest.raises(ConvergenceError, match="10 intervals"):
-        qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, max_intervals=10)
+        qd.integrate(f, 0.0, 1.0, rel_tol=1e-12)
 
 
-def test_a_round_stays_within_the_interval_budget():
+def test_a_round_stays_within_the_interval_budget(monkeypatch):
     # a round evaluates only the halves of the panels it bisects, and never
-    # leaves more than max_intervals live panels: at most 10 panels per call
+    # leaves more than MAX_INTERVALS live panels: at most 10 panels per call
+    monkeypatch.setattr(qd, "MAX_INTERVALS", 10)
     f = counted(columns(np.ones_like, lambda x: np.abs(x - 1.0 / 3.0) ** -0.5))
     with pytest.raises(ConvergenceError, match="budget of 10 intervals"):
-        qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, max_intervals=10)
+        qd.integrate(f, 0.0, 1.0, rel_tol=1e-12)
     assert f.calls > 1
     assert max(shape[0] for shape in f.shapes) <= 150
 
 
-def test_nan_integrand_ends_at_the_interval_budget():
+def test_nan_integrand_ends_at_the_interval_budget(monkeypatch):
     # a NaN error meets no tolerance: every round still bisects a panel, so
     # the pass raises at the budget instead of looping on an empty round
+    monkeypatch.setattr(qd, "MAX_INTERVALS", 50)
     f = columns(np.ones_like, lambda x: np.where(x > 0.7, np.nan, 1.0))
     with pytest.raises(ConvergenceError, match="budget of 50 intervals"):
-        qd.integrate(f, 0.0, 1.0, max_intervals=50)
+        qd.integrate(f, 0.0, 1.0)
 
 
 def test_near_zero_component_meets_abs_tol():
@@ -134,12 +137,13 @@ def _sorted_loop_evals(f, a, b, rel_tol, abs_tol):
     return f.calls, sum(it[3] for it in intervals)
 
 
-def test_peaked_integrand_panel_count_not_above_sorted_loop():
+def test_peaked_integrand_panel_count_not_above_sorted_loop(monkeypatch):
     # rounds bisect no more panels than the one-at-a-time loop, in a quarter
     # of its integrand calls or fewer
+    monkeypatch.setattr(qd, "MAX_INTERVALS", 4000)
     peak = lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2)
     f = counted(peak)
-    val, err = qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14, max_intervals=4000)
+    val, err = qd.integrate(f, 0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14)
     ref_panels, ref_val = _sorted_loop_evals(peak, 0.0, 1.0, 1e-12, 1e-14)
     panels = sum(shape[0] for shape in f.shapes) // 15
     assert panels <= ref_panels

@@ -207,9 +207,22 @@ def test_rho_recurrence_consistency(params):
 
 
 def test_rho_gamma_form_agreement():
+    # log_rho_half steps the odd orders from one Gamma-ratio anchor log rho(1/2):
+    # every half order agrees with the gamma form log Gamma(nu+1) + sum[lnG(b+nu)
+    # - lnG(b)] - sum[lnG(a+nu) - lnG(a)] in 30-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
     p = st.validate([1 + 2j, 1 - 2j], [0.5])
-    for n in (0, 1, 7, 23):
-        assert st.log_rho_gamma(p, n) == pytest.approx(st.log_rho(p, n), abs=1e-11)
+    t = st.log_rho_half(p, 23)
+    with mpmath.workdps(30):
+        for k in (0, 1, 2, 7, 14, 23, 45, 46):
+            nu = mpmath.mpf(k) / 2
+            ref = mpmath.loggamma(nu + 1) + sum(
+                mpmath.loggamma(v + nu) - mpmath.loggamma(v) for v in p.b) - sum(
+                mpmath.loggamma(v + nu) - mpmath.loggamma(v) for v in p.a)
+            assert t[k] == pytest.approx(float(mpmath.re(ref)), abs=1e-11)
+    # a sign-changing rho(1/2) has no log: (-0.3; -0.6) is a valid F11 pair
+    with pytest.raises(ParameterError, match="negative"):
+        st.log_rho_half(st.validate([-0.3], [-0.6]), 4)
 
 
 def test_rho_overflow_error():
@@ -303,16 +316,19 @@ def test_normalization_circle_divergence():
 
 def test_normalization_array_matches_float_calls():
     # one call over the nodes: a float gives a float, an array the values of
-    # the float calls; on the circle (within 1e-14 of x = 1) the Gauss sum
-    # takes its unit formula
+    # the float calls; x is taken as given, so 1 - 1e-15 is summed there (the
+    # circle band is StateSpec's) and only x = 1 takes the unit formula, or
+    # diverges for eta >= 0
     xs = np.array([0.0, 0.3, 0.85, 1.0 - 1e-15, 1.0])
     for p in (st.validate([0.3, 0.4], [1.5]), st.validate([2.5, 1.8], [2.0])):
-        at = xs if p.eta < 0 else xs[:-2]
+        at = xs if p.eta < 0 else xs[:-1]
         ones = [st.normalization(p, float(x)) for x in at]
         assert type(ones[0]) is float
         assert np.allclose(st.normalization(p, at), ones, rtol=1e-15, atol=0.0)
     edge = st.normalization(st.validate([0.3, 0.4], [1.5]), xs[-2:])
-    assert edge[0] == edge[1]
+    assert edge[0] < edge[1] == pytest.approx(edge[0], rel=1e-10)
+    with pytest.raises(DivergenceError, match="eta = 2.3 >= 0"):
+        st.normalization(st.validate([2.5, 1.8], [2.0]), xs)
     assert np.allclose(st.normalization(CS, xs), np.exp(xs), rtol=1e-13, atol=0.0)
 
 

@@ -127,6 +127,19 @@ def test_weight_on_a_grid_takes_one_slice_per_octave(monkeypatch):
         assert np.max(np.abs(w / ref - 1.0)) <= 9e-16
 
 
+def test_f21_weight_inside_the_circle_band():
+    # 1 - 1e-14 is inside the support [0, 1) and within specfun.UNIT_BAND of
+    # the circle, which is StateSpec's test: the weight is w~ N with N at x as
+    # given, finite for eta = 4.  w~ = 2 om^2 2F1(1, 1; 3; om) for (3, 3; 2)
+    mpmath = pytest.importorskip("mpmath")
+    x = 1.0 - 1e-14
+    w = wt.weight("F21", st.validate([3.0, 3.0], [2.0]), x)
+    with mpmath.workdps(40):
+        om = 1 - mpmath.mpf(x)
+        ref = 2 * om**2 * mpmath.hyp2f1(1, 1, 3, om) * mpmath.hyp2f1(3, 3, 2, x)
+    assert math.isfinite(w) and w == pytest.approx(float(ref), rel=1e-10)
+
+
 def test_weight_tilde_is_weight_over_normalization():
     cases = [("F01", st.validate([], [2.0]), 1.3),
              ("F11", st.validate([2.0], [4.0]), 0.9),
