@@ -8,10 +8,11 @@ function U, and the Gauss function 2F1 including its unit argument and
 near-unit-argument connection formulas.  The Bessel I and Kummer M ratios
 of the closed-form photon statistics are continued fractions in photstat.
 
-All evaluators are pure functions in double precision.  Series are summed
-by term-ratio recurrences; convergence is declared when three consecutive
-terms are below tol relative to the partial sum and so is their geometric
-tail, which is reported alongside the value.
+All evaluators are pure functions in double precision.  pfq is the one
+series loop (the 2F1 logarithmic case sums through it, its terms weighted):
+convergence is declared when three consecutive terms are below tol relative
+to the partial sum and so is their geometric tail, which is reported
+alongside the value and sum |t_n|.
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ class SeriesResult:
     tail_estimate bounds the truncation error, at most tol * max(1, |value|)
     for the tol the series was run at (an evaluator that misses it raises).
     A sum over an array of arguments holds arrays of values and tail estimates.
+    abs_sum is pfq's sum of |t_n| over the terms it summed, before any weight
+    (u abs_sum scales the rounding of the sum); None where several sums combine.
     """
 
     value: complex
     terms_used: int
     tail_estimate: float
+    abs_sum: float | None = None
 
 
 def _is_nonpositive_integer(v) -> bool:
@@ -192,7 +196,7 @@ def _check_pfq_domain(a, b, x: np.ndarray):
         )
 
 
-def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
+def pfq(a, b, x, tol: float = DEFAULT_TOL, weight=None) -> SeriesResult:
     """Generalized hypergeometric series sum_n [prod (a_i)_n / prod (b_j)_n] x^n / n!.
 
     Parameters
@@ -203,6 +207,11 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
         convergence domain (any x for p <= q, |x| < 1 for p = q+1, or
         |x| = 1 with eta < 0).
     tol : requested relative truncation error.
+    weight : start weights g_0, one per node (a float for a float x).  The
+        sum is then sum_n t_n g_n, with g_(n+1) = g_n + sum 1/(a_i+n)
+        - sum 1/(b_j+n) - 1/(n+1): the derivative of log(t_(n+1)/t_n)
+        under a common shift of every parameter and of n, as the psi
+        differences of the 2F1 logarithmic case step.
 
     All nodes are summed at once, in blocks of terms formed by
     np.multiply.accumulate and np.add.accumulate over the term ratios, so
@@ -223,12 +232,13 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
             raise PoleError(f"pfq denominator parameter {bj} is a non-positive integer")
     xs = np.atleast_1d(x)
     _check_pfq_domain(a, b, xs)
-    # the nodes still summing, their last term and partial sum, and |t| of
-    # the two terms before those and whether they were small (no run of
-    # three small terms starts before n = 2, so any start values do)
-    rows, xr, term, s = np.arange(len(xs)), xs[:, None], 1.0, 1.0
+    # the nodes still summing, their last term, partial sum and sum of |t|,
+    # and |t| of the two terms before those and whether they were small (no
+    # run of three small terms starts before n = 2, so any start values do)
+    g = None if weight is None else np.atleast_1d(weight)  # the weight of the last term
+    rows, xr, term, s, s_abs = np.arange(len(xs)), xs[:, None], 1.0, 1.0 if g is None else g, 1.0
     prev_abs = prev_small = np.zeros((len(xs), 2), bool)
-    value = tail = None  # allocated when the first node stops
+    value = tail = abs_sum = None  # allocated when the first node stops
     n0, k, used = 0, 128, 0
     with np.errstate(all="ignore"):  # nodes run on past their stop within a block
         while True:
@@ -252,10 +262,18 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
             if n0:
                 t[:, 0] *= term
             np.multiply.accumulate(t, axis=1, out=t)
-            sums = t.copy()
+            abs_sums = np.abs(t)
+            abs_sums[:, 0] += s_abs
+            np.add.accumulate(abs_sums, axis=1, out=abs_sums)
+            add = t
+            if g is not None:  # the weights g_n of the block's terms
+                steps = sum(1.0 / (ai + n) for ai in a) - sum(1.0 / (bj + n) for bj in b) - 1.0 / (n + 1.0)
+                gn = g[:, None] + np.add.accumulate(steps)
+                add = t * gn
+            sums = add.copy()
             sums[:, 0] += s
             np.add.accumulate(sums, axis=1, out=sums)
-            at, lim = np.abs(t), tol * np.abs(sums)
+            at, lim = np.abs(add), tol * np.abs(sums)
             small = np.concatenate((prev_small, at <= lim), axis=1)
             run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three small terms in a row
             tails = at / (1.0 - r)
@@ -273,22 +291,27 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL) -> SeriesResult:
                 if bad.any():
                     raise RangeError(f"pfq partial sum overflowed at term {n0 + bad.any(axis=0).argmax() + 1}")
             if value is None and done.all():  # all stop together: rows is still 0..m-1
-                value, tail, used = sums[rows, end], tails[rows, end], int(end.sum()) + len(rows) * (n0 + 2)
+                value, tail, abs_sum = sums[rows, end], tails[rows, end], abs_sums[rows, end]
+                used = int(end.sum()) + len(rows) * (n0 + 2)
                 break
             if value is None:
-                value, tail = np.empty(len(xs), sums.dtype), np.empty(len(xs))
+                value, tail, abs_sum = np.empty(len(xs), sums.dtype), np.empty(len(xs)), np.empty(len(xs))
             i = np.flatnonzero(done)
-            value[rows[i]], tail[rows[i]] = sums[i, end[i]], tails[i, end[i]]
-            used += int(end[i].sum()) + len(i) * (n0 + 2)
+            ri, ei = rows[i], end[i]
+            value[ri], tail[ri], abs_sum[ri] = sums[i, ei], tails[i, ei], abs_sums[i, ei]
+            used += int(ei.sum()) + len(i) * (n0 + 2)
             if len(i) == len(rows):
                 break
             keep = ~done
             rows, xr, t, sums, at, small = rows[keep], xr[keep], t[keep], sums[keep], at[keep], small[keep]
-            term, s, prev_abs, prev_small = t[:, -1], sums[:, -1], at[:, -2:], small[:, -2:]
+            term, s, s_abs = t[:, -1], sums[:, -1], abs_sums[keep, -1]
+            prev_abs, prev_small = at[:, -2:], small[:, -2:]
+            if g is not None:
+                g = gn[keep, -1]
             n0, k = n0 + len(n), min(2 * k, 1024)
     if np.ndim(x):
-        return SeriesResult(value, used, tail)
-    return SeriesResult(_as_real_if_possible(value[0].item()), used, float(tail[0]))
+        return SeriesResult(value, used, tail, abs_sum)
+    return SeriesResult(_as_real_if_possible(value[0].item()), used, float(tail[0]), float(abs_sum[0]))
 
 
 def _log_trapezoid(log_f, lo, hi, n: int, *cols) -> np.ndarray:
@@ -445,95 +468,65 @@ def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
     return sign * _exp_ratio(ln)
 
 
-def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> SeriesResult:
+def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> tuple:
     """Connection formula at integer m = b - a1 - a2 >= 0 in powers of w = 1-x,
-    an array, its log series summed in blocks of terms as pfq sums; every
-    node stops at its own first of three successive terms below tol (1-w) of
-    the sum."""
+    an array (DLMF 15.8.10): a finite part of m terms, and a log part that pfq
+    sums as the terms t_n of 2F1(a1+m, a2+m; m+1; w)/m! weighted by
+    g_n = log w + psi(a1+m+n) - psi(n+1) + psi(a2+m+n) - psi(m+n+1).
+    Returns the SeriesResult and the size whose rounding the value carries:
+    every g_n carries the rounding of g_0, u (|log w| + sum |psi|), times
+    sum |t_n|, which grows past the value as a1 does."""
     m = round(b - a1 - a2)
-    total, used = np.zeros_like(w), m * len(w)
+    total, size, used = np.zeros_like(w), np.zeros_like(w), m * len(w)
     if m > 0:
         # finite part: Gamma(m) Gamma(b) / (Gamma(a1+m) Gamma(a2+m)) * sum_{n<m}
         ln, sign = ln_gamma_ratio((float(m), b), (a1 + m, a2 + m))
         coeff = sign * _exp_ratio(ln)
         t = np.ones_like(w)
-        s_fin = 0.0
+        s_fin = s_abs = 0.0
         for n in range(m):
-            s_fin = s_fin + t
+            s_fin, s_abs = s_fin + t, s_abs + np.abs(t)
             if n + 1 < m:
                 t = t * (a1 + n) * (a2 + n) * w / ((n + 1.0) * (n + 1.0 - m))
-        total = total + coeff * s_fin
-    # log part: -(-1)^m Gamma(b)/(Gamma(a1)Gamma(a2)) w^m sum_n c_n w^n [...]
+        total, size = coeff * s_fin, abs(coeff) * s_abs
+    # log part: -(-1)^m Gamma(b)/(Gamma(a1)Gamma(a2)) w^m sum_n t_n g_n
     ln, sign = ln_gamma_ratio((b,), (a1, a2))
     if sign == 0.0:
         # 1/Gamma(a1) or 1/Gamma(a2) is zero: 2F1 is a polynomial through the finite part only
-        return SeriesResult(total, max(used, 1), np.zeros_like(w))
-    coeff = -((-1.0) ** m) * sign * _exp_ratio(ln) * w**m
-    s_log, tail = np.empty_like(w), np.empty_like(w)
-    # d1 = psi(a1+m+n) - psi(n+1), d2 = psi(a2+m+n) - psi(n+m+1), stepped by
-    # psi(z+1) = psi(z) + 1/z; the differences stay small, so does their rounding
-    d1, d2 = digamma(a1 + m) - digamma(1.0), digamma(a2 + m) - digamma(m + 1.0)
-    rows, t, s = np.arange(len(w)), np.full(len(w), 1.0 / math.factorial(m)), 0.0
-    prev_small, n0, k = np.zeros((len(w), 2), bool), 0, 64
-    while rows.size:
-        if n0 >= DEFAULT_MAX_TERMS:
-            raise ConvergenceError("2F1 logarithmic branch did not converge")
-        n = np.arange(n0, min(n0 + k, DEFAULT_MAX_TERMS), dtype=float)
-        wr, cr = w[rows, None], np.abs(coeff[rows, None])
-        ratio = (a1 + m + n) * (a2 + m + n) * wr / ((n + 1.0) * (n + m + 1.0))
-        inc1, inc2 = (1.0 - a1 - m) / ((a1 + m + n) * (n + 1.0)), (1.0 - a2) / ((a2 + m + n) * (n + m + 1.0))
-        terms = np.multiply.accumulate(np.concatenate((t[:, None], ratio[:, :-1]), axis=1), axis=1)
-        psi1, psi2 = (np.add.accumulate(np.concatenate(([d], inc[:-1]))) for d, inc in ((d1, inc1), (d2, inc2)))
-        add = terms * (np.log(wr) + psi1 + psi2)
-        sums = add.copy()
-        sums[:, 0] += s
-        np.add.accumulate(sums, axis=1, out=sums)
-        size = cr * np.abs(add)
-        ref = np.abs(total[rows, None]) + cr * np.abs(sums)
-        small = np.concatenate((prev_small, size <= tol * (1.0 - wr) * np.maximum(ref, 1e-300)), axis=1)
-        stop = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        done, end = stop.any(axis=1), stop.argmax(axis=1)
-        i = np.flatnonzero(done)
-        e = end[i]
-        s_log[rows[i]], tail[rows[i]] = sums[i, e], size[i, e] / np.maximum(1.0 - wr[i, 0], 1e-6)
-        used += int(e.sum()) + len(i) * (n0 + 1)
-        keep = ~done
-        rows, t, s, prev_small = rows[keep], terms[keep, -1] * ratio[keep, -1], sums[keep, -1], small[keep, -2:]
-        d1, d2 = psi1[-1] + inc1[-1], psi2[-1] + inc2[-1]
-        n0, k = n0 + len(n), min(2 * k, 1024)
-    return SeriesResult(total + coeff * s_log, used, tail)
+        return SeriesResult(total, max(used, 1), np.zeros_like(w)), size
+    coeff = -((-1.0) ** m) * sign * _exp_ratio(ln) * w**m / math.factorial(m)
+    psi, log_w = (digamma(a1 + m), digamma(1.0), digamma(a2 + m), digamma(m + 1.0)), np.log(w)
+    r = pfq((a1 + m, a2 + m), (m + 1.0,), w, tol=tol, weight=log_w + (psi[0] - psi[1]) + (psi[2] - psi[3]))
+    size = size + np.abs(coeff) * r.abs_sum * (np.abs(log_w) + sum(map(abs, psi)))
+    return SeriesResult(total + coeff * r.value, used + r.terms_used, np.abs(coeff) * r.tail_estimate), size
 
 
-def _gauss_nonint_connection(a1, a2, b, x: np.ndarray, w: np.ndarray, tol) -> SeriesResult:
+def _gauss_nonint_connection(a1, a2, b, w: np.ndarray, tol) -> tuple:
     """Two-term connection formula c1 r1 + c2 r2 in an array w = 1-x, s =
     b - a1 - a2 not an integer and a1, a2 not non-positive integers.  Near
     an integer m both terms carry the rounding of s amplified 1/|s - m|
-    times, and they cancel kappa = (|c1 r1| + |c2 r2|)/|c1 r1 + c2 r2| fold:
-    a node whose error estimate kappa u/|s - m| passes about 2e-13
-    (kappa > 1000 |s - m|) and x <= 0.9 takes the direct series at tol
-    1e-14 instead (a few hundred terms there)."""
+    times, so the size whose rounding the value carries, returned with the
+    SeriesResult, is (|c1 r1| + |c2 r2|)/|s - m|."""
     s = b - a1 - a2
     ln2, sign2 = ln_gamma_ratio((b, -s), (a1, a2))
     c2 = sign2 * _exp_ratio(ln2) * w**s
     r2 = pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
+    one, used, tail = 0.0, r2.terms_used, np.abs(c2) * r2.tail_estimate
     ln1, sign1 = ln_gamma_ratio((b, s), (b - a1, b - a2))
-    if sign1 == 0.0:  # 1/Gamma(b - a1) or 1/Gamma(b - a2) is zero
-        return SeriesResult(c2 * r2.value, r2.terms_used, np.abs(c2) * r2.tail_estimate)
-    c1 = sign1 * _exp_ratio(ln1)
-    r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
-    one, two = c1 * r1.value, c2 * r2.value
-    value, used = one + two, r1.terms_used + r2.terms_used
-    tail = abs(c1) * r1.tail_estimate + np.abs(c2) * r2.tail_estimate
-    direct = (np.abs(one) + np.abs(two) > 1e3 * abs(s - round(s)) * np.abs(value)) & (x <= 0.9)
-    if direct.any():
-        r = pfq((a1, a2), (b,), x[direct], tol=1e-14)
-        value[direct], tail[direct], used = r.value, r.tail_estimate, used + r.terms_used
-    return SeriesResult(value, used, tail)
+    if sign1 != 0.0:  # else 1/Gamma(b - a1) or 1/Gamma(b - a2) is zero
+        c1 = sign1 * _exp_ratio(ln1)
+        r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
+        one, used, tail = c1 * r1.value, used + r1.terms_used, tail + abs(c1) * r1.tail_estimate
+    two = c2 * r2.value
+    return SeriesResult(one + two, used, tail), (np.abs(one) + np.abs(two)) / abs(s - round(s))
 
 
 def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
     """2F1 at nodes x with exact distances w = 1 - x, floats or arrays, that
-    all lie on branch k = (x > 0.8) + (w == 0) of gauss_2f1."""
+    all lie on branch k = (x > 0.8) + (w == 0) of gauss_2f1.  Both connection
+    formulas share one cancellation rule: a node whose error estimate
+    u size/|value| passes about 2e-13 (size > 1000 |value|) and x <= 0.9
+    takes the direct series at tol 1e-14 instead (a few hundred terms there)."""
     if k == 0:
         return pfq((a1, a2), (b,), x, tol=tol)
     if k == 2:
@@ -543,12 +536,18 @@ def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
         return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]))
     s = b - a1 - a2
     if abs(s - round(s)) >= 1e-10:
-        return _gauss_nonint_connection(a1, a2, b, x, w, tol)
-    if round(s) >= 0:
-        return _gauss_log_case(a1, a2, b, w, tol)
-    # Euler: 2F1(a1, a2; b; x) = w^s 2F1(b - a1, b - a2; b; x), exponent -s > 0
-    f, inner = w**s, _gauss_log_case(b - a1, b - a2, b, w, tol)
-    return SeriesResult(f * inner.value, inner.terms_used, f * inner.tail_estimate)
+        r, size = _gauss_nonint_connection(a1, a2, b, w, tol)
+    elif round(s) >= 0:
+        r, size = _gauss_log_case(a1, a2, b, w, tol)
+    else:  # Euler: 2F1(a1, a2; b; x) = w^s 2F1(b - a1, b - a2; b; x), exponent -s > 0
+        f, (r, size) = w**s, _gauss_log_case(b - a1, b - a2, b, w, tol)
+        r, size = SeriesResult(f * r.value, r.terms_used, f * r.tail_estimate), f * size
+    direct = (size > 1e3 * np.abs(r.value)) & (x <= 0.9)
+    if direct.any():
+        d = pfq((a1, a2), (b,), x[direct], tol=1e-14)
+        r.value[direct], r.tail_estimate[direct] = d.value, d.tail_estimate
+        r = SeriesResult(r.value, r.terms_used + d.terms_used, r.tail_estimate)
+    return r
 
 
 def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
@@ -563,8 +562,8 @@ def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
     series (the connection formulas can lose ~8 digits just past 0.5);
     0.8 < x < 1 the connection formulas in w (logarithmic case at integer
     b - a1 - a2, after the Euler transformation if negative; two terms
-    otherwise, the direct series where they cancel at x <= 0.9); w = 0 the
-    gamma formula, b - a1 - a2 > 0.  A terminating series (a1 or a2 a
+    otherwise; the direct series where either cancels at x <= 0.9); w = 0
+    the gamma formula, b - a1 - a2 > 0.  A terminating series (a1 or a2 a
     non-positive integer) is summed directly.
     """
     if _is_nonpositive_integer(b):

@@ -100,6 +100,20 @@ def test_one_density_formula():
     assert all(len(c) == 1 for c in callers.values()), callers
 
 
+def test_one_series_loop():
+    # pfq is specfun's one block-series loop and stopping rule: the 2F1
+    # logarithmic case sums its log part as one weighted pfq call, so no
+    # other function forms term blocks with np.multiply.accumulate
+    tops = {f.name: f for f in ast.parse((SRC / "specfun.py").read_text()).body
+            if isinstance(f, ast.FunctionDef)}
+    blocks = {name for name, f in tops.items() for n in ast.walk(f)
+              if isinstance(n, ast.Attribute) and n.attr == "accumulate"
+              and getattr(n.value, "attr", None) == "multiply"}
+    assert blocks == {"pfq"}
+    assert [n.func.id for n in ast.walk(tops["_gauss_log_case"]) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "pfq"] == ["pfq"]
+
+
 def test_one_bessel_k_rule():
     # K has one rule, the cosh integral: no function reachable from
     # ln_bessel_k sums a pfq series, and _log_trapezoid is specfun's only

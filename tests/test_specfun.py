@@ -219,6 +219,23 @@ def test_pfq_array_matches_term_loop():
     assert isinstance(sf.pfq([1.5], [2.5], 3.0).value, float)
 
 
+def test_pfq_weight_and_abs_sum():
+    # weight g_0 sums t_n g_n, g stepped by sum 1/(a_i+n) - sum 1/(b_j+n)
+    # - 1/(n+1) (the psi differences of the 2F1 log case); abs_sum is
+    # sum |t_n| of the unweighted terms, alternating ones included
+    for a, b, x, g0 in (((2.5, 1.5), (3.0,), 0.15, -0.8), ((-4.5,), (1.5,), 7.0, 2.0)):
+        t, g, s, s_abs = 1.0, g0, g0, 1.0
+        for n in range(400):
+            t *= x * math.prod(ai + n for ai in a) / ((n + 1.0) * math.prod(bj + n for bj in b))
+            g += sum(1.0 / (ai + n) for ai in a) - sum(1.0 / (bj + n) for bj in b) - 1.0 / (n + 1.0)
+            s, s_abs = s + t * g, s_abs + abs(t)
+        r = sf.pfq(a, b, np.array([x, x]), weight=np.array([g0, g0]), tol=1e-15)
+        assert r.value == pytest.approx([s, s], rel=1e-13)
+        assert r.abs_sum == pytest.approx([s_abs, s_abs], rel=1e-13)
+        assert sf.pfq(a, b, x, tol=1e-15, weight=g0).value == pytest.approx(s, rel=1e-13)
+        assert sf.pfq(a, b, x, tol=1e-15).abs_sum == pytest.approx(s_abs, rel=1e-13)
+
+
 # ------------------------------------------------------------------ bessel
 
 def _bessel_k(nu, x):
@@ -569,6 +586,24 @@ def test_gauss_2f1_near_unit_argument_oracle():
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
                           lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
     assert max(errs) < (5e-12,)
+
+
+@pytest.mark.parametrize("a1_range,x_range,bound", [
+    ((0.3, 6.0), (0.8, 0.99), 5e-13),
+    # the log part's terms grow past the value as a1 does: these nodes take
+    # the direct series, where the log case alone is up to 2e2 off
+    ((6.0, 100.0), (0.8, 0.9), 5e-12),
+])
+def test_gauss_log_case_oracle(a1_range, x_range, bound):
+    # integer m = b - a1 - a2 in 0..3: the logarithmic connection case
+    rng = np.random.default_rng(3)
+    draws = []
+    for _ in range(60):
+        a1, a2, m = rng.uniform(*a1_range), rng.uniform(0.3, 6.0), int(rng.integers(0, 4))
+        draws.append((a1, a2, a1 + a2 + m, rng.uniform(*x_range)))
+    errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
+                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
+    assert max(errs) < (bound,)
 
 
 def test_gauss_2f1_large_parameter_oracle():

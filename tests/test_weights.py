@@ -186,6 +186,7 @@ def test_f01_moment_check_b2():
     ("F10", st.validate([1.5], [])),
     ("F21", st.validate([3.0, 3.0], [2.0])),
     ("F21", st.validate([2.0, 2.2], [0.7])),  # density singular at the origin
+    ("F21", st.validate([15.0, 20.0], [2.0])),  # log case whose log part cancels
 ], ids=lambda v: v if isinstance(v, str) else v.label())
 def test_moment_checks_sampled_families(family, params):
     rep = wt.moment_check(family, params, n_max=8)
