@@ -4,15 +4,14 @@ Everything downstream (state construction, photon statistics, weight
 functions, phase distributions) is built on the evaluators in this module:
 log-gamma and its ratios, the generalized hypergeometric series pFq,
 the modified Bessel function K, the Tricomi confluent hypergeometric
-function U, and the Gauss function 2F1 including its unit argument and
-near-unit-argument connection formulas.  The Bessel I and Kummer M ratios
-of the closed-form photon statistics are continued fractions in photstat.
+function U, and the Gauss function 2F1 including its unit-argument formula
+and one connection formula near x = 1.  The Bessel I and Kummer M ratios of
+the closed-form photon statistics are continued fractions in photstat.
 
 All evaluators are pure functions in double precision.  pfq is the one
-series loop (the 2F1 logarithmic case sums through it, its terms weighted):
-convergence is declared when three consecutive terms are below tol relative
-to the partial sum and so is their geometric tail, which is reported
-alongside the value and sum |t_n|.
+series loop (the 2F1 connection formula sums through it, its terms weighted):
+it stops when three consecutive terms are below tol relative to the partial
+sum and so is their geometric tail, reported with the value and sum |t_n|.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class SeriesResult:
     tail_estimate bounds the truncation error, at most tol * max(1, |value|)
     for the tol the series was run at (an evaluator that misses it raises).
     A sum over an array of arguments holds arrays of values and tail estimates.
-    abs_sum is pfq's sum of |t_n| over the terms it summed, before any weight
-    (u abs_sum scales the rounding of the sum); None where several sums combine.
+    abs_sum is pfq's sum of |t_n| (of |t_n df_n/dg_n| for a weighted sum, see
+    pfq): u abs_sum scales the rounding of the sum; None where sums combine.
     """
 
     value: complex
@@ -147,28 +146,31 @@ def _exp_ratio(ln: float) -> float:
         raise RangeError(f"Gamma ratio exp({ln:.6g}) exceeds double range") from None
 
 
-def digamma(x: float) -> float:
-    """Digamma function for real x (poles excluded).
-
-    Uses the shift recurrence up to x >= 10 and the asymptotic Bernoulli
-    expansion through B14; reflection handles x < 1/2.  Measured on real x
-    in [0.5, 40]: within 9e-16 of mpmath (absolute, or relative where
-    |psi| > 1).
-    """
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"digamma pole at {x}")
-    if x < 0.5:
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x = x + 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli numbers B2/2, B4/4, ..., B14/14 over x^{2k}; the first term
-    # left out is below 5e-17 at x >= 10
-    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
-        1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
-    return acc + math.log(x) - 0.5 / x - tail
+def ln_gamma_slope(x: float, eps: float = 0.0) -> float:
+    """(ln|Gamma(x + eps)| - ln|Gamma(x)|)/eps for real x, |eps| <= 0.5, x and x + eps off the
+    poles; psi(x) at eps = 0 (reflected below x = 1/2).  The shift recurrence to x, x + eps >= 10,
+    then the divided difference of Stirling's series through B14: within 2e-15 of mpmath for x in
+    [-6, 40], eps in +-[1e-12, 0.5] (absolute, or relative where the slope exceeds 1)."""
+    if _is_nonpositive_integer(x) or _is_nonpositive_integer(x + eps):
+        raise PoleError(f"ln Gamma pole at {x} or {x + eps}")
+    if x < 0.5 and not eps:
+        return ln_gamma_slope(1.0 - x) - math.pi / math.tan(math.pi * x)
+    acc, lo = 0.0, x + min(eps, 0.0)
+    while lo < 10.0:  # log|1 + v|/eps, 1 + v < 0 where a pole lies between x, x + eps
+        v = eps / x
+        acc, x, lo = acc - (math.log1p(max(v, -2.0 - v)) / eps if eps else 1.0 / x), x + 1.0, lo + 1.0
+    if not eps:
+        inv2 = 1.0 / (x * x)  # B2/2, ..., B14/14 over x^2k; the first left out is below 5e-17
+        tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
+            1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
+        return acc + math.log(x) - 0.5 / x - tail
+    # the tail r Q(r^2) of ln Gamma, r = 1/x, Q(u) = sum B_2k/(2k (2k-1)) u^(k-1), has the
+    # difference quotient -r t (Q(t^2) + r (t + r) Q[t^2, r^2]) at t = 1/(x + eps): Horner for both
+    r, t, q_t, dd = 1.0 / x, 1.0 / (x + eps), 0.0, 0.0
+    for c in (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12):
+        q_t, dd = q_t * (t * t) + c, dd * (r * r) + q_t
+    lead = math.log(x + eps) + (x - 0.5) * math.log1p(eps / x) / eps - 1.0
+    return acc + lead - r * t * (q_t + r * (t + r) * dd)
 
 
 def on_unit_circle(r):
@@ -207,11 +209,12 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, weight=None) -> SeriesResult:
         convergence domain (any x for p <= q, |x| < 1 for p = q+1, or
         |x| = 1 with eta < 0).
     tol : requested relative truncation error.
-    weight : start weights g_0, one per node (a float for a float x).  The
-        sum is then sum_n t_n g_n, with g_(n+1) = g_n + sum 1/(a_i+n)
-        - sum 1/(b_j+n) - 1/(n+1): the derivative of log(t_(n+1)/t_n)
-        under a common shift of every parameter and of n, as the psi
-        differences of the 2F1 logarithmic case step.
+    weight : (g_0, eps), start weights g_0, one per node (a float for a float
+        x), and a shift |eps| <= 0.5: the sum is then sum_n t_n f_n, f_n =
+        (sigma_n exp(eps g_n) - 1)/eps, g stepped by the slope of log|t_(n+1)/t_n|
+        under a shift eps of every parameter and of n, sigma_n = -1 where Gamma
+        changes sign between c+n and c+n+eps for an odd number of parameters c;
+        at eps = 0, f_n = g_n and g steps by sum 1/(a_i+n) - sum 1/(b_j+n) - 1/(n+1).
 
     All nodes are summed at once, in blocks of terms formed by
     np.multiply.accumulate and np.add.accumulate over the term ratios, so
@@ -235,8 +238,20 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, weight=None) -> SeriesResult:
     # the nodes still summing, their last term, partial sum and sum of |t|,
     # and |t| of the two terms before those and whether they were small (no
     # run of three small terms starts before n = 2, so any start values do)
-    g = None if weight is None else np.atleast_1d(weight)  # the weight of the last term
-    rows, xr, term, s, s_abs = np.arange(len(xs)), xs[:, None], 1.0, 1.0 if g is None else g, 1.0
+    g, eps = (None, 0.0) if weight is None else (np.atleast_1d(weight[0]), weight[1])  # g of the last term
+
+    def factor(gn, n):  # f_n of the terms t_n at weights g_n, and |df_n/dg_n| = exp(eps g_n)
+        if not eps:
+            return gn, 1.0
+        em, cs = np.expm1(eps * gn), [c for c in (*a, *b) if c < 0.5]  # Gamma keeps its sign above 1/2
+        if not cs:
+            return em / eps, 1.0 + em
+        z = np.add.outer(cs, n)  # a pole between c + n and c + n + eps flips the sign
+        odd = ((np.floor(z) != np.floor(z + eps)) & (np.minimum(z, z + eps) < 0.0)).sum(axis=0) % 2
+        return np.where(odd, -2.0 - em, em) / eps, 1.0 + em
+
+    rows, xr, term = np.arange(len(xs)), xs[:, None], 1.0
+    s, s_abs = (1.0, 1.0) if g is None else factor(g, 0.0)
     prev_abs = prev_small = np.zeros((len(xs), 2), bool)
     value = tail = abs_sum = None  # allocated when the first node stops
     n0, k, used = 0, 128, 0
@@ -262,14 +277,21 @@ def pfq(a, b, x, tol: float = DEFAULT_TOL, weight=None) -> SeriesResult:
             if n0:
                 t[:, 0] *= term
             np.multiply.accumulate(t, axis=1, out=t)
-            abs_sums = np.abs(t)
+            add, dr = t, 1.0
+            if g is not None:  # the weights g_n of the block's terms
+                if eps:  # (log|c + n + eps| - log|c + n|)/eps for every parameter c, the n! as b = 1
+                    v = eps / np.add.outer((*a, *b, 1.0), n)
+                    lv = np.log1p(np.maximum(v, -2.0 - v)) / eps  # log|1 + v|, 1 + v < 0 too
+                    steps = lv[:len(a)].sum(axis=0) - lv[len(a):].sum(axis=0)
+                else:
+                    steps = (sum(1.0 / (ai + n) for ai in a) - sum(1.0 / (bj + n) for bj in b)
+                             - 1.0 / (n + 1.0))
+                gn = g[:, None] + np.add.accumulate(steps)
+                f, dr = factor(gn, n + 1.0)
+                add = t * f
+            abs_sums = np.abs(t) * dr if eps else np.abs(t)
             abs_sums[:, 0] += s_abs
             np.add.accumulate(abs_sums, axis=1, out=abs_sums)
-            add = t
-            if g is not None:  # the weights g_n of the block's terms
-                steps = sum(1.0 / (ai + n) for ai in a) - sum(1.0 / (bj + n) for bj in b) - 1.0 / (n + 1.0)
-                gn = g[:, None] + np.add.accumulate(steps)
-                add = t * gn
             sums = add.copy()
             sums[:, 0] += s
             np.add.accumulate(sums, axis=1, out=sums)
@@ -469,79 +491,59 @@ def gauss_2f1_unit(a1: float, a2: float, b: float) -> float:
 
 
 def _gauss_log_case(a1: float, a2: float, b: float, w: np.ndarray, tol) -> tuple:
-    """Connection formula at integer m = b - a1 - a2 >= 0 in powers of w = 1-x,
-    an array (DLMF 15.8.10): a finite part of m terms, and a log part that pfq
-    sums as the terms t_n of 2F1(a1+m, a2+m; m+1; w)/m! weighted by
-    g_n = log w + psi(a1+m+n) - psi(n+1) + psi(a2+m+n) - psi(m+n+1).
-    Returns the SeriesResult and the size whose rounding the value carries:
-    every g_n carries the rounding of g_0, u (|log w| + sum |psi|), times
-    sum |t_n|, which grows past the value as a1 does."""
-    m = round(b - a1 - a2)
+    """The connection formula in w = 1-x (an array) around the integer m >= 0
+    nearest s = b - a1 - a2 = m + eps (Buhring, SIAM J. Math. Anal. 18 (1987)
+    884): pairing term m + j of the first connection series with term j of the
+    second leaves, exactly, a finite part of m terms and -(-1)^m Gamma(b)
+    Gamma(1+eps) Gamma(1-eps) w^(m+eps) / (Gamma(a1) Gamma(a2) Gamma(m+1+eps))
+    sum_j t_j f_j, t_j the terms of 2F1(a1+m+eps, a2+m+eps; m+1+eps; w) and
+    f_j = (R_j - 1)/(-eps), R_j = +-exp(-eps g_j) the ratio of the paired terms,
+    g_0 = log w + the ln Gamma slopes over [v, v + eps] at v = a1+m, a2+m less
+    those at m+1, 1-eps.  At eps = 0 f_j = g_j (DLMF 15.8.10).  Needs
+    1/Gamma(b - a_i) != 0 at eps != 0.  Also returns the size whose rounding
+    the value carries, u (|log w| + sum |slopes|) sum |t_j df_j/dg_j|."""
+    m = round(b - (a1 + a2))
+    eps = (b - m) - (a1 + a2)  # b - m is exact; (a1, a2) and (a2, a1) give the same eps
     total, size, used = np.zeros_like(w), np.zeros_like(w), m * len(w)
     if m > 0:
-        # finite part: Gamma(m) Gamma(b) / (Gamma(a1+m) Gamma(a2+m)) * sum_{n<m}
-        ln, sign = ln_gamma_ratio((float(m), b), (a1 + m, a2 + m))
+        # finite part: Gamma(b) Gamma(m+eps) / (Gamma(b-a1) Gamma(b-a2)) * sum_{n<m}
+        ln, sign = ln_gamma_ratio((b, m + eps), (b - a1, b - a2))
         coeff = sign * _exp_ratio(ln)
-        t = np.ones_like(w)
-        s_fin = s_abs = 0.0
-        for n in range(m):
+        t = s_fin = s_abs = np.ones_like(w)
+        for n in range(m - 1):
+            t = t * (a1 + n) * (a2 + n) * w / ((n + 1.0) * (n + 1.0 - m - eps))
             s_fin, s_abs = s_fin + t, s_abs + np.abs(t)
-            if n + 1 < m:
-                t = t * (a1 + n) * (a2 + n) * w / ((n + 1.0) * (n + 1.0 - m))
         total, size = coeff * s_fin, abs(coeff) * s_abs
-    # log part: -(-1)^m Gamma(b)/(Gamma(a1)Gamma(a2)) w^m sum_n t_n g_n
-    ln, sign = ln_gamma_ratio((b,), (a1, a2))
+    ln, sign = ln_gamma_ratio((b, 1.0 + eps, 1.0 - eps), (a1, a2, m + 1.0 + eps))
     if sign == 0.0:
         # 1/Gamma(a1) or 1/Gamma(a2) is zero: 2F1 is a polynomial through the finite part only
         return SeriesResult(total, max(used, 1), np.zeros_like(w)), size
-    coeff = -((-1.0) ** m) * sign * _exp_ratio(ln) * w**m / math.factorial(m)
-    psi, log_w = (digamma(a1 + m), digamma(1.0), digamma(a2 + m), digamma(m + 1.0)), np.log(w)
-    r = pfq((a1 + m, a2 + m), (m + 1.0,), w, tol=tol, weight=log_w + (psi[0] - psi[1]) + (psi[2] - psi[3]))
-    size = size + np.abs(coeff) * r.abs_sum * (np.abs(log_w) + sum(map(abs, psi)))
+    coeff = -((-1.0) ** m) * sign * _exp_ratio(ln) * w**m * w**eps
+    sl, log_w = [ln_gamma_slope(v, eps) for v in (a1 + m, 1.0 - eps, a2 + m, m + 1.0)], np.log(w)
+    g0 = log_w + (sl[0] - sl[1]) + (sl[2] - sl[3])
+    r = pfq((a1 + m + eps, a2 + m + eps), (m + 1.0 + eps,), w, tol=tol, weight=(g0, -eps))
+    size = size + np.abs(coeff) * r.abs_sum * (np.abs(log_w) + sum(map(abs, sl)))
     return SeriesResult(total + coeff * r.value, used + r.terms_used, np.abs(coeff) * r.tail_estimate), size
 
 
-def _gauss_nonint_connection(a1, a2, b, w: np.ndarray, tol) -> tuple:
-    """Two-term connection formula c1 r1 + c2 r2 in an array w = 1-x, s =
-    b - a1 - a2 not an integer and a1, a2 not non-positive integers.  Near
-    an integer m both terms carry the rounding of s amplified 1/|s - m|
-    times, so the size whose rounding the value carries, returned with the
-    SeriesResult, is (|c1 r1| + |c2 r2|)/|s - m|."""
-    s = b - a1 - a2
-    ln2, sign2 = ln_gamma_ratio((b, -s), (a1, a2))
-    c2 = sign2 * _exp_ratio(ln2) * w**s
-    r2 = pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
-    one, used, tail = 0.0, r2.terms_used, np.abs(c2) * r2.tail_estimate
-    ln1, sign1 = ln_gamma_ratio((b, s), (b - a1, b - a2))
-    if sign1 != 0.0:  # else 1/Gamma(b - a1) or 1/Gamma(b - a2) is zero
-        c1 = sign1 * _exp_ratio(ln1)
-        r1 = pfq((a1, a2), (a1 + a2 - b + 1.0,), w, tol=tol)
-        one, used, tail = c1 * r1.value, used + r1.terms_used, tail + abs(c1) * r1.tail_estimate
-    two = c2 * r2.value
-    return SeriesResult(one + two, used, tail), (np.abs(one) + np.abs(two)) / abs(s - round(s))
-
-
 def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
-    """2F1 at nodes x with exact distances w = 1 - x, floats or arrays, that
-    all lie on branch k = (x > 0.8) + (w == 0) of gauss_2f1.  Both connection
-    formulas share one cancellation rule: a node whose error estimate
-    u size/|value| passes about 2e-13 (size > 1000 |value|) and x <= 0.9
-    takes the direct series at tol 1e-14 instead (a few hundred terms there)."""
+    """2F1 at node arrays x, w = 1 - x, on branch k = (x > 0.8) + (w == 0) of
+    gauss_2f1.  On (0.8, 1) _gauss_log_case, or where 1/Gamma(b - a_i) = 0 at
+    non-integer s = b - a1 - a2 the second connection term, which terminates.
+    A node whose error estimate u size/|value| passes about 2e-13 (size > 1000
+    |value|) and x <= 0.9 takes the direct series at tol 1e-14 instead."""
     if k == 0:
         return pfq((a1, a2), (b,), x, tol=tol)
     if k == 2:
         return SeriesResult(gauss_2f1_unit(a1, a2, b), 1, 0.0)
-    if not isinstance(w, np.ndarray):  # the connection formulas sum arrays
-        r = _gauss_branch(1, a1, a2, b, np.array([x]), np.array([w]), tol)
-        return SeriesResult(float(r.value[0]), r.terms_used, float(r.tail_estimate[0]))
-    s = b - a1 - a2
-    if abs(s - round(s)) >= 1e-10:
-        r, size = _gauss_nonint_connection(a1, a2, b, w, tol)
-    elif round(s) >= 0:
-        r, size = _gauss_log_case(a1, a2, b, w, tol)
-    else:  # Euler: 2F1(a1, a2; b; x) = w^s 2F1(b - a1, b - a2; b; x), exponent -s > 0
-        f, (r, size) = w**s, _gauss_log_case(b - a1, b - a2, b, w, tol)
-        r, size = SeriesResult(f * r.value, r.terms_used, f * r.tail_estimate), f * size
+    s = b - (a1 + a2)
+    if s != round(s) and (_is_nonpositive_integer(b - a1) or _is_nonpositive_integer(b - a2)):
+        ln, sign = ln_gamma_ratio((b, -s), (a1, a2))
+        c2, r = sign * _exp_ratio(ln) * w**s, pfq((b - a1, b - a2), (s + 1.0,), w, tol=tol)
+        return SeriesResult(c2 * r.value, r.terms_used, np.abs(c2) * r.tail_estimate)
+    f, p1, p2 = (1.0, a1, a2) if round(s) >= 0 else (w**s, b - a1, b - a2)  # Euler below s = -1/2
+    r, size = _gauss_log_case(p1, p2, b, w, tol)
+    r, size = SeriesResult(f * r.value, r.terms_used, f * r.tail_estimate), f * size
     direct = (size > 1e3 * np.abs(r.value)) & (x <= 0.9)
     if direct.any():
         d = pfq((a1, a2), (b,), x[direct], tol=1e-14)
@@ -553,33 +555,30 @@ def _gauss_branch(k: int, a1, a2, b, x, w, tol) -> SeriesResult:
 def gauss_2f1(a1: float, a2: float, b: float, x, tol: float = DEFAULT_TOL,
               w=None) -> SeriesResult:
     """Gauss function 2F1(a1, a2; b; x) for real parameters and real x in
-    [0, 1], the |z|^2 of the states, a float or a 1-D array (whose result
-    holds arrays, as pfq's).
-
-    w is the distance 1 - x, formed as 1 - x unless given (exact for
-    x >= 0.5): the F21 density passes it and stays accurate where x rounds
-    to 1.  Each branch takes all its nodes in one call: x <= 0.8 the direct
-    series (the connection formulas can lose ~8 digits just past 0.5);
-    0.8 < x < 1 the connection formulas in w (logarithmic case at integer
-    b - a1 - a2, after the Euler transformation if negative; two terms
-    otherwise; the direct series where either cancels at x <= 0.9); w = 0
-    the gamma formula, b - a1 - a2 > 0.  A terminating series (a1 or a2 a
-    non-positive integer) is summed directly.
+    [0, 1], the |z|^2 of the states: a 1-D array (whose result holds arrays,
+    as pfq's), or a float, summed as a one-node array.  w is the distance
+    1 - x, formed as 1 - x unless given (exact for x >= 0.5): the F21 density
+    passes it and stays accurate where x rounds to 1.  Each branch takes all
+    its nodes in one call: x <= 0.8 the direct series (the connection formula
+    can lose ~8 digits just past 0.5); 0.8 < x < 1 the one connection formula
+    in w (the direct series where it cancels at x <= 0.9); w = 0 the gamma
+    formula, b - a1 - a2 > 0.  A terminating series (a1 or a2 a non-positive
+    integer) is summed directly.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"gauss_2f1 pole: b = {b}")
-    nodes, w = isinstance(x, np.ndarray), 1.0 - x if w is None else w
-    inside = (x >= 0.0) & (w >= 0.0)  # a bool, or one per node
-    if not (inside.all() if nodes else inside):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ws = 1.0 - xs if w is None else np.atleast_1d(w)
+    if not ((xs >= 0.0) & (ws >= 0.0)).all():
         raise DivergenceError(f"gauss_2f1 requires 0 <= x <= 1, got {x}")
     if _is_nonpositive_integer(a1) or _is_nonpositive_integer(a2):
         return pfq((a1, a2), (b,), x, tol=tol)  # terminating
-    branch = 1 * (x > 0.8) + (w == 0.0)  # numpy adds bools as or
-    if not nodes:
-        return _gauss_branch(branch, a1, a2, b, x, w, tol)
-    value, tail, used = np.empty_like(x), np.empty_like(x), 0
+    branch = 1 * (xs > 0.8) + (ws == 0.0)  # numpy adds bools as or
+    value, tail, used = np.empty_like(xs), np.empty_like(xs), 0
     for k in np.flatnonzero(np.bincount(branch)):  # the branches that hold nodes
         on = branch == k
-        r = _gauss_branch(k, a1, a2, b, x[on], w[on], tol)
+        r = _gauss_branch(k, a1, a2, b, xs[on], ws[on], tol)
         value[on], tail[on], used = r.value, r.tail_estimate, used + r.terms_used
-    return SeriesResult(value, used, tail)
+    if np.ndim(x):
+        return SeriesResult(value, used, tail)
+    return SeriesResult(float(value[0]), used, float(tail[0]))

@@ -101,17 +101,25 @@ def test_one_density_formula():
 
 
 def test_one_series_loop():
-    # pfq is specfun's one block-series loop and stopping rule: the 2F1
-    # logarithmic case sums its log part as one weighted pfq call, so no
-    # other function forms term blocks with np.multiply.accumulate
+    # pfq is specfun's one block-series loop and stopping rule: the one 2F1
+    # connection formula, _gauss_log_case, sums its paired series as one
+    # weighted pfq call from one call site (where 1/Gamma(b - a_i) = 0 the
+    # second connection term alone serves), so no other function forms term
+    # blocks with np.multiply.accumulate
     tops = {f.name: f for f in ast.parse((SRC / "specfun.py").read_text()).body
             if isinstance(f, ast.FunctionDef)}
     blocks = {name for name, f in tops.items() for n in ast.walk(f)
               if isinstance(n, ast.Attribute) and n.attr == "accumulate"
               and getattr(n.value, "attr", None) == "multiply"}
     assert blocks == {"pfq"}
-    assert [n.func.id for n in ast.walk(tops["_gauss_log_case"]) if isinstance(n, ast.Call)
-            and getattr(n.func, "id", None) == "pfq"] == ["pfq"]
+
+    def calls(func, name):
+        return [n for n in ast.walk(tops[func])
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
+
+    assert len(calls("_gauss_log_case", "pfq")) == 1
+    assert [f for f in tops if calls(f, "_gauss_log_case")] == ["_gauss_branch"]
+    assert len(calls("_gauss_branch", "_gauss_log_case")) == 1
 
 
 def test_one_bessel_k_rule():

@@ -50,10 +50,49 @@ def test_ln_gamma_poles():
             sf.ln_gamma(x)
 
 
-def test_digamma_values():
+def _digamma(x):
+    """psi by the shift recurrence, Bernoulli tail and reflection: the weights
+    of the 2F1 logarithmic case, bit for bit, before the slope of ln Gamma."""
+    if x < 0.5:
+        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x = x + 1.0
+    inv2 = 1.0 / (x * x)
+    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
+        1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def test_ln_gamma_slope_oracle():
+    # (ln|Gamma(x+eps)| - ln|Gamma(x)|)/eps on x in [-6, 40], eps in
+    # +-[1e-12, 0.5], x and x + eps at least 1e-3 off the poles, against
+    # 40-digit mpmath (absolute, or relative where the slope exceeds 1):
+    # worst 8.0e-16 here, 1.3e-15 on 4,000 draws.  At eps = 0 it is psi,
+    # with the bits of _digamma
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    draws = []
+    while len(draws) < 600:
+        x = rng.uniform(-6.0, 40.0)
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        if min(abs(v - round(v)) for v in (x, x + eps)) > 1e-3:
+            draws.append((x, float(eps)))
+    errs = []
+    with mpmath.workdps(40):
+        for x, eps in draws:
+            xm = mpmath.mpf(x)
+            ref = float((mpmath.log(abs(mpmath.gamma(xm + eps))) - mpmath.log(abs(mpmath.gamma(xm)))) / eps)
+            errs.append((abs(sf.ln_gamma_slope(x, eps) - ref) / max(1.0, abs(ref)), x, eps))
+    assert max(errs) < (4e-15,)
+    assert [sf.ln_gamma_slope(x) for x, _ in draws] == [_digamma(x) for x, _ in draws]
     euler = 0.5772156649015329
-    assert sf.digamma(1.0) == pytest.approx(-euler, abs=1e-13)
-    assert sf.digamma(0.5) == pytest.approx(-euler - 2.0 * math.log(2.0), abs=1e-13)
+    assert sf.ln_gamma_slope(1.0) == pytest.approx(-euler, abs=1e-15)
+    assert sf.ln_gamma_slope(0.5) == pytest.approx(-euler - 2.0 * math.log(2.0), abs=1e-15)
+    for x, eps in ((-2.0, 0.3), (-2.3, 0.3), (0.5, -0.5)):  # a pole at x or at x + eps
+        with pytest.raises(PoleError):
+            sf.ln_gamma_slope(x, eps)
 
 
 # ---------------------------------------------------------- ln_gamma_ratio
@@ -220,20 +259,35 @@ def test_pfq_array_matches_term_loop():
 
 
 def test_pfq_weight_and_abs_sum():
-    # weight g_0 sums t_n g_n, g stepped by sum 1/(a_i+n) - sum 1/(b_j+n)
+    # weight (g_0, 0) sums t_n g_n, g stepped by sum 1/(a_i+n) - sum 1/(b_j+n)
     # - 1/(n+1) (the psi differences of the 2F1 log case); abs_sum is
-    # sum |t_n| of the unweighted terms, alternating ones included
-    for a, b, x, g0 in (((2.5, 1.5), (3.0,), 0.15, -0.8), ((-4.5,), (1.5,), 7.0, 2.0)):
+    # sum |t_n| of the unweighted terms, alternating ones included.  At
+    # eps != 0 the weight is (sigma_n exp(eps g_n) - 1)/eps, with eps g_n the
+    # ln Gamma differences of a common shift, sigma_n their sign (the pole
+    # -4 + n between -4.2 + n and -3.9 + n flips it for n <= 4 at eps = 0.3),
+    # and abs_sum sums |t_n| exp(eps g_n), the weight's slope in g
+    for a, b, x, g0 in (((2.5, 1.5), (3.0,), 0.15, -0.8), ((-4.2,), (1.5,), 7.0, 2.0)):
         t, g, s, s_abs = 1.0, g0, g0, 1.0
         for n in range(400):
             t *= x * math.prod(ai + n for ai in a) / ((n + 1.0) * math.prod(bj + n for bj in b))
             g += sum(1.0 / (ai + n) for ai in a) - sum(1.0 / (bj + n) for bj in b) - 1.0 / (n + 1.0)
             s, s_abs = s + t * g, s_abs + abs(t)
-        r = sf.pfq(a, b, np.array([x, x]), weight=np.array([g0, g0]), tol=1e-15)
+        r = sf.pfq(a, b, np.array([x, x]), weight=(np.array([g0, g0]), 0.0), tol=1e-15)
         assert r.value == pytest.approx([s, s], rel=1e-13)
         assert r.abs_sum == pytest.approx([s_abs, s_abs], rel=1e-13)
-        assert sf.pfq(a, b, x, tol=1e-15, weight=g0).value == pytest.approx(s, rel=1e-13)
+        assert sf.pfq(a, b, x, tol=1e-15, weight=(g0, 0.0)).value == pytest.approx(s, rel=1e-13)
         assert sf.pfq(a, b, x, tol=1e-15).abs_sum == pytest.approx(s_abs, rel=1e-13)
+        for eps in (0.3, -0.2):
+            t, lr, s, s_abs = 1.0, eps * g0, 0.0, 0.0
+            for n in range(400):
+                sign = math.prod(math.copysign(1.0, math.gamma(c + n + eps) / math.gamma(c + n))
+                                 for c in (*a, *b) if c + n < 1.0)
+                s, s_abs = s + t * (sign * math.exp(lr) - 1.0) / eps, s_abs + abs(t) * math.exp(lr)
+                lr += (sum(math.log(abs(1.0 + eps / (ai + n))) for ai in a)
+                       - sum(math.log(abs(1.0 + eps / (bj + n))) for bj in b) - math.log1p(eps / (n + 1.0)))
+                t *= x * math.prod(ai + n for ai in a) / ((n + 1.0) * math.prod(bj + n for bj in b))
+            r = sf.pfq(a, b, x, tol=1e-15, weight=(g0, eps))
+            assert r.value == pytest.approx(s, rel=1e-12) and r.abs_sum == pytest.approx(s_abs, rel=1e-12)
 
 
 # ------------------------------------------------------------------ bessel
@@ -568,12 +622,15 @@ def test_bessel_k_oracle_small_x_off_the_integers():
 
 
 def test_gauss_2f1_near_unit_argument_oracle():
-    # x in (0.8, 1): the connection formulas in 1 - x.  Second band: integer
+    # x in (0.8, 1): the connection formula in 1 - x.  Second band: integer
     # m = b - a1 - a2 >= 0, the logarithmic case, whose sum cancels up to
     # ~3e3-fold at a1, a2 ~ 6, b ~ 13, so its psi values must be good to
-    # about an ulp.  Worst on 1,500 draws per band: 3.2e-12 (a1 = -5.8 and
-    # b - a1 - a2 0.022 from an integer, the direct series, whose terms
-    # alternate) and 2.3e-12.
+    # about an ulp.  Third band: b - a2 a non-positive integer, where
+    # 1/Gamma(b - a2) = 0 leaves the second connection term alone (after the
+    # Euler transformation for integer s < 0).  Worst on 1,500 draws per
+    # band: 1.6e-12 (a1 = -4.0 at x = 0.854: the connection formula cancels
+    # 2e3-fold, so the direct series serves, whose terms cancel 6e4-fold),
+    # 1.4e-13 and 1.1e-13.
     rng = np.random.default_rng(7)
     draws = [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(0.1, 6.0),
               rng.uniform(0.8, 1.0)) for _ in range(300)]
@@ -583,6 +640,11 @@ def test_gauss_2f1_near_unit_argument_oracle():
         x = rng.uniform(0.8, 1.0)
         if a1 + a2 + m > 0.0:
             draws.append((a1, a2, a1 + a2 + m, x))
+    rng = np.random.default_rng(10)
+    draws += [(3.5, 3.0, 2.5, 0.95)]  # s = -4, b - a1 = -1
+    while len(draws) < 700:  # b on a grid of 1/64, so that b - a2 is exact
+        a1, b = rng.uniform(-6.0, 6.0), int(rng.integers(7, 512)) / 64.0
+        draws.append((a1, b - int(rng.integers(-4, 1)), b, rng.uniform(0.8, 1.0)))
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
                           lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
     assert max(errs) < (5e-12,)
@@ -607,11 +669,11 @@ def test_gauss_log_case_oracle(a1_range, x_range, bound):
 
 
 def test_gauss_2f1_large_parameter_oracle():
-    # b in [180, 400]: the unit formula and the two connection coefficients
-    # are Gamma ratios whose factors leave double range (1/Gamma(v) underflows
+    # b in [180, 400]: the unit formula and the connection coefficients are
+    # Gamma ratios whose factors leave double range (1/Gamma(v) underflows
     # from v = 178.5, where a pole test by 1/Gamma == 0 dropped whole terms).
-    # s = b - a1 - a2 stays off the integers: the logarithmic case is not in
-    # this band.  Worst 8.1e-13 on 400 draws, about u sum |ln Gamma|
+    # s = b - a1 - a2 stays off the integers.  Worst 8.5e-13 on these draws
+    # and 1.5e-12 on 400, about u sum |ln Gamma|
     rng = np.random.default_rng(29)
     draws = []
     while len(draws) < 100:
@@ -626,23 +688,38 @@ def test_gauss_2f1_large_parameter_oracle():
 
 
 def test_gauss_2f1_near_integer_oracle():
-    # s = b - a1 - a2 within 1e-7..1e-3 of an integer m, x in (0.8, 0.9]: the
-    # two connection terms cancel and carry the rounding of s amplified
-    # 1/|s - m| times, so these nodes take the direct series.  Worst here
-    # 1.1e-14; the two-term formula alone is 1.7 off.  a1, a2 > 0: where
-    # a2 < 0 puts x near a zero of 2F1 neither branch holds a relative bound
+    # s = b - a1 - a2 within 1e-7..1e-3 of an integer m: the two connection
+    # terms would cancel and carry the rounding of s amplified 1/|s - m|
+    # times; paired around m they do not.  First band x in (0.8, 0.9], a1,
+    # a2 > 0 (where a2 < 0 puts x near a zero of 2F1 no branch holds a
+    # relative bound there): worst 1.8e-13.  Second band x in (0.9, 0.999),
+    # out of the direct series' reach, a1, a2 in [-6, 6]: worst 1.0e-13,
+    # where the two-term formula was 1.4e-3 off; (a1, a2) and (a2, a1) agree
+    # to 1.6e-14 there
     rng = np.random.default_rng(15)
-    draws = []
+    draws, far = [], []
     while len(draws) < 300:
         a1, a2, m = rng.uniform(0.1, 6.0), rng.uniform(0.1, 6.0), int(rng.integers(-3, 6))
         b = a1 + a2 + m + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
         if b > 0.1:
             draws.append((a1, a2, b, rng.uniform(0.8, 0.9)))
+    rng = np.random.default_rng(1)
+    while len(far) < 600:
+        a1, a2, m = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), int(rng.integers(-3, 6))
+        b = a1 + a2 + m + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
+        if b > 0.1:
+            far.append((a1, a2, b, rng.uniform(0.9, 0.999)))
     errs = _oracle_errors(lambda *p: sf.gauss_2f1(*p).value,
-                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws)
+                          lambda mp, a1, a2, b, x: mp.hyp2f1(a1, a2, b, x), draws + far)
     assert max(errs) < (5e-12,)
+    swap = [abs(sf.gauss_2f1(a2, a1, b, x).value / sf.gauss_2f1(a1, a2, b, x).value - 1.0)
+            for a1, a2, b, x in far]
+    assert max(swap) < 1e-13
     assert sf.gauss_2f1(4.89, 5.66, 11.55 - 3.77e-7, 0.85).value == pytest.approx(
         30.686748125650137, rel=0.0, abs=5e-12)
+    # 2F1 = 130.28639690218998 (40-digit mpmath); the two-term formula gave 127.06
+    assert sf.gauss_2f1(4.89, 5.66, 11.55 - 3.77e-7, 0.97).value == pytest.approx(
+        130.28639690218998, rel=5e-14)
 
 
 def test_f21_density_oracle():
@@ -664,6 +741,10 @@ def test_f21_density_oracle():
     errs = _oracle_errors(lambda a1, a2, b, x: wt.weight_tilde("F21", st.validate([a1, a2], [b]), x),
                           ref, draws)
     assert max(errs) < (2e-12,)
+    # b near an integer at x < 0.1: the 2F1 at 1 - x has s = b - 1 near 1, where
+    # the two-term formula gave 7.459687; 40-digit mpmath of ref gives the value
+    assert wt.weight_tilde("F21", st.validate([4.12, 3.91], [2.0 - 1.2e-7]), 0.013) == pytest.approx(
+        7.467105423980753, rel=1e-12)
 
 
 def test_pfq_oracle():
